@@ -1,8 +1,9 @@
 """Linearized (variational) and dual backward sweeps, plus the duality gap.
 
 The backward sweep is the exact transpose of the forward semi-implicit
-step (discretize-then-optimize).  With the quadrature conventions of the
-forward module, the multiplier recursion is
+step (discretize-then-optimize); both sweeps here run the step kernel of
+the forward module.  With the quadrature conventions of that module, the
+multiplier recursion is
 
     lam_N = Dg0(X_N)
     lam_n = dt*Dg(X_n) + (I + dt*DF*(X_n)) S* lam_{n+1},   n = N-1 .. 0,
@@ -10,6 +11,8 @@ forward module, the multiplier recursion is
 and the reported dual path is p_n = -lam_n, so the terminal condition
 p(T) = -Dg0(X(T)) holds exactly and the control-space gradient assembled
 from this path is the exact gradient of the discrete cost functional.
+The sweeps also keep the transported values S* p_{n+1}, from which the
+control signal is read off without further solves.
 
 In stochastic mode adaptedness is restored by least-squares projection:
 at each backward step the transported value S* lam_{n+1} is replaced by
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FhnParams, i_ion_prime
+from .dynamics import FhnParams
 from .errors import ConfigurationError, ContractViolation
 from .forward import (
     ActuatorSpec,
@@ -32,19 +35,23 @@ from .forward import (
     TimeGrid,
     Trajectory,
     actuator_adjoint,
-    implicit_solve,
     implicit_solve_star,
+    tangent_step,
+    transpose_step,
 )
 from .grid import Grid, StateX, eigenmode_matrix, inner_h
 
 
 @dataclass
 class AdjointPath:
-    """Dual state per time node; kappa is the per-step martingale estimate
-    (None in deterministic mode, where it vanishes identically)."""
+    """Dual state per time node, and the voltage part of its transport
+    S* p_{n+1} back over each step (all that B* reads); kappa is the
+    per-step martingale estimate (None in deterministic mode, where it
+    vanishes identically)."""
 
     p_v: np.ndarray  # (N+1,) + grid.shape
     p_w: np.ndarray
+    sp_v: np.ndarray  # (N,) + grid.shape
     kappa_v: np.ndarray | None = None  # (N,) + grid.shape
     kappa_w: np.ndarray | None = None
 
@@ -84,9 +91,7 @@ def solve_variational(
     z_w = np.zeros((N + 1,) + grid.shape)
     Z = StateX.zero(grid)
     for n in range(N):
-        rv = Z.v + dt * (-i_ion_prime(params, traj.v[n]) * Z.v + spec.mask * direction.values[n])
-        rw = Z.w.copy()
-        Z = implicit_solve(params, grid, dt, StateX(rv, rw))
+        Z = tangent_step(params, grid, spec, traj.state(n), Z, direction.values[n], dt)
         if not np.all(np.isfinite(Z.v)):
             raise FloatingPointError(f"variational sweep blew up at step {n + 1}")
         z_v[n + 1], z_w[n + 1] = Z.v, Z.w
@@ -109,25 +114,28 @@ def solve_adjoint_deterministic(
     gw = timegrid.g_weights()
     p_v = np.zeros((N + 1,) + grid.shape)
     p_w = np.zeros((N + 1,) + grid.shape)
+    sp_v = np.zeros((N,) + grid.shape)
     lam = cost.dg0(traj.state(N))
     p_v[N], p_w[N] = -lam.v, -lam.w
     for n in range(N - 1, -1, -1):
+        X = traj.state(n)
         y = implicit_solve_star(params, grid, dt, lam)
-        src = cost.dg(traj.state(n), n)
-        lam = StateX(
-            gw[n] * src.v + y.v + dt * (-i_ion_prime(params, traj.v[n]) * y.v),
-            gw[n] * src.w + y.w,
-        )
+        lam = transpose_step(params, grid, X, y, gw[n] * cost.dg(X, n), dt)
+        sp_v[n] = -y.v
         p_v[n], p_w[n] = -lam.v, -lam.w
-    return AdjointPath(p_v, p_w)
+    return AdjointPath(p_v, p_w, sp_v)
 
 
 def mean_adjoint(paths: list) -> AdjointPath:
-    """Ensemble average of adjoint paths (S* is linear, so averaging the
-    nodal values commutes with the control-signal assembly)."""
-    p_v = np.mean([ap.p_v for ap in paths], axis=0)
-    p_w = np.mean([ap.p_w for ap in paths], axis=0)
-    return AdjointPath(p_v, p_w)
+    """Ensemble average of adjoint paths; B* is linear, so the averaged
+    transported values give the control signal of the averaged path."""
+
+    def mean(name):
+        # a running sum (bit-equal to np.mean over axis 0) never holds a
+        # stacked copy of the whole ensemble
+        return sum(getattr(ap, name) for ap in paths) / len(paths)
+
+    return AdjointPath(mean("p_v"), mean("p_w"), mean("sp_v"))
 
 
 def control_signal(
@@ -144,13 +152,9 @@ def control_signal(
     alpha*u - q, and the optimality fixed point is u = (dh)^{-1}(q).
     """
     N, dt = timegrid.N, timegrid.dt
-    uw = timegrid.u_weights()
+    scale = (dt / timegrid.u_weights()[:N]).reshape((N,) + (1,) * grid.d)
     values = np.zeros((N + 1,) + grid.shape)
-    for n in range(N):
-        transported = implicit_solve_star(
-            params, grid, dt, StateX(adj.p_v[n + 1], adj.p_w[n + 1])
-        )
-        values[n] = (dt / uw[n]) * actuator_adjoint(spec, grid, params.gamma, transported)
+    values[:N] = scale * actuator_adjoint(spec, grid, params.gamma, adj.sp_v)
     return ControlPath(values)
 
 
@@ -221,54 +225,43 @@ def solve_adjoint_regression(
 
     p_v = np.zeros((M, N + 1) + grid.shape)
     p_w = np.zeros((M, N + 1) + grid.shape)
+    sp_v = np.zeros((M, N) + grid.shape)
     kap_v = np.zeros((M, N) + grid.shape) if store_kappa else None
     kap_w = np.zeros((M, N) + grid.shape) if store_kappa else None
     kappa_energy = np.zeros(N)
 
-    V = np.stack([t.v for t in trajs])  # (M, N+1) + shape
-    W = np.stack([t.w for t in trajs])
+    def ensemble_state(n):
+        return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
 
-    lam_v = np.empty(shape)
-    lam_w = np.empty(shape)
-    for m in range(M):
-        term = cost.dg0(StateX(V[m, N], W[m, N]))
-        lam_v[m], lam_w[m] = term.v, term.w
-    p_v[:, N], p_w[:, N] = -lam_v, -lam_w
+    lam = cost.dg0(ensemble_state(N))
+    p_v[:, N], p_w[:, N] = -lam.v, -lam.w
 
     wts = grid.weights()
+    half = grid.num_nodes
     for n in range(N - 1, -1, -1):
-        y = implicit_solve_star(params, grid, dt, StateX(lam_v, lam_w))
-        phi = _features(grid, basis_size, V[:, n], W[:, n])
+        X = ensemble_state(n)
+        y = implicit_solve_star(params, grid, dt, lam)
+        phi = _features(grid, basis_size, X.v, X.w)
         targets = np.concatenate(
             [y.v.reshape(M, -1), y.w.reshape(M, -1)], axis=1
         )
         # at n = 0 every path shares the initial state, so the design matrix
         # is rank one by construction and the ridge fit is just the mean
         fitted = _regress(phi, targets, ridge, warn=(n > 0))
-        half = grid.num_nodes
-        fit_v = fitted[:, :half].reshape(shape)
-        fit_w = fitted[:, half:].reshape(shape)
-        res_v = y.v - fit_v
-        res_w = y.w - fit_w
+        fit = StateX(fitted[:, :half].reshape(shape), fitted[:, half:].reshape(shape))
+        res = y - fit
         kappa_energy[n] = float(
             np.mean(
-                params.gamma * np.sum(res_v**2 * wts, axis=tuple(range(1, 1 + grid.d)))
-                + np.sum(res_w**2 * wts, axis=tuple(range(1, 1 + grid.d)))
+                params.gamma * np.sum(res.v**2 * wts, axis=tuple(range(1, 1 + grid.d)))
+                + np.sum(res.w**2 * wts, axis=tuple(range(1, 1 + grid.d)))
             )
         )
         if store_kappa:
-            kap_v[:, n] = res_v
-            kap_w[:, n] = res_w
-        new_lam_v = np.empty(shape)
-        new_lam_w = np.empty(shape)
-        for m in range(M):
-            src = cost.dg(StateX(V[m, n], W[m, n]), n)
-            new_lam_v[m] = gw[n] * src.v + fit_v[m] + dt * (
-                -i_ion_prime(params, V[m, n]) * fit_v[m]
-            )
-            new_lam_w[m] = gw[n] * src.w + fit_w[m]
-        lam_v, lam_w = new_lam_v, new_lam_w
-        p_v[:, n], p_w[:, n] = -lam_v, -lam_w
+            kap_v[:, n] = res.v
+            kap_w[:, n] = res.w
+        lam = transpose_step(params, grid, X, fit, gw[n] * cost.dg(X, n), dt)
+        sp_v[:, n] = -y.v
+        p_v[:, n], p_w[:, n] = -lam.v, -lam.w
 
     paths = []
     for m in range(M):
@@ -276,6 +269,7 @@ def solve_adjoint_regression(
             AdjointPath(
                 p_v[m],
                 p_w[m],
+                sp_v[m],
                 kap_v[m] if store_kappa else None,
                 kap_w[m] if store_kappa else None,
             )

@@ -93,7 +93,7 @@ class CostSpec:
 
     def dg(self, X: StateX, n: int) -> StateX:
         if self.c_g == 0.0:
-            return StateX.zero(self.grid)
+            return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
         return self.c_g * (X - self._ref(n))
 
     def g0(self, X: StateX) -> float:
@@ -103,15 +103,11 @@ class CostSpec:
 
     def dg0(self, X: StateX) -> StateX:
         if self.c0 == 0.0:
-            return StateX.zero(self.grid)
+            return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
         return self.c0 * (X - self._target())
 
     def h(self, u) -> float:
         return 0.5 * self.alpha * float(np.sum(self.grid.weights() * u * u))
-
-    def h_directional(self, u, v) -> float:
-        """Directional derivative of the control cost: <alpha*u, v>_U."""
-        return self.alpha * float(np.sum(self.grid.weights() * u * v))
 
     def subdiff_inverse_field(self, q):
         return q / self.alpha
@@ -165,6 +161,11 @@ def psi_estimate(
         raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble}")
     n_paths = 1 if cov.is_zero() else ensemble
     trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
+    return psi_from_trajectories(timegrid, cost, u, trajs)
+
+
+def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, trajs: list) -> tuple:
+    """Cost of u averaged over its already integrated paths; (value, stderr)."""
     gw = timegrid.g_weights()
     uw = timegrid.u_weights()
     control_cost = float(sum(uw[n] * cost.h(u.values[n]) for n in range(timegrid.N + 1)))
@@ -176,6 +177,7 @@ def psi_estimate(
                 sum(gw[n] * cost.g(traj.state(n), n) for n in range(timegrid.N))
             )
         per_path.append(state_cost + control_cost)
+    n_paths = len(trajs)
     value = float(np.mean(per_path))
     stderr = 0.0 if n_paths == 1 else float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
     return value, stderr
@@ -247,41 +249,43 @@ def optimize(
 
     Every quantity is deterministic given (seed, scenario): candidate
     controls are always evaluated on the same per-path noise streams.
+    Each distinct control is integrated once: the accepted trial's paths
+    serve the next adjoint solve and the final certificate.
     """
     stochastic = not cov.is_zero()
     n_paths = ensemble if stochastic else 1
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
 
-    def psi_of(candidate):
-        val, _ = psi_estimate(
-            params, grid, cov, spec, timegrid, cost, x0, candidate, n_paths, seed
+    def evaluate(candidate):
+        trajs = integrate_ensemble(
+            params, grid, cov, spec, timegrid, x0, candidate, seed, n_paths
         )
-        return val
+        return psi_from_trajectories(timegrid, cost, candidate, trajs)[0], trajs
 
-    def adjoint_mean(trajs):
+    def signal(trajs):
         if stochastic:
             paths, _ = solve_adjoint_regression(
                 params, grid, timegrid, trajs, cost, basis_size
             )
-            return mean_adjoint(paths)
-        return solve_adjoint_deterministic(params, grid, timegrid, trajs[0], cost)
+            adj = mean_adjoint(paths)
+        else:
+            adj = solve_adjoint_deterministic(params, grid, timegrid, trajs[0], cost)
+        return control_signal(params, grid, spec, timegrid, adj)
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
-    psi_u = psi_of(u)
-    trajs = None
+    psi_u, trajs = evaluate(u)
+    # fixed-point residual of the current u; None once u has moved past it
+    certificate = None
     for k in range(max_iters):
-        trajs = integrate_ensemble(
-            params, grid, cov, spec, timegrid, x0, u, seed, n_paths
-        )
-        adj = adjoint_mean(trajs)
-        q = control_signal(params, grid, spec, timegrid, adj)
+        q = signal(trajs)
         grad = ControlPath(cost.alpha * u.values - q.values)
         fixed_point = subdiff_inverse(cost, q)
         # the optimality residual is the gap to the plain fixed-point map;
         # step sizes are not a convergence measure (a blocked line search
         # would otherwise masquerade as convergence)
         residual = u_norm(grid, timegrid, fixed_point - u)
+        certificate = residual
         if residual < tol:
             energy = energy_report(grid, timegrid, params.gamma, trajs)
             report.iterations.append(
@@ -322,10 +326,12 @@ def optimize(
         for _ in range(max_backtracks):
             trial = u + tau * direction
             dist = u_norm(grid, timegrid, trial - u)
-            psi_c = psi_of(trial)
+            psi_c, trial_trajs = evaluate(trial)
             if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
                 accepted = True
                 break
+            # keep at most two ensembles alive: the current one and a trial
+            del trial_trajs
             tau *= 0.5
 
         energy = energy_report(grid, timegrid, params.gamma, trajs)
@@ -333,8 +339,11 @@ def optimize(
             step_path = tau * direction
             if dist > 0:
                 theta = ControlPath(step_path.values / dist)
+            # u + tau*direction is the trial bit for bit, so its paths are u's
             u = u + step_path
             psi_u = psi_c
+            trajs = trial_trajs
+            certificate = None
         else:
             theta = None
         report.iterations.append(
@@ -349,12 +358,9 @@ def optimize(
             }
         )
 
-    # re-solve from scratch at the reported optimum: fixed-point certificate
-    trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
-    adj = adjoint_mean(trajs)
-    q = control_signal(params, grid, spec, timegrid, adj)
-    fixed_point = subdiff_inverse(cost, q)
-    report.certificate_residual = u_norm(grid, timegrid, u - fixed_point)
+    if certificate is None:
+        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, signal(trajs)) - u)
+    report.certificate_residual = certificate
     report.u_star = u
     report.trajectories = trajs
     report.psi_final = psi_u

@@ -10,6 +10,7 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,14 +67,27 @@ def i_ion_prime(params: FhnParams, v):
     return 3.0 * v**2 - 2.0 * (params.a + params.b) * v + params.a * params.b
 
 
+@lru_cache(maxsize=16)
+def _zero_field(shape: tuple) -> Field:
+    """Shared read-only zero for the recovery part of the reaction, which
+    the step kernels never read; no per-step allocation."""
+    z = np.zeros(shape)
+    z.flags.writeable = False
+    return z
+
+
 def f_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
     """Reaction operator: (-I_ion(v) + f, 0)."""
-    return StateX(-i_ion(params, X.v) + params.forcing(grid), grid.zeros())
+    fv = -i_ion(params, X.v) + params.forcing(grid)
+    return StateX(fv, _zero_field(fv.shape))
 
 
 def df_apply(params: FhnParams, grid: Grid, X: StateX, Z: StateX) -> StateX:
-    """Frechet derivative of the reaction operator at X applied to Z."""
-    return StateX(-i_ion_prime(params, X.v) * Z.v, grid.zeros())
+    """Frechet derivative of the reaction operator at X applied to Z.
+
+    Leading axes of X and Z broadcast, as in an ensemble of paths."""
+    dv = -i_ion_prime(params, X.v) * Z.v
+    return StateX(dv, _zero_field(dv.shape))
 
 
 def a_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:

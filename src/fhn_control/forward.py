@@ -8,8 +8,9 @@ i.e. the coupled linear operator is fully implicit (eliminating the
 recovery component leaves a single symmetric positive definite Helmholtz
 solve for the voltage), while the reaction, the control and the noise
 are explicit.  `implicit_solve_star` is the exact weighted-inner-product
-transpose of the same solve; the adjoint module builds the
-discretize-then-optimize sweep out of it.
+transpose of the same solve.  `step`, its linearization `tangent_step`
+and the transposed linearization `transpose_step` are the one kernel
+that the forward, variational and adjoint sweeps all run.
 
 Time-quadrature conventions (fixed here, relied on by the adjoint and
 control modules for exact discrete gradients):
@@ -24,16 +25,14 @@ value at node N never enters the dynamics.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import FhnParams, f_apply, i_ion
+from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BlowUpError, ConfigurationError, ContractViolation
-from .grid import Field, Grid, StateX, grad_norm_sq, norm_h_sq, norm_l2_sq
+from .grid import Field, Grid, StateX, grad_norm_sq, helmholtz_solve, norm_h_sq, norm_l2_sq
 from .noise import SpectralCovariance, WienerIncrement, increment_stream, sample_increment
 
 BLOWUP_THRESHOLD = 1.0e6
@@ -101,10 +100,6 @@ class ControlPath:
     __rmul__ = __mul__
 
 
-def u_space_inner(grid: Grid, a: Field, b: Field) -> float:
-    return float(np.sum(grid.weights() * a * b))
-
-
 def u_inner(grid: Grid, timegrid: TimeGrid, u: ControlPath, v: ControlPath) -> float:
     """Discrete control-space inner product (trapezoid in time and space)."""
     if u.values.shape != v.values.shape:
@@ -140,9 +135,10 @@ def actuator_apply(spec: ActuatorSpec, grid: Grid, u: Field) -> StateX:
     return StateX(spec.mask * u, grid.zeros())
 
 
-def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, X: StateX) -> Field:
-    """B* in the weighted inner product: <B*X, u>_U = <X, Bu>_H."""
-    return gamma * spec.mask * X.v
+def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, v: Field) -> Field:
+    """B* in the weighted inner product: <B*X, u>_U = <X, Bu>_H.  B acts
+    on the voltage only, so B* reads only the voltage part v of X."""
+    return gamma * spec.mask * v
 
 
 @dataclass
@@ -177,8 +173,6 @@ def _solve_coeffs(gamma: float, delta: float, dt: float) -> tuple:
 
 def implicit_solve(params: FhnParams, grid: Grid, dt: float, r: StateX) -> StateX:
     """Apply S = (I - dt*A)^(-1): eliminate w, one Helmholtz solve for v."""
-    from .grid import helmholtz_solve
-
     denom, c = _solve_coeffs(params.gamma, params.delta, dt)
     v = helmholtz_solve(grid, c, dt, r.v - dt * r.w / denom)
     w = (r.w + dt * params.gamma * v) / denom
@@ -187,8 +181,6 @@ def implicit_solve(params: FhnParams, grid: Grid, dt: float, r: StateX) -> State
 
 def implicit_solve_star(params: FhnParams, grid: Grid, dt: float, r: StateX) -> StateX:
     """Apply S* = (I - dt*A*)^(-1), the H-adjoint of `implicit_solve`."""
-    from .grid import helmholtz_solve
-
     denom, c = _solve_coeffs(params.gamma, params.delta, dt)
     p = helmholtz_solve(grid, c, dt, r.v + dt * r.w / denom)
     q = (r.w - dt * params.gamma * p) / denom
@@ -204,12 +196,36 @@ def step(
     dW: WienerIncrement,
     dt: float,
 ) -> StateX:
-    """One semi-implicit update of the controlled state equation."""
+    """One semi-implicit update: X+ = S(X + dt*(F(X) + B u) + dW).
+
+    F and B act on the voltage only, so the recovery update skips them.
+    """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    rv = X.v + dt * (-i_ion(params, X.v) + params.forcing(grid) + spec.mask * u_t) + dW.dbeta1
+    rv = X.v + dt * (f_apply(params, grid, X).v + spec.mask * u_t) + dW.dbeta1
     rw = X.w + dW.dbeta2
     return implicit_solve(params, grid, dt, StateX(rv, rw))
+
+
+def tangent_step(
+    params: FhnParams, grid: Grid, spec: ActuatorSpec, X: StateX, Z: StateX, d_t: Field, dt: float
+) -> StateX:
+    """Derivative of `step` at the pre-step state X along the state and
+    control perturbations Z, d_t: Z+ = S(Z + dt*(DF(X) Z + B d_t))."""
+    rv = Z.v + dt * (df_apply(params, grid, X, Z).v + spec.mask * d_t)
+    return implicit_solve(params, grid, dt, StateX(rv, Z.w))
+
+
+def transpose_step(
+    params: FhnParams, grid: Grid, X: StateX, y: StateX, source: StateX, dt: float
+) -> StateX:
+    """Transpose of `tangent_step` in Z once its solve is transposed:
+    source + (I + dt*DF(X)*) y for y = S* lam, where DF(X)* = DF(X) acts
+    pointwise on the voltage.  Callers apply S* themselves because they
+    also need y alone (dt*B* y is the control part of the transpose) and
+    the regression sweep fits y before this call.  Leading axes broadcast."""
+    rv = source.v + y.v + dt * df_apply(params, grid, X, y).v
+    return StateX(rv, source.w + y.w)
 
 
 def integrate(
@@ -222,11 +238,14 @@ def integrate(
     control: ControlPath,
     seed: int,
     path_index: int = 0,
+    increments: WienerIncrement | None = None,
 ) -> Trajectory:
     """Run N steps from x0; increments are retained for adjoint reuse.
 
     Deterministic given (seed, path_index): each step draws from its own
-    counter-based stream.
+    counter-based stream, unless `increments` ((N,) + grid.shape arrays)
+    supplies the noise, as coupled refinement studies do with sums of
+    fine-level increments over one Brownian path.
     """
     if control.values.shape[0] != timegrid.N + 1:
         raise ContractViolation("control path does not match the time grid")
@@ -236,13 +255,18 @@ def integrate(
     dt = timegrid.dt
     v = np.empty((N + 1,) + grid.shape)
     w = np.empty((N + 1,) + grid.shape)
-    db1 = np.zeros((N,) + grid.shape)
-    db2 = np.zeros((N,) + grid.shape)
+    if increments is None:
+        db1 = np.zeros((N,) + grid.shape)
+        db2 = np.zeros((N,) + grid.shape)
+    elif increments.dbeta1.shape == increments.dbeta2.shape == (N,) + grid.shape:
+        db1, db2 = increments.dbeta1.copy(), increments.dbeta2.copy()
+    else:
+        raise ContractViolation("increment arrays do not match the time grid")
     v[0], w[0] = x0.v, x0.w
     X = x0.copy()
-    noisy = not cov.is_zero()
+    sample = increments is None and not cov.is_zero()
     for n in range(N):
-        if noisy:
+        if sample:
             dW = sample_increment(cov, grid, dt, increment_stream(seed, path_index, n))
             db1[n], db2[n] = dW.dbeta1, dW.dbeta2
         else:
@@ -253,48 +277,6 @@ def integrate(
             raise BlowUpError(n + 1, float(np.sqrt(max(energy, 0.0))))
         v[n + 1], w[n + 1] = X.v, X.w
     return Trajectory(v, w, db1, db2, control.copy(), path_index, seed)
-
-
-def integrate_with_increments(
-    params: FhnParams,
-    grid: Grid,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    x0: StateX,
-    control: ControlPath,
-    dbeta1: np.ndarray,
-    dbeta2: np.ndarray,
-    seed: int = 0,
-    path_index: int = 0,
-) -> Trajectory:
-    """Integrate under externally supplied noise increments.
-
-    Used by coupled refinement studies, where coarse-level increments are
-    sums of fine-level ones over the same Brownian path.
-    """
-    N, dt = timegrid.N, timegrid.dt
-    if dbeta1.shape[0] != N or dbeta2.shape[0] != N:
-        raise ContractViolation("increment arrays do not match the time grid")
-    v = np.empty((N + 1,) + grid.shape)
-    w = np.empty((N + 1,) + grid.shape)
-    v[0], w[0] = x0.v, x0.w
-    X = x0.copy()
-    for n in range(N):
-        dW = WienerIncrement(dbeta1[n], dbeta2[n])
-        X = step(params, grid, spec, X, control.values[n], dW, dt)
-        energy = norm_h_sq(grid, params.gamma, X)
-        if not np.isfinite(energy) or energy > BLOWUP_THRESHOLD**2:
-            raise BlowUpError(n + 1, float(np.sqrt(max(energy, 0.0))))
-        v[n + 1], w[n + 1] = X.v, X.w
-    return Trajectory(v, w, dbeta1.copy(), dbeta2.copy(), control.copy(), path_index, seed)
-
-
-def max_workers() -> int:
-    """Worker cap for ensemble fan-out, from FHN_CONTROL_WORKERS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("FHN_CONTROL_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def integrate_ensemble(
@@ -311,15 +293,10 @@ def integrate_ensemble(
     """Independent paths under a common control; path p uses stream (seed, p, .)."""
     if n_paths < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {n_paths}")
-
-    def one(p):
-        return integrate(params, grid, cov, spec, timegrid, x0, control, seed, p)
-
-    workers = max_workers()
-    if workers == 1 or n_paths == 1:
-        return [one(p) for p in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n_paths)))
+    return [
+        integrate(params, grid, cov, spec, timegrid, x0, control, seed, p)
+        for p in range(n_paths)
+    ]
 
 
 def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> dict:

@@ -116,6 +116,7 @@ def _weights(grid: Grid) -> np.ndarray:
     w = w1
     for _ in range(grid.d - 1):
         w = np.multiply.outer(w, w1)
+    w.flags.writeable = False  # cached: every caller shares this array
     return w
 
 
@@ -239,9 +240,9 @@ def mode_eigenvalue(grid: Grid, k: int) -> float:
 @lru_cache(maxsize=None)
 def eigenmode_matrix(grid: Grid, K: int) -> np.ndarray:
     """Columns are the first K eigenmodes, flattened; shape (num_nodes, K)."""
-    return np.column_stack(
-        [neumann_eigenmode(grid, k).ravel() for k in range(1, K + 1)]
-    )
+    E = np.column_stack([neumann_eigenmode(grid, k).ravel() for k in range(1, K + 1)])
+    E.flags.writeable = False
+    return E
 
 
 def mode_coefficients(grid: Grid, K: int, u: Field) -> np.ndarray:
@@ -265,6 +266,7 @@ def _dct_symbol(grid: Grid) -> np.ndarray:
     mu = mu1
     for _ in range(grid.d - 1):
         mu = np.add.outer(mu, mu1)
+    mu.flags.writeable = False
     return mu
 
 

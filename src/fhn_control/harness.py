@@ -42,7 +42,6 @@ from .forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
-    integrate_with_increments,
     save_snapshot,
     trajectory_to_csv,
     u_inner,
@@ -59,7 +58,7 @@ from .grid import (
     norm_h_sq,
     norm_l2_sq,
 )
-from .noise import SpectralCovariance, increment_stream, sample_increment, trace_q
+from .noise import SpectralCovariance, WienerIncrement, increment_stream, sample_increment, trace_q
 from .scenario import Scenario, emit_scenario
 
 COMMANDS = (
@@ -346,7 +345,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     for _ in range(20):
         X = StateX(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
         uf = rng.standard_normal(grid.shape)
-        lhs = float(np.sum(grid.weights() * actuator_adjoint(spec, grid, params.gamma, X) * uf))
+        lhs = float(np.sum(grid.weights() * actuator_adjoint(spec, grid, params.gamma, X.v) * uf))
         rhs = inner_h(grid, params.gamma, X, actuator_apply(spec, grid, uf))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("actuator_adjointness", worst <= 1.0e-12, f"defect={worst:.2e}")
@@ -455,7 +454,8 @@ def self_convergence_rate(
                 ratio = finest // steps
                 agg1 = db1.reshape(steps, ratio, *grid.shape).sum(axis=1)
                 agg2 = db2.reshape(steps, ratio, *grid.shape).sum(axis=1)
-                traj = integrate_with_increments(params, grid, spec, tg, x0, u, agg1, agg2, seed, p)
+                agg = WienerIncrement(agg1, agg2)
+                traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
             else:
                 traj = integrate(params, grid, SpectralCovariance.zero(1), spec, tg, x0, u, seed, p)
             finals.append(traj.state(tg.N))

@@ -49,11 +49,23 @@ def _report(number, ok, detail):
     return ok
 
 
-def test_criterion_1_gradient_vs_finite_differences():
-    # deterministic mode, d=1, n=64, T=0.5, dt=1e-3, five random directions
-    errors = gradient_check(Scenario(), n_directions=5, h=1e-5, seed=0)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario(),
+        Scenario(d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
+    ],
+    ids=["d1", "d2"],
+)
+def test_criterion_1_gradient_vs_finite_differences(scenario):
+    # deterministic mode, T=0.5, dt=1e-3, five random directions: the default
+    # 1-D scenario (n=64) and a masked 2-D one with a modal reference, which
+    # guards the 2-D transpose of the step
+    errors = gradient_check(scenario, n_directions=5, h=1e-5, seed=0)
     worst = max(errors)
-    ok = _report(1, worst <= 1e-4, f"max relative gradient error {worst:.3e} (tol 1e-4)")
+    ok = _report(
+        1, worst <= 1e-4, f"d={scenario.d}: max relative gradient error {worst:.3e} (tol 1e-4)"
+    )
     assert ok
 
 

@@ -157,6 +157,33 @@ def test_regression_kappa_stored_on_request():
     assert np.all(kappa >= 0.0)
 
 
+
+@pytest.mark.parametrize("c_g, c0", [(1.0, 0.0), (0.0, 0.1)])
+def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
+    # a zero terminal (or running) weight must give ensemble-shaped zero
+    # sources; the sweep is linear in them, so the two one-term costs
+    # add up to the two-term cost
+    g, p, spec, tg, _, x0 = _setup(N=10)
+    cov = SpectralCovariance.power_spectrum(4)
+    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 12)
+
+    def sweep(cg, c_0):
+        cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=cg, c0=c_0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return solve_adjoint_regression(p, g, tg, trajs, cost)[0]
+
+    part = sweep(c_g, c0)
+    other = sweep(1.0 - c_g, 0.1 - c0)
+    both = sweep(1.0, 0.1)
+    assert len(part) == 12 and part[0].p_v.shape == (tg.N + 1,) + g.shape
+    if c0 == 0.0:
+        assert all(np.all(ap.p_v[tg.N] == 0.0) for ap in part)
+    for a, b, ab in zip(part, other, both):
+        np.testing.assert_allclose(a.p_v + b.p_v, ab.p_v, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(a.p_w + b.p_w, ab.p_w, rtol=1e-10, atol=1e-14)
+
+
 def test_mean_adjoint_averages():
     g, p, spec, tg, cost, x0 = _setup(N=5)
     cov = SpectralCovariance.power_spectrum(4)

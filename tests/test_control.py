@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import fhn_control.control as control_module
+import fhn_control.forward as forward_module
+import fhn_control.grid as grid_module
 from fhn_control.adjoint import solve_adjoint_deterministic
 from fhn_control.control import (
     CostSpec,
@@ -214,3 +217,61 @@ def test_optimize_theta_toggle_same_fixed_point():
     assert with_theta.converged and without.converged
     gap = u_norm(g, tg, with_theta.u_star - without.u_star)
     assert gap <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "stochastic, tol, max_iters",
+    [(False, 1e-7, 30), (True, 1e-4, 10), (False, 1e-16, 2)],
+    ids=["deterministic", "stochastic", "iteration-cap"],
+)
+def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max_iters):
+    g, p, spec, tg, cost, x0 = _setup(n=8, N=20)
+    cov = (
+        SpectralCovariance.power_spectrum(4, 0.05, 0.05)
+        if stochastic
+        else SpectralCovariance.zero(1)
+    )
+    integrated = []
+    signal_depth = []
+    solves_in_signal = []
+    real_integrate = control_module.integrate_ensemble
+    real_signal = control_module.control_signal
+    real_solve = grid_module.helmholtz_solve
+
+    def recording_integrate(params, grid, cov, spec, timegrid, x0, control, *rest):
+        integrated.append(control.values.tobytes())
+        return real_integrate(params, grid, cov, spec, timegrid, x0, control, *rest)
+
+    def tracking_signal(*args):
+        signal_depth.append(1)
+        try:
+            return real_signal(*args)
+        finally:
+            signal_depth.pop()
+
+    def counting_solve(*args):
+        if signal_depth:
+            solves_in_signal.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(control_module, "integrate_ensemble", recording_integrate)
+    monkeypatch.setattr(control_module, "control_signal", tracking_signal)
+    monkeypatch.setattr(forward_module, "helmholtz_solve", counting_solve)
+    monkeypatch.setattr(grid_module, "helmholtz_solve", counting_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = optimize(
+            p, g, cov, spec, tg, cost, x0, ensemble=20, tol=tol, max_iters=max_iters
+        )
+
+    assert len(integrated) >= 2
+    assert len(set(integrated)) == len(integrated)
+    assert solves_in_signal == []
+    if rep.converged:
+        assert rep.certificate_residual == rep.iterations[-1]["residual"]
+    else:
+        # the cap hit right after an accepted step: the certificate needs a
+        # fresh adjoint, but the accepted trial's paths are reused
+        assert rep.iterations[-1]["accepted"]
+        assert 0.0 < rep.certificate_residual < rep.iterations[-1]["residual"]
+    assert rep.converged == (max_iters > 2)

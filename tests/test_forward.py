@@ -17,7 +17,6 @@ from fhn_control.forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
-    integrate_with_increments,
     load_snapshot,
     save_snapshot,
     step,
@@ -72,7 +71,7 @@ def test_actuator_mask_validation_and_adjoint():
     for _ in range(5):
         X = StateX(rng.standard_normal(g.shape), rng.standard_normal(g.shape))
         u = rng.standard_normal(g.shape)
-        lhs = float(np.sum(g.weights() * actuator_adjoint(spec, g, gamma, X) * u))
+        lhs = float(np.sum(g.weights() * actuator_adjoint(spec, g, gamma, X.v) * u))
         rhs = inner_h(g, gamma, X, actuator_apply(spec, g, u))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -153,7 +152,7 @@ def test_integrate_deterministic_replay():
     assert not np.array_equal(t1.v, t3.v)
 
 
-def test_integrate_with_increments_replays_stored_noise():
+def test_integrate_replays_supplied_increments():
     g = Grid(1, 16)
     p = FhnParams()
     spec = ActuatorSpec.identity(g)
@@ -162,9 +161,15 @@ def test_integrate_with_increments_replays_stored_noise():
     x0 = StateX(g.constant(0.3), g.zeros())
     u = ControlPath.zero(tg, g)
     traj = integrate(p, g, cov, spec, tg, x0, u, 3)
-    replay = integrate_with_increments(p, g, spec, tg, x0, u, traj.dbeta1, traj.dbeta2)
+    stored = WienerIncrement(traj.dbeta1, traj.dbeta2)
+    # the supplied increments replace the (seed, path) streams entirely
+    replay = integrate(p, g, cov, spec, tg, x0, u, 99, increments=stored)
     np.testing.assert_array_equal(replay.v, traj.v)
     np.testing.assert_array_equal(replay.w, traj.w)
+    np.testing.assert_array_equal(replay.dbeta1, traj.dbeta1)
+    short = WienerIncrement(traj.dbeta1[1:], traj.dbeta2[1:])
+    with pytest.raises(ContractViolation):
+        integrate(p, g, cov, spec, tg, x0, u, 3, increments=short)
 
 
 def test_integrate_ensemble_paths_differ_and_order_is_stable():

@@ -7,6 +7,7 @@ from fhn_control.errors import ConfigurationError, ContractViolation
 from fhn_control.grid import (
     Grid,
     StateX,
+    _dct_symbol,
     eigenmode_matrix,
     grad_norm_sq,
     helmholtz_solve,
@@ -47,6 +48,19 @@ def test_weights_sum_to_volume():
     for d, n, ell in [(1, 17, 1.0), (1, 64, 2.5), (2, 9, 1.0), (2, 21, 0.5)]:
         g = Grid(d, n, ell)
         assert np.sum(g.weights()) == pytest.approx(ell**d, rel=1e-13)
+
+
+def test_cached_arrays_are_read_only():
+    # the caches hand one array to every caller; a write through one
+    # caller would otherwise reach every later weight, noise and solve
+    fresh = Grid(1, 8).weights().copy()
+    with pytest.raises(ValueError):
+        Grid(1, 8).weights()[0] = 99.0
+    np.testing.assert_array_equal(Grid(1, 8).weights(), fresh)
+    g = Grid(2, 6)
+    for cached in (g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g)):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 99.0
 
 
 def test_inner_l2_constant_fields():
