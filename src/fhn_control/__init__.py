@@ -22,7 +22,7 @@ from .grid import (
     norm_l2_sq,
     norm_v_sq,
 )
-from .noise import SpectralCovariance, WienerIncrement, sample_increment, trace_q
+from .noise import SpectralCovariance, WienerIncrement, sample_increment, sample_path, trace_q
 from .dynamics import FhnParams, a_apply, a_star_apply, f_apply, i_ion, one_sided_margin
 from .forward import (
     ActuatorSpec,
@@ -70,6 +70,7 @@ __all__ = [
     "SpectralCovariance",
     "WienerIncrement",
     "sample_increment",
+    "sample_path",
     "trace_q",
     "FhnParams",
     "a_apply",

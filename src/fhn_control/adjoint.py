@@ -35,11 +35,12 @@ from .forward import (
     TimeGrid,
     Trajectory,
     actuator_adjoint,
+    ensemble_state,
     implicit_solve_star,
     tangent_step,
     transpose_step,
 )
-from .grid import Grid, StateX, eigenmode_matrix, inner_h
+from .grid import Grid, StateX, eigenmode_matrix, inner_h, inner_l2, norm_h_sq
 
 
 @dataclass
@@ -230,16 +231,12 @@ def solve_adjoint_regression(
     kap_w = np.zeros((M, N) + grid.shape) if store_kappa else None
     kappa_energy = np.zeros(N)
 
-    def ensemble_state(n):
-        return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
-
-    lam = cost.dg0(ensemble_state(N))
+    lam = cost.dg0(ensemble_state(trajs, N))
     p_v[:, N], p_w[:, N] = -lam.v, -lam.w
 
-    wts = grid.weights()
     half = grid.num_nodes
     for n in range(N - 1, -1, -1):
-        X = ensemble_state(n)
+        X = ensemble_state(trajs, n)
         y = implicit_solve_star(params, grid, dt, lam)
         phi = _features(grid, basis_size, X.v, X.w)
         targets = np.concatenate(
@@ -250,12 +247,7 @@ def solve_adjoint_regression(
         fitted = _regress(phi, targets, ridge, warn=(n > 0))
         fit = StateX(fitted[:, :half].reshape(shape), fitted[:, half:].reshape(shape))
         res = y - fit
-        kappa_energy[n] = float(
-            np.mean(
-                params.gamma * np.sum(res.v**2 * wts, axis=tuple(range(1, 1 + grid.d)))
-                + np.sum(res.w**2 * wts, axis=tuple(range(1, 1 + grid.d)))
-            )
-        )
+        kappa_energy[n] = np.mean(norm_h_sq(grid, params.gamma, res))
         if store_kappa:
             kap_v[:, n] = res.v
             kap_w[:, n] = res.w
@@ -297,16 +289,15 @@ def duality_gap(
     off and the reaction is linear.
     """
     var = solve_variational(params, grid, spec, timegrid, traj, direction)
-    N, dt = timegrid.N, timegrid.dt
-    gw = timegrid.g_weights()
-    lhs = inner_h(grid, params.gamma, cost.dg0(traj.state(N)), var.state(N))
-    for n in range(N):
-        if gw[n] != 0.0:
-            lhs += gw[n] * inner_h(
-                grid, params.gamma, cost.dg(traj.state(n), n), var.state(n)
-            )
-    rhs = 0.0
-    for n in range(N):
-        bv = StateX(spec.mask * direction.values[n], grid.zeros())
-        rhs -= dt * inner_h(grid, params.gamma, bv, adj.state(n))
+    N, dt, gamma = timegrid.N, timegrid.dt, params.gamma
+    lhs = inner_h(grid, gamma, cost.dg0(traj.state(N)), var.state(N))
+    # the cost gradient is evaluated node by node (the reference may depend
+    # on n); each side's pairings over all nodes are one batched quadrature
+    dg = [cost.dg(traj.state(n), n) for n in range(N)]
+    dg_path = StateX(np.stack([d.v for d in dg]), np.stack([d.w for d in dg]))
+    running = inner_h(grid, gamma, dg_path, StateX(var.z_v[:N], var.z_w[:N]))
+    lhs += float(np.dot(timegrid.g_weights()[:N], running))
+    # B d_n = (mask * d_n, 0) pairs with the voltage part of p_n only
+    bd_p = gamma * inner_l2(grid, spec.mask * direction.values[:N], adj.p_v[:N])
+    rhs = -dt * float(np.sum(bd_p))
     return (lhs - rhs) / max(1.0, abs(rhs))

@@ -34,11 +34,12 @@ from .forward import (
     ControlPath,
     TimeGrid,
     energy_report,
+    ensemble_state,
     integrate_ensemble,
     u_inner,
     u_norm,
 )
-from .grid import Grid, StateX, norm_h_sq
+from .grid import Grid, StateX, norm_h_sq, norm_l2_sq
 from .noise import SpectralCovariance
 
 #: Empirical uniqueness-margin threshold: on the calibration sweep
@@ -57,6 +58,8 @@ class CostSpec:
     h(u)  = (alpha/2) |u|_U^2           (control cost)
 
     `x_ref` may be a constant state or a callable of the time-node index.
+    g, g0 and h act on the trailing grid axes and broadcast leading ones
+    (ensemble paths, time nodes): one value per field.
     Anything exposing the same g/dg/g0/dg0/h/subdiff_inverse surface
     (with Lipschitz gradients and a coercive convex control cost) can be
     used in its place by the solvers.
@@ -106,8 +109,8 @@ class CostSpec:
             return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
         return self.c0 * (X - self._target())
 
-    def h(self, u) -> float:
-        return 0.5 * self.alpha * float(np.sum(self.grid.weights() * u * u))
+    def h(self, u):
+        return 0.5 * self.alpha * norm_l2_sq(self.grid, u)
 
     def subdiff_inverse_field(self, q):
         return q / self.alpha
@@ -165,19 +168,18 @@ def psi_estimate(
 
 
 def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, trajs: list) -> tuple:
-    """Cost of u averaged over its already integrated paths; (value, stderr)."""
+    """Cost of u averaged over its already integrated paths; (value, stderr).
+    Each node's cost is taken over all paths at once; the sums over nodes
+    stay sequential, so each path's cost equals its per-path sum bit for bit."""
     gw = timegrid.g_weights()
-    uw = timegrid.u_weights()
-    control_cost = float(sum(uw[n] * cost.h(u.values[n]) for n in range(timegrid.N + 1)))
-    per_path = []
-    for traj in trajs:
-        state_cost = cost.g0(traj.state(timegrid.N))
-        if cost.c_g != 0.0:
-            state_cost += float(
-                sum(gw[n] * cost.g(traj.state(n), n) for n in range(timegrid.N))
-            )
-        per_path.append(state_cost + control_cost)
+    control_cost = float(sum(timegrid.u_weights() * cost.h(u.values)))
+    state_cost = cost.g0(ensemble_state(trajs, timegrid.N))
+    if cost.c_g != 0.0:
+        state_cost = state_cost + sum(
+            gw[n] * cost.g(ensemble_state(trajs, n), n) for n in range(timegrid.N)
+        )
     n_paths = len(trajs)
+    per_path = state_cost + np.full(n_paths, control_cost)
     value = float(np.mean(per_path))
     stderr = 0.0 if n_paths == 1 else float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
     return value, stderr

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, StateX, neumann_laplacian
+from .grid import Field, Grid, StateX, inner_l2, neumann_laplacian, norm_h_sq
 
 
 @dataclass
@@ -125,12 +125,11 @@ def one_sided_margin(
     if samples < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {samples}")
     worst = -np.inf
-    weights = grid.weights().ravel()
     batch = min(samples, 5000)
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        shape = (m, grid.num_nodes)
+        shape = (m,) + grid.shape
         vx = amplitude * stream.standard_normal(shape)
         wx = amplitude * stream.standard_normal(shape)
         vy = amplitude * stream.standard_normal(shape)
@@ -139,8 +138,8 @@ def one_sided_margin(
         dw = wx - wy
         # forcing cancels in F(x) - F(y); only the cubic difference remains
         dfv = -(i_ion(params, vx) - i_ion(params, vy))
-        num = params.gamma * (dfv * dv) @ weights
-        denom = params.gamma * (dv * dv) @ weights + (dw * dw) @ weights
+        num = params.gamma * inner_l2(grid, dfv, dv)
+        denom = norm_h_sq(grid, params.gamma, StateX(dv, dw))
         valid = denom > 0
         if np.any(valid):
             worst = max(worst, float(np.max(num[valid] / denom[valid])))

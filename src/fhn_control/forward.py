@@ -32,12 +32,12 @@ import numpy as np
 
 from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BlowUpError, ConfigurationError, ContractViolation
-from .grid import Field, Grid, StateX, grad_norm_sq, helmholtz_solve, norm_h_sq, norm_l2_sq
-from .noise import SpectralCovariance, WienerIncrement, increment_stream, sample_increment
+from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
+from .noise import SpectralCovariance, WienerIncrement, sample_path
 
 BLOWUP_THRESHOLD = 1.0e6
 
-SNAPSHOT_FORMAT = "fhn-snapshot-v1"
+SNAPSHOT_FORMAT = "fhn-snapshot-v2"
 TRAJECTORY_CSV_FORMAT = "fhn-trajectory-csv-v1"
 
 
@@ -143,25 +143,21 @@ def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, v: Field) -> 
 
 @dataclass
 class Trajectory:
-    """Time-indexed state plus the driving increments, kept for adjoint reuse."""
+    """Time-indexed state of one path; `noise.sample_path` re-derives its
+    driving increments from (seed, path_index)."""
 
     v: np.ndarray  # (N+1,) + grid.shape
     w: np.ndarray
-    dbeta1: np.ndarray  # (N,) + grid.shape
-    dbeta2: np.ndarray
-    control: ControlPath
     path_index: int
     seed: int
 
     def state(self, n: int) -> StateX:
         return StateX(self.v[n], self.w[n])
 
-    def increment(self, n: int) -> WienerIncrement:
-        return WienerIncrement(self.dbeta1[n], self.dbeta2[n])
 
-    @property
-    def num_steps(self) -> int:
-        return self.dbeta1.shape[0]
+def ensemble_state(trajs: list, n: int) -> StateX:
+    """State of every path at node n, stacked to (M,) + grid.shape."""
+    return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +236,13 @@ def integrate(
     path_index: int = 0,
     increments: WienerIncrement | None = None,
 ) -> Trajectory:
-    """Run N steps from x0; increments are retained for adjoint reuse.
+    """Run N steps from x0.
 
-    Deterministic given (seed, path_index): each step draws from its own
-    counter-based stream, unless `increments` ((N,) + grid.shape arrays)
-    supplies the noise, as coupled refinement studies do with sums of
-    fine-level increments over one Brownian path.
+    Deterministic given (seed, path_index): the noise is
+    `sample_path(cov, grid, timegrid, seed, path_index)`, unless
+    `increments` ((N,) + grid.shape arrays) supplies it, as coupled
+    refinement studies do with sums of fine-level increments over one
+    Brownian path.
     """
     if control.values.shape[0] != timegrid.N + 1:
         raise ContractViolation("control path does not match the time grid")
@@ -253,30 +250,26 @@ def integrate(
         raise ContractViolation("initial state does not live on the grid")
     N = timegrid.N
     dt = timegrid.dt
+    if increments is not None:
+        if not increments.dbeta1.shape == increments.dbeta2.shape == (N,) + grid.shape:
+            raise ContractViolation("increment arrays do not match the time grid")
+    elif not cov.is_zero():
+        increments = sample_path(cov, grid, timegrid, seed, path_index)
+    # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
+    dW = WienerIncrement.zero(grid)
     v = np.empty((N + 1,) + grid.shape)
     w = np.empty((N + 1,) + grid.shape)
-    if increments is None:
-        db1 = np.zeros((N,) + grid.shape)
-        db2 = np.zeros((N,) + grid.shape)
-    elif increments.dbeta1.shape == increments.dbeta2.shape == (N,) + grid.shape:
-        db1, db2 = increments.dbeta1.copy(), increments.dbeta2.copy()
-    else:
-        raise ContractViolation("increment arrays do not match the time grid")
     v[0], w[0] = x0.v, x0.w
-    X = x0.copy()
-    sample = increments is None and not cov.is_zero()
+    X = x0
     for n in range(N):
-        if sample:
-            dW = sample_increment(cov, grid, dt, increment_stream(seed, path_index, n))
-            db1[n], db2[n] = dW.dbeta1, dW.dbeta2
-        else:
-            dW = WienerIncrement(db1[n], db2[n])
+        if increments is not None:
+            dW = WienerIncrement(increments.dbeta1[n], increments.dbeta2[n])
         X = step(params, grid, spec, X, control.values[n], dW, dt)
         energy = norm_h_sq(grid, params.gamma, X)
         if not np.isfinite(energy) or energy > BLOWUP_THRESHOLD**2:
             raise BlowUpError(n + 1, float(np.sqrt(max(energy, 0.0))))
         v[n + 1], w[n + 1] = X.v, X.w
-    return Trajectory(v, w, db1, db2, control.copy(), path_index, seed)
+    return Trajectory(v, w, path_index, seed)
 
 
 def integrate_ensemble(
@@ -305,24 +298,10 @@ def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> 
     Per path: sup over time nodes of |X|_H^2, and the trapezoid
     time-quadrature of |X|_V^2; plus their ensemble averages.
     """
-    sup_h = []
-    int_v = []
-    tw = np.full(timegrid.N + 1, timegrid.dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    for traj in trajs:
-        h_sq = np.array(
-            [norm_h_sq(grid, gamma, traj.state(n)) for n in range(timegrid.N + 1)]
-        )
-        v_sq = np.array(
-            [
-                gamma * (norm_l2_sq(grid, traj.v[n]) + grad_norm_sq(grid, traj.v[n]))
-                + norm_l2_sq(grid, traj.w[n])
-                for n in range(timegrid.N + 1)
-            ]
-        )
-        sup_h.append(float(np.max(h_sq)))
-        int_v.append(float(np.dot(tw, v_sq)))
+    tw = timegrid.u_weights()
+    paths = [StateX(traj.v, traj.w) for traj in trajs]
+    sup_h = [float(np.max(norm_h_sq(grid, gamma, X))) for X in paths]
+    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, X))) for X in paths]
     return {
         "sup_h_sq": sup_h,
         "int_v_sq": int_v,
@@ -346,15 +325,13 @@ def trajectory_to_csv(path: str, grid: Grid, timegrid: TimeGrid, traj: Trajector
 
 
 def save_snapshot(path: str, traj: Trajectory) -> None:
-    """Compact binary trajectory snapshot for adjoint reuse."""
+    """Compact binary trajectory snapshot: the state path plus the
+    (seed, path_index) that re-derives its noise."""
     np.savez_compressed(
         path,
         format=SNAPSHOT_FORMAT,
         v=traj.v,
         w=traj.w,
-        dbeta1=traj.dbeta1,
-        dbeta2=traj.dbeta2,
-        control=traj.control.values,
         path_index=traj.path_index,
         seed=traj.seed,
     )
@@ -368,9 +345,6 @@ def load_snapshot(path: str) -> Trajectory:
     return Trajectory(
         v=data["v"],
         w=data["w"],
-        dbeta1=data["dbeta1"],
-        dbeta2=data["dbeta2"],
-        control=ControlPath(data["control"]),
         path_index=int(data["path_index"]),
         seed=int(data["seed"]),
     )

@@ -4,7 +4,9 @@ and the shared cosine eigenbasis.
 Conventions
 -----------
 A field is a plain ``numpy`` array of shape ``grid.shape`` (one value per
-node).  The product state ``X = (v, w)`` pairs two such fields.  All L2
+node).  The product state ``X = (v, w)`` pairs two such fields.  The norms
+and the Helmholtz solve act on the trailing grid axes and treat leading
+axes as a batch (time nodes, ensemble paths).  All L2
 pairings use trapezoid quadrature, whose end-node half-weights make the
 reflected-ghost Laplacian stencil exactly self-adjoint; the duality and
 gradient machinery downstream relies on that exactness.
@@ -89,9 +91,6 @@ class StateX:
                 f"v and w live on different grids: {self.v.shape} vs {self.w.shape}"
             )
 
-    def copy(self) -> "StateX":
-        return StateX(self.v.copy(), self.w.copy())
-
     def __add__(self, other: "StateX") -> "StateX":
         return StateX(self.v + other.v, self.w + other.w)
 
@@ -125,48 +124,60 @@ def _check_field(grid: Grid, u: Field) -> None:
         raise ContractViolation(f"field shape {u.shape} does not match grid {grid.shape}")
 
 
-def inner_l2(grid: Grid, a: Field, b: Field) -> float:
-    """Trapezoid L2 pairing of two fields."""
-    _check_field(grid, a)
-    _check_field(grid, b)
-    return float(np.sum(_weights(grid) * a * b))
+def _check_batch(grid: Grid, u: np.ndarray) -> None:
+    """Fields on the trailing grid axes; leading axes are a batch."""
+    if u.shape[-grid.d :] != grid.shape:
+        raise ContractViolation(f"field shape {u.shape} does not match grid {grid.shape}")
 
 
-def norm_l2_sq(grid: Grid, a: Field) -> float:
+def _sum_fields(grid: Grid, x: np.ndarray):
+    """Sum over the trailing grid axes: a float for one field, else an
+    array over the leading axes, equal bit for bit to per-field sums."""
+    s = np.sum(x, axis=tuple(range(x.ndim - grid.d, x.ndim)))
+    return float(s) if s.ndim == 0 else s
+
+
+def inner_l2(grid: Grid, a: Field, b: Field):
+    """Trapezoid L2 pairing of two fields; leading axes broadcast."""
+    _check_batch(grid, a)
+    _check_batch(grid, b)
+    return _sum_fields(grid, _weights(grid) * a * b)
+
+
+def norm_l2_sq(grid: Grid, a: Field):
     return inner_l2(grid, a, a)
 
 
-def inner_h(grid: Grid, gamma: float, X: StateX, Y: StateX) -> float:
+def inner_h(grid: Grid, gamma: float, X: StateX, Y: StateX):
     """Weighted product-space pairing: gamma*<v,v'>_2 + <w,w'>_2."""
     if gamma <= 0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
     return gamma * inner_l2(grid, X.v, Y.v) + inner_l2(grid, X.w, Y.w)
 
 
-def norm_h_sq(grid: Grid, gamma: float, X: StateX) -> float:
+def norm_h_sq(grid: Grid, gamma: float, X: StateX):
     return inner_h(grid, gamma, X, X)
 
 
-def grad_norm_sq(grid: Grid, u: Field) -> float:
-    """Squared L2 norm of the one-sided discrete gradient (link-based)."""
-    _check_field(grid, u)
+def grad_norm_sq(grid: Grid, u: Field):
+    """Squared L2 norm of the one-sided discrete gradient (link-based);
+    leading axes of u are a batch."""
+    _check_batch(grid, u)
     h = grid.h
     total = 0.0
     # each link carries measure h * (transverse trapezoid weights)
-    w1 = np.full(grid.n, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
+    w1 = _weights(Grid(1, grid.n, grid.ell))
     for axis in range(grid.d):
-        diff = np.diff(u, axis=axis) / h
+        diff = np.diff(u, axis=u.ndim - grid.d + axis) / h
         if grid.d == 1:
-            total += float(np.sum(diff**2) * h)
+            total += _sum_fields(grid, diff**2) * h
         else:
             trans = w1[np.newaxis, :] if axis == 0 else w1[:, np.newaxis]
-            total += float(np.sum(diff**2 * trans) * h)
+            total += _sum_fields(grid, diff**2 * trans) * h
     return total
 
 
-def norm_v_sq(grid: Grid, gamma: float, X: StateX) -> float:
+def norm_v_sq(grid: Grid, gamma: float, X: StateX):
     """Energy norm: gamma*(|v|_2^2 + |grad v|_2^2) + |w|_2^2."""
     if gamma <= 0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
@@ -278,10 +289,7 @@ def helmholtz_solve(grid: Grid, c: float, dt: float, rhs: Field) -> Field:
     dt >= 0), up to roundoff.  Leading axes of ``rhs`` are treated as a
     batch; the solve acts on the trailing grid axes.
     """
-    if rhs.shape[-grid.d :] != grid.shape:
-        raise ContractViolation(
-            f"field shape {rhs.shape} does not match grid {grid.shape}"
-        )
+    _check_batch(grid, rhs)
     if c <= 0:
         raise ConfigurationError(f"Helmholtz coefficient must be positive, got {c}")
     axes = tuple(range(rhs.ndim - grid.d, rhs.ndim))

@@ -33,6 +33,7 @@ from .dynamics import FhnParams, a_apply, one_sided_margin
 from .errors import ConfigurationError
 from .forward import (
     ControlPath,
+    SNAPSHOT_FORMAT,
     TRAJECTORY_CSV_FORMAT,
     TimeGrid,
     actuator_adjoint,
@@ -58,7 +59,7 @@ from .grid import (
     norm_h_sq,
     norm_l2_sq,
 )
-from .noise import SpectralCovariance, WienerIncrement, increment_stream, sample_increment, trace_q
+from .noise import SpectralCovariance, WienerIncrement, sample_path, trace_q
 from .scenario import Scenario, emit_scenario
 
 COMMANDS = (
@@ -120,6 +121,7 @@ def _write_manifest(
             "control": CONTROL_CSV_FORMAT,
             "energy": ENERGY_CSV_FORMAT,
             "report": REPORT_CSV_FORMAT,
+            "snapshot": SNAPSHOT_FORMAT,
         },
         "artifacts": [str(a) for a in artifacts],
         "summary": summary,
@@ -345,7 +347,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     for _ in range(20):
         X = StateX(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
         uf = rng.standard_normal(grid.shape)
-        lhs = float(np.sum(grid.weights() * actuator_adjoint(spec, grid, params.gamma, X.v) * uf))
+        lhs = inner_l2(grid, actuator_adjoint(spec, grid, params.gamma, X.v), uf)
         rhs = inner_h(grid, params.gamma, X, actuator_apply(spec, grid, uf))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("actuator_adjointness", worst <= 1.0e-12, f"defect={worst:.2e}")
@@ -439,12 +441,7 @@ def self_convergence_rate(
     for p in range(n_paths):
         if stochastic:
             cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
-            fine_tg = TimeGrid(T, finest)
-            db1 = np.empty((finest,) + grid.shape)
-            db2 = np.empty((finest,) + grid.shape)
-            for n in range(finest):
-                dW = sample_increment(cov, grid, fine_tg.dt, increment_stream(seed, p, n))
-                db1[n], db2[n] = dW.dbeta1, dW.dbeta2
+            fine = sample_path(cov, grid, TimeGrid(T, finest), seed, p)
         finals = []
         for lev in range(levels + 1):
             steps = base_steps * 2**lev
@@ -452,8 +449,8 @@ def self_convergence_rate(
             u = ControlPath.zero(tg, grid)
             if stochastic:
                 ratio = finest // steps
-                agg1 = db1.reshape(steps, ratio, *grid.shape).sum(axis=1)
-                agg2 = db2.reshape(steps, ratio, *grid.shape).sum(axis=1)
+                agg1 = fine.dbeta1.reshape(steps, ratio, *grid.shape).sum(axis=1)
+                agg2 = fine.dbeta2.reshape(steps, ratio, *grid.shape).sum(axis=1)
                 agg = WienerIncrement(agg1, agg2)
                 traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
             else:
@@ -586,6 +583,8 @@ def run(scenario: Scenario, command: str, out_dir: str, seed: int | None = None)
     if command not in _DISPATCH:
         raise ConfigurationError(f"unknown command {command!r}; valid: {COMMANDS}")
     scenario.validate()
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     effective_seed = scenario.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

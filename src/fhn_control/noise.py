@@ -7,17 +7,23 @@ synthesize on the grid.
 
 Streams are counter-based: the generator for a given (seed, path, step)
 is derived from that triple alone, so Monte Carlo fan-out order never
-changes the sampled increments.
+changes the sampled increments, and `(seed, path)` is all a trajectory
+needs to keep to re-derive its noise with `sample_path`.  This module is
+the only one that opens streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, Grid, StateX, eigenmode_matrix, mode_coefficients, synthesize
+
+if TYPE_CHECKING:
+    from .forward import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,23 @@ def sample_increment(
     return WienerIncrement(
         dbeta1=(E @ c1).reshape(grid.shape),
         dbeta2=(E @ c2).reshape(grid.shape),
+    )
+
+
+def sample_path(
+    cov: SpectralCovariance, grid: Grid, timegrid: TimeGrid, seed: int, path: int
+) -> WienerIncrement:
+    """Increments of one path over every step, as (N,) + grid.shape arrays.
+
+    Step n draws from `increment_stream(seed, path, n)`, so the result
+    depends on (seed, path) alone and equals the step-by-step draws.
+    """
+    steps = [
+        sample_increment(cov, grid, timegrid.dt, increment_stream(seed, path, n))
+        for n in range(timegrid.N)
+    ]
+    return WienerIncrement(
+        np.stack([dW.dbeta1 for dW in steps]), np.stack([dW.dbeta2 for dW in steps])
     )
 
 

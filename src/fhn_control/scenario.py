@@ -104,6 +104,8 @@ class Scenario:
             )
         if self.ensemble < 1:
             raise ConfigurationError("ensemble must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
         if self.eps0 < 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fhn_control.control import CostSpec, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
 from fhn_control.forward import (
@@ -24,8 +25,8 @@ from fhn_control.forward import (
     u_inner,
     u_norm,
 )
-from fhn_control.grid import Grid, StateX, inner_h
-from fhn_control.noise import SpectralCovariance, WienerIncrement
+from fhn_control.grid import Grid, StateX, grad_norm_sq, inner_h, norm_h_sq, norm_l2_sq
+from fhn_control.noise import SpectralCovariance, WienerIncrement, sample_path
 
 
 def test_timegrid_properties():
@@ -147,7 +148,11 @@ def test_integrate_deterministic_replay():
     t1 = integrate(p, g, cov, spec, tg, x0, u, 7)
     t2 = integrate(p, g, cov, spec, tg, x0, u, 7)
     np.testing.assert_array_equal(t1.v, t2.v)
-    np.testing.assert_array_equal(t1.dbeta1, t2.dbeta1)
+    np.testing.assert_array_equal(t1.w, t2.w)
+    dW1 = sample_path(cov, g, tg, t1.seed, t1.path_index)
+    dW2 = sample_path(cov, g, tg, t2.seed, t2.path_index)
+    np.testing.assert_array_equal(dW1.dbeta1, dW2.dbeta1)
+    np.testing.assert_array_equal(dW1.dbeta2, dW2.dbeta2)
     t3 = integrate(p, g, cov, spec, tg, x0, u, 8)
     assert not np.array_equal(t1.v, t3.v)
 
@@ -161,13 +166,12 @@ def test_integrate_replays_supplied_increments():
     x0 = StateX(g.constant(0.3), g.zeros())
     u = ControlPath.zero(tg, g)
     traj = integrate(p, g, cov, spec, tg, x0, u, 3)
-    stored = WienerIncrement(traj.dbeta1, traj.dbeta2)
+    derived = sample_path(cov, g, tg, seed=3, path=0)
     # the supplied increments replace the (seed, path) streams entirely
-    replay = integrate(p, g, cov, spec, tg, x0, u, 99, increments=stored)
+    replay = integrate(p, g, cov, spec, tg, x0, u, 99, increments=derived)
     np.testing.assert_array_equal(replay.v, traj.v)
     np.testing.assert_array_equal(replay.w, traj.w)
-    np.testing.assert_array_equal(replay.dbeta1, traj.dbeta1)
-    short = WienerIncrement(traj.dbeta1[1:], traj.dbeta2[1:])
+    short = WienerIncrement(derived.dbeta1[1:], derived.dbeta2[1:])
     with pytest.raises(ContractViolation):
         integrate(p, g, cov, spec, tg, x0, u, 3, increments=short)
 
@@ -217,19 +221,57 @@ def test_control_enters_voltage_linearly():
     np.testing.assert_allclose(t2.v - t0.v, 2.0 * (t1.v - t0.v), atol=1e-12)
 
 
-def test_energy_report_shapes():
-    g = Grid(1, 8)
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+def test_path_functionals_match_per_node_reference(d):
+    g = Grid(d, 8)
     p = FhnParams()
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.05, 10)
+    rng = np.random.default_rng([d, 31])
+    u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
     trajs = integrate_ensemble(
         p, g, SpectralCovariance.power_spectrum(4), spec, tg,
-        StateX(g.constant(0.2), g.zeros()), ControlPath.zero(tg, g), 0, 3,
+        StateX(g.constant(0.2), g.zeros()), u, 0, 3,
     )
+    profile = rng.standard_normal(g.shape)
+    cost = CostSpec(
+        g, p.gamma, alpha=0.7, c_g=1.3, c0=0.4,
+        x_ref=lambda n: StateX((0.1 * n) * profile, g.constant(-0.05 * n)),
+        x_T=StateX(g.constant(0.3), g.zeros()),
+    )
+
+    # reference: every norm taken one field at a time, sums in node order
+    sup_h, int_v, per_path = [], [], []
+    tw = uw = tg.u_weights()
+    gw = tg.g_weights()
+    control_cost = 0
+    for n in range(tg.N + 1):
+        control_cost += uw[n] * (0.5 * cost.alpha * norm_l2_sq(g, u.values[n]))
+    for traj in trajs:
+        h_sq, v_sq = [], []
+        for n in range(tg.N + 1):
+            X = traj.state(n)
+            h_sq.append(norm_h_sq(g, p.gamma, X))
+            v_sq.append(
+                p.gamma * (norm_l2_sq(g, X.v) + grad_norm_sq(g, X.v)) + norm_l2_sq(g, X.w)
+            )
+        sup_h.append(max(h_sq))
+        int_v.append(float(np.dot(tw, v_sq)))
+        running = 0
+        for n in range(tg.N):
+            diff = traj.state(n) - cost.x_ref(n)
+            running += gw[n] * (0.5 * cost.c_g * norm_h_sq(g, p.gamma, diff))
+        terminal = 0.5 * cost.c0 * norm_h_sq(g, p.gamma, traj.state(tg.N) - cost.x_T)
+        per_path.append(terminal + running + control_cost)
+
     rep = energy_report(g, tg, p.gamma, trajs)
-    assert len(rep["sup_h_sq"]) == 3
-    assert rep["mean_sup_h_sq"] > 0
-    assert rep["mean_int_v_sq"] > 0
+    assert rep["sup_h_sq"] == sup_h
+    assert rep["int_v_sq"] == int_v
+    assert rep["mean_sup_h_sq"] == float(np.mean(sup_h)) > 0
+    assert rep["mean_int_v_sq"] == float(np.mean(int_v)) > 0
+    value, stderr = psi_from_trajectories(tg, cost, u, trajs)
+    assert value == float(np.mean(per_path))
+    assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(len(trajs)))
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -243,10 +285,26 @@ def test_snapshot_roundtrip(tmp_path):
     )
     path = tmp_path / "snap.npz"
     save_snapshot(path, traj)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["format", "path_index", "seed", "v", "w"]
+        assert str(data["format"]) == "fhn-snapshot-v2"
     back = load_snapshot(path)
     np.testing.assert_array_equal(back.v, traj.v)
-    np.testing.assert_array_equal(back.dbeta2, traj.dbeta2)
-    assert back.seed == 5
+    np.testing.assert_array_equal(back.w, traj.w)
+    assert (back.seed, back.path_index) == (5, 0)
+
+
+def test_load_snapshot_rejects_v1(tmp_path):
+    g = Grid(1, 8)
+    tg = TimeGrid(0.05, 10)
+    path = tmp_path / "old.npz"
+    zeros = np.zeros((tg.N + 1,) + g.shape)
+    np.savez_compressed(
+        path, format="fhn-snapshot-v1", v=zeros, w=zeros,
+        dbeta1=zeros[1:], dbeta2=zeros[1:], control=zeros, path_index=0, seed=0,
+    )
+    with pytest.raises(ConfigurationError, match="fhn-snapshot-v1"):
+        load_snapshot(path)
 
 
 def test_trajectory_csv_header_and_rows(tmp_path):

@@ -209,6 +209,40 @@ def test_helmholtz_rejects_nonpositive_coefficient():
         helmholtz_solve(g, 0.0, 1e-3, g.zeros())
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 12)], ids=["d1", "d2"])
+def test_batched_norms_equal_per_field_norms(d, n):
+    # leading axes are a batch; each entry equals the one-field value bit for bit
+    rng = np.random.default_rng([d, n])
+    g = Grid(d, n)
+    gamma = 0.7
+    X = StateX(*rng.standard_normal((2, 7, 11) + g.shape))
+    Y = StateX(*rng.standard_normal((2, 7, 11) + g.shape))
+    batched = {
+        "inner_h": inner_h(g, gamma, X, Y),
+        "norm_h_sq": norm_h_sq(g, gamma, X),
+        "norm_v_sq": norm_v_sq(g, gamma, X),
+        "grad_norm_sq": grad_norm_sq(g, X.v),
+    }
+    for i in range(7):
+        for j in range(11):
+            Xij = StateX(X.v[i, j], X.w[i, j])
+            Yij = StateX(Y.v[i, j], Y.w[i, j])
+            single = {
+                "inner_h": inner_h(g, gamma, Xij, Yij),
+                "norm_h_sq": norm_h_sq(g, gamma, Xij),
+                "norm_v_sq": norm_v_sq(g, gamma, Xij),
+                "grad_norm_sq": grad_norm_sq(g, Xij.v),
+            }
+            for name, value in single.items():
+                assert isinstance(value, float)
+                assert batched[name][i, j] == value, name
+    for value in batched.values():
+        assert value.shape == (7, 11)
+    # a field off the grid is still rejected, batched or not
+    with pytest.raises(ContractViolation):
+        norm_h_sq(g, gamma, StateX(X.v[..., :-1], X.w[..., :-1]))
+
+
 def test_grad_norm_of_linear_field():
     # |d/dx (s*x)|^2 integrated over [0, 1] is s^2
     g = Grid(1, 41)

@@ -6,6 +6,7 @@ import pytest
 
 from fhn_control.cli import main
 from fhn_control.errors import ConfigurationError
+from fhn_control.forward import SNAPSHOT_FORMAT
 from fhn_control.harness import gradient_check, invariant_checks, run
 from fhn_control.scenario import Scenario, save_scenario
 
@@ -27,6 +28,7 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path):
     assert manifest["scenario"]["n"] == 12
     assert manifest["scenario_digest"] == Scenario(**SMALL).digest()
     assert "numpy" in manifest["versions"]
+    assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
 
 
 def test_optimize_artifacts_and_history(tmp_path):
@@ -100,6 +102,17 @@ def test_cli_bad_scenario_exits_2(tmp_path):
         ["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+def test_negative_seed_rejected_before_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="seed"):
+        run(Scenario(**SMALL, mode="stochastic", seed=-1), "simulate", out)
+    with pytest.raises(ConfigurationError, match="seed"):
+        run(Scenario(**SMALL, mode="stochastic"), "simulate", out, seed=-1)
+    assert not out.exists()
+    assert main(["simulate", "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
 
 
 def test_cli_simulate_prints_summary(tmp_path, capsys):

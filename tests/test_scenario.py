@@ -65,6 +65,8 @@ def test_validation_errors():
         Scenario(sigma1=-0.1).validate()
     with pytest.raises(ConfigurationError, match="modes"):
         Scenario(n=8, modes=100).validate()
+    with pytest.raises(ConfigurationError, match="seed"):
+        Scenario(seed=-1).validate()
 
 
 def test_digest_stable_under_key_order(tmp_path):
