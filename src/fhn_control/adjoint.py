@@ -14,10 +14,14 @@ from this path is the exact gradient of the discrete cost functional.
 The sweeps also keep the transported values S* p_{n+1}, from which the
 control signal is read off without further solves.
 
-In stochastic mode adaptedness is restored by least-squares projection:
-at each backward step the transported value S* lam_{n+1} is replaced by
-its regression onto state features over the ensemble, and the per-path
-regression residual serves as the martingale-integrand estimate.
+There is one backward sweep.  Over an ensemble of M > 1 paths
+adaptedness is restored by least-squares projection: at each backward
+step the transported value S* lam_{n+1} is replaced by its regression
+onto state features over the ensemble, and the per-path regression
+residual serves as the martingale-integrand estimate.  A single path is
+fitted exactly, so with M = 1 the sweep is the exact transpose sweep and
+does no regression work.  The sweep keeps only the ensemble mean of the
+dual path: B* is linear, so that is all the control signal reads.
 """
 
 from __future__ import annotations
@@ -42,19 +46,22 @@ from .forward import (
 )
 from .grid import Grid, StateX, eigenmode_matrix, inner_h, inner_l2, norm_h_sq
 
+#: Regression features: the constant plus the leading (BASIS_SIZE - 1) // 2
+#: mode coefficients of each state component.
+BASIS_SIZE = 9
+#: Tikhonov weight of the fallback fit when the design matrix loses rank.
+RIDGE = 1.0e-8
+
 
 @dataclass
 class AdjointPath:
     """Dual state per time node, and the voltage part of its transport
-    S* p_{n+1} back over each step (all that B* reads); kappa is the
-    per-step martingale estimate (None in deterministic mode, where it
-    vanishes identically)."""
+    S* p_{n+1} back over each step (all that B* reads); the mean over the
+    ensemble when the sweep ran over several paths."""
 
     p_v: np.ndarray  # (N+1,) + grid.shape
     p_w: np.ndarray
     sp_v: np.ndarray  # (N,) + grid.shape
-    kappa_v: np.ndarray | None = None  # (N,) + grid.shape
-    kappa_w: np.ndarray | None = None
 
     def state(self, n: int) -> StateX:
         return StateX(self.p_v[n], self.p_w[n])
@@ -111,32 +118,7 @@ def solve_adjoint_deterministic(
     Meant for noise-free runs; applying it to a single noisy path is an
     anticipating approximation and is the caller's responsibility.
     """
-    N, dt = timegrid.N, timegrid.dt
-    gw = timegrid.g_weights()
-    p_v = np.zeros((N + 1,) + grid.shape)
-    p_w = np.zeros((N + 1,) + grid.shape)
-    sp_v = np.zeros((N,) + grid.shape)
-    lam = cost.dg0(traj.state(N))
-    p_v[N], p_w[N] = -lam.v, -lam.w
-    for n in range(N - 1, -1, -1):
-        X = traj.state(n)
-        y = implicit_solve_star(params, grid, dt, lam)
-        lam = transpose_step(params, grid, X, y, gw[n] * cost.dg(X, n), dt)
-        sp_v[n] = -y.v
-        p_v[n], p_w[n] = -lam.v, -lam.w
-    return AdjointPath(p_v, p_w, sp_v)
-
-
-def mean_adjoint(paths: list) -> AdjointPath:
-    """Ensemble average of adjoint paths; B* is linear, so the averaged
-    transported values give the control signal of the averaged path."""
-
-    def mean(name):
-        # a running sum (bit-equal to np.mean over axis 0) never holds a
-        # stacked copy of the whole ensemble
-        return sum(getattr(ap, name) for ap in paths) / len(paths)
-
-    return AdjointPath(mean("p_v"), mean("p_w"), mean("sp_v"))
+    return solve_adjoint_regression(params, grid, timegrid, [traj], cost)[0]
 
 
 def control_signal(
@@ -159,11 +141,11 @@ def control_signal(
     return ControlPath(values)
 
 
-def _features(grid: Grid, basis_size: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _features(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Regression design matrix: constant plus leading mode coefficients
     of both state components.  v, w have shape (M,) + grid.shape."""
     M = v.shape[0]
-    n_modes = (basis_size - 1) // 2
+    n_modes = (BASIS_SIZE - 1) // 2
     cols = [np.ones(M)]
     if n_modes > 0:
         E = eigenmode_matrix(grid, n_modes)
@@ -173,15 +155,10 @@ def _features(grid: Grid, basis_size: int, v: np.ndarray, w: np.ndarray) -> np.n
     return np.column_stack(cols)
 
 
-def _regress(
-    phi: np.ndarray, targets: np.ndarray, ridge: float, warn: bool = True
-) -> np.ndarray:
+def _regress(phi: np.ndarray, targets: np.ndarray, warn: bool = True) -> np.ndarray:
     """Least-squares fit of targets (M, k) on features (M, F); returns the
     fitted values.  Falls back to ridge on rank deficiency."""
-    M, F = phi.shape
-    if M == 1:
-        # a single sample is fitted exactly (constant column present)
-        return targets.copy()
+    F = phi.shape[1]
     coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
     if rank < F:
         if warn:
@@ -189,7 +166,7 @@ def _regress(
                 f"regression basis degraded (rank {rank} < {F}); using ridge fallback",
                 RuntimeWarning,
             )
-        gram = phi.T @ phi + ridge * np.eye(F)
+        gram = phi.T @ phi + RIDGE * np.eye(F)
         coef = np.linalg.solve(gram, phi.T @ targets)
     return phi @ coef
 
@@ -200,23 +177,21 @@ def solve_adjoint_regression(
     timegrid: TimeGrid,
     trajs: list,
     cost,
-    basis_size: int = 9,
-    ridge: float = 1.0e-8,
-    store_kappa: bool = False,
 ) -> tuple:
     """Regression Monte Carlo backward sweep over an ensemble.
 
-    Returns (per-path AdjointPath list, kappa energy per step), where the
-    kappa energy is the ensemble mean of |residual|_H^2 and the residual
-    is the gap between the transported dual value and its conditional-
-    expectation fit.  Full per-path residuals are stored only on request.
+    Returns (mean AdjointPath, kappa energy per step), where the kappa
+    energy is the ensemble mean of |residual|_H^2 and the residual is the
+    gap between the transported dual value and its conditional-expectation
+    fit.  One path is its own conditional expectation: the sweep is then
+    the exact transpose sweep and the kappa energy is zero.
     """
     M = len(trajs)
     if M < 1:
         raise ConfigurationError("regression adjoint needs at least one path")
-    if M < 10 * basis_size and M > 1:
+    if 1 < M < 10 * BASIS_SIZE:
         warnings.warn(
-            f"ensemble of {M} paths is small for {basis_size} features; "
+            f"ensemble of {M} paths is small for {BASIS_SIZE} features; "
             "conditional expectations may be noisy",
             RuntimeWarning,
         )
@@ -224,49 +199,43 @@ def solve_adjoint_regression(
     gw = timegrid.g_weights()
     shape = (M,) + grid.shape
 
-    p_v = np.zeros((M, N + 1) + grid.shape)
-    p_w = np.zeros((M, N + 1) + grid.shape)
-    sp_v = np.zeros((M, N) + grid.shape)
-    kap_v = np.zeros((M, N) + grid.shape) if store_kappa else None
-    kap_w = np.zeros((M, N) + grid.shape) if store_kappa else None
+    def store_mean_negated(out, a):
+        # paths are summed one after another, as averaging per-path sweeps
+        # would; a single path comes back exactly
+        np.sum(a, axis=0, out=out)
+        out /= -M
+
+    p_v = np.zeros((N + 1,) + grid.shape)
+    p_w = np.zeros((N + 1,) + grid.shape)
+    sp_v = np.zeros((N,) + grid.shape)
     kappa_energy = np.zeros(N)
 
     lam = cost.dg0(ensemble_state(trajs, N))
-    p_v[:, N], p_w[:, N] = -lam.v, -lam.w
+    store_mean_negated(p_v[N], lam.v)
+    store_mean_negated(p_w[N], lam.w)
 
     half = grid.num_nodes
     for n in range(N - 1, -1, -1):
         X = ensemble_state(trajs, n)
         y = implicit_solve_star(params, grid, dt, lam)
-        phi = _features(grid, basis_size, X.v, X.w)
-        targets = np.concatenate(
-            [y.v.reshape(M, -1), y.w.reshape(M, -1)], axis=1
-        )
-        # at n = 0 every path shares the initial state, so the design matrix
-        # is rank one by construction and the ridge fit is just the mean
-        fitted = _regress(phi, targets, ridge, warn=(n > 0))
-        fit = StateX(fitted[:, :half].reshape(shape), fitted[:, half:].reshape(shape))
-        res = y - fit
-        kappa_energy[n] = np.mean(norm_h_sq(grid, params.gamma, res))
-        if store_kappa:
-            kap_v[:, n] = res.v
-            kap_w[:, n] = res.w
-        lam = transpose_step(params, grid, X, fit, gw[n] * cost.dg(X, n), dt)
-        sp_v[:, n] = -y.v
-        p_v[:, n], p_w[:, n] = -lam.v, -lam.w
-
-    paths = []
-    for m in range(M):
-        paths.append(
-            AdjointPath(
-                p_v[m],
-                p_w[m],
-                sp_v[m],
-                kap_v[m] if store_kappa else None,
-                kap_w[m] if store_kappa else None,
+        fit = y
+        if M > 1:
+            phi = _features(grid, X.v, X.w)
+            targets = np.concatenate(
+                [y.v.reshape(M, -1), y.w.reshape(M, -1)], axis=1
             )
-        )
-    return paths, kappa_energy
+            # at n = 0 every path shares the initial state, so the design
+            # matrix is rank one by construction and the ridge fit is just
+            # the mean
+            fitted = _regress(phi, targets, warn=(n > 0))
+            fit = StateX(fitted[:, :half].reshape(shape), fitted[:, half:].reshape(shape))
+            kappa_energy[n] = np.mean(norm_h_sq(grid, params.gamma, y - fit))
+        lam = transpose_step(params, grid, X, fit, gw[n] * cost.dg(X, n), dt)
+        store_mean_negated(sp_v[n], y.v)
+        store_mean_negated(p_v[n], lam.v)
+        store_mean_negated(p_w[n], lam.w)
+
+    return AdjointPath(p_v, p_w, sp_v), kappa_energy
 
 
 def duality_gap(

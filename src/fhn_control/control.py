@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import (
-    control_signal,
-    mean_adjoint,
-    solve_adjoint_deterministic,
-    solve_adjoint_regression,
-)
+from .adjoint import control_signal, solve_adjoint_regression
 from .dynamics import FhnParams
 from .errors import ConfigurationError, ContractViolation
 from .forward import (
@@ -47,6 +42,9 @@ from .noise import SpectralCovariance
 #: decay survives well past margin 1; the sweep is reported by the
 #: convergence-study command, and this value is a diagnostic, not a proof.
 DEFAULT_MARGIN_THRESHOLD = 1.0
+
+#: Line-search halvings before a trial step is rejected.
+MAX_BACKTRACKS = 25
 
 
 @dataclass
@@ -243,8 +241,6 @@ def optimize(
     max_iters: int = 40,
     eps0: float = 1.0e-3,
     use_theta: bool = True,
-    basis_size: int = 9,
-    max_backtracks: int = 25,
     u0: ControlPath | None = None,
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
@@ -254,8 +250,7 @@ def optimize(
     Each distinct control is integrated once: the accepted trial's paths
     serve the next adjoint solve and the final certificate.
     """
-    stochastic = not cov.is_zero()
-    n_paths = ensemble if stochastic else 1
+    n_paths = 1 if cov.is_zero() else ensemble
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
 
@@ -266,13 +261,7 @@ def optimize(
         return psi_from_trajectories(timegrid, cost, candidate, trajs)[0], trajs
 
     def signal(trajs):
-        if stochastic:
-            paths, _ = solve_adjoint_regression(
-                params, grid, timegrid, trajs, cost, basis_size
-            )
-            adj = mean_adjoint(paths)
-        else:
-            adj = solve_adjoint_deterministic(params, grid, timegrid, trajs[0], cost)
+        adj, _ = solve_adjoint_regression(params, grid, timegrid, trajs, cost)
         return control_signal(params, grid, spec, timegrid, adj)
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
@@ -325,7 +314,7 @@ def optimize(
         tau = 1.0
         psi_c = psi_u
         dist = 0.0
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = u + tau * direction
             dist = u_norm(grid, timegrid, trial - u)
             psi_c, trial_trajs = evaluate(trial)

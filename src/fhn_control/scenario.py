@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .control import CostSpec
-from .dynamics import FhnParams
+from .dynamics import FhnParams, i_ion_prime
 from .errors import ConfigurationError
 from .forward import ActuatorSpec, TimeGrid
 from .grid import Field, Grid, StateX, neumann_eigenmode
@@ -112,11 +112,21 @@ class Scenario:
             raise ConfigurationError("eps0 must be nonnegative")
         # these constructors enforce their own invariants
         grid = Grid(self.d, self.n, self.ell)
-        FhnParams(self.a, self.b, self.gamma, self.delta, self.forcing, self.linear)
-        TimeGrid(self.horizon, self.steps)
+        params = FhnParams(self.a, self.b, self.gamma, self.delta, self.forcing, self.linear)
+        dt = TimeGrid(self.horizon, self.steps).dt
         if self.modes < 1 or self.modes > (grid.max_mode_freq() + 1) ** grid.d:
             raise ConfigurationError(
                 f"modes={self.modes} outside the grid's exact truncation range"
+            )
+        # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 the step
+        # amplifies the voltage instead of damping it, and the run blows up
+        # a few steps later (I_ion' is zero in linear mode)
+        v0 = _parse_field(grid, self.v0, "v0")
+        growth = dt * float(np.max(i_ion_prime(params, v0)))
+        if growth >= 2.0:
+            raise ConfigurationError(
+                f"step size dt={dt:g} is unstable at the initial voltage: "
+                f"dt*max I_ion'(v0) = {growth:.4g} >= 2; increase steps"
             )
 
     def digest(self) -> str:

@@ -194,7 +194,7 @@ def test_criterion_6_adjoint_oracles():
     u = ControlPath.zero(tg2, g2)
     det_traj = integrate(p2, g2, SpectralCovariance.zero(1), spec2, tg2, x02, u, 0)
     det = solve_adjoint_deterministic(p2, g2, tg2, det_traj, cost2)
-    from fhn_control.adjoint import mean_adjoint, solve_adjoint_regression
+    from fhn_control.adjoint import solve_adjoint_regression
 
     errs = []
     for sigma in (0.2, 0.1, 0.05):
@@ -202,8 +202,7 @@ def test_criterion_6_adjoint_oracles():
         trajs = integrate_ensemble(p2, g2, cov, spec2, tg2, x02, u, 0, 100)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            paths, _ = solve_adjoint_regression(p2, g2, tg2, trajs, cost2)
-        avg = mean_adjoint(paths)
+            avg, _ = solve_adjoint_regression(p2, g2, tg2, trajs, cost2)
         errs.append(
             float(
                 np.max(np.abs(avg.p_v - det.p_v)) + np.max(np.abs(avg.p_w - det.p_w))

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from fhn_control.adjoint import (
     control_signal,
     duality_gap,
-    mean_adjoint,
     solve_adjoint_deterministic,
     solve_adjoint_regression,
     solve_variational,
@@ -20,9 +19,12 @@ from fhn_control.forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
+    implicit_solve_star,
     integrate,
     integrate_ensemble,
+    transpose_step,
 )
+from fhn_control.scenario import Scenario
 from fhn_control.grid import Grid, StateX, norm_h_sq
 from fhn_control.noise import SpectralCovariance
 
@@ -107,16 +109,49 @@ def test_control_signal_vanishes_at_final_node():
     assert np.max(np.abs(q.values[:-1])) > 0
 
 
-def test_regression_single_path_reduces_to_deterministic():
-    g, p, spec, tg, cost, x0 = _setup()
+def _transpose_sweep(p, g, tg, traj, cost):
+    """Reference transpose sweep along one unbatched trajectory."""
+    p_v = np.zeros((tg.N + 1,) + g.shape)
+    p_w = np.zeros((tg.N + 1,) + g.shape)
+    sp_v = np.zeros((tg.N,) + g.shape)
+    lam = cost.dg0(traj.state(tg.N))
+    p_v[tg.N], p_w[tg.N] = -lam.v, -lam.w
+    gw = tg.g_weights()
+    for n in range(tg.N - 1, -1, -1):
+        X = traj.state(n)
+        y = implicit_solve_star(p, g, tg.dt, lam)
+        lam = transpose_step(p, g, X, y, gw[n] * cost.dg(X, n), tg.dt)
+        sp_v[n] = -y.v
+        p_v[n], p_w[n] = -lam.v, -lam.w
+    return p_v, p_w, sp_v
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(d=1, n=16, steps=50, horizon=0.1),
+        dict(d=2, n=12, steps=20, horizon=0.2, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
+    ],
+    ids=["d1", "d2"],
+)
+def test_regression_single_path_reduces_to_deterministic(overrides):
+    # one path is its own conditional expectation: the sweep is the exact
+    # transpose sweep, bit for bit, with zero kappa energy
+    s = Scenario(**overrides, modes=6)
+    p, g, tg, cost = s.build_params(), s.build_grid(), s.build_timegrid(), s.build_cost()
+    rng = np.random.default_rng(2)
+    u = ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape))
     traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
+        p, g, s.build_cov(), s.build_actuator(), tg, s.build_initial_state(), u, 0
     )
+    ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
+    adj, kappa = solve_adjoint_regression(p, g, tg, [traj], cost)
+    np.testing.assert_array_equal(adj.p_v, ref_v)
+    np.testing.assert_array_equal(adj.p_w, ref_w)
+    np.testing.assert_array_equal(adj.sp_v, ref_sp)
+    np.testing.assert_array_equal(kappa, 0.0)
     det = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    paths, kappa = solve_adjoint_regression(p, g, tg, [traj], cost)
-    np.testing.assert_allclose(paths[0].p_v, det.p_v, atol=1e-12)
-    np.testing.assert_allclose(paths[0].p_w, det.p_w, atol=1e-12)
-    np.testing.assert_allclose(kappa, 0.0, atol=1e-20)
+    np.testing.assert_array_equal(det.sp_v, ref_sp)
 
 
 def test_regression_warns_on_small_ensemble():
@@ -138,24 +173,24 @@ def test_regression_error_shrinks_with_noise():
         trajs = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            paths, _ = solve_adjoint_regression(p, g, tg, trajs, cost)
-        avg = mean_adjoint(paths)
+            avg, _ = solve_adjoint_regression(p, g, tg, trajs, cost)
         errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
     assert errs[1] < errs[0]
 
 
-def test_regression_kappa_stored_on_request():
+def test_regression_kappa_energy():
     g, p, spec, tg, cost, x0 = _setup(N=10)
     cov = SpectralCovariance.power_spectrum(4)
     trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        paths, kappa = solve_adjoint_regression(p, g, tg, trajs, cost, store_kappa=True)
-    assert paths[0].kappa_v is not None
-    assert paths[0].kappa_v.shape == (tg.N,) + g.shape
+        _, kappa = solve_adjoint_regression(p, g, tg, trajs, cost)
+        _, kappa_one = solve_adjoint_regression(p, g, tg, trajs[:1], cost)
     assert kappa.shape == (tg.N,)
     assert np.all(kappa >= 0.0)
-
+    # every step leaves a residual, node 0 included, where the fit is the mean
+    assert np.all(kappa > 0.0)
+    np.testing.assert_array_equal(kappa_one, np.zeros(tg.N))
 
 
 @pytest.mark.parametrize("c_g, c0", [(1.0, 0.0), (0.0, 0.1)])
@@ -176,23 +211,18 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)
     both = sweep(1.0, 0.1)
-    assert len(part) == 12 and part[0].p_v.shape == (tg.N + 1,) + g.shape
+    # the sweep returns the ensemble mean, not one path per member
+    assert part.p_v.shape == part.p_w.shape == (tg.N + 1,) + g.shape
+    assert part.sp_v.shape == (tg.N,) + g.shape
     if c0 == 0.0:
-        assert all(np.all(ap.p_v[tg.N] == 0.0) for ap in part)
-    for a, b, ab in zip(part, other, both):
-        np.testing.assert_allclose(a.p_v + b.p_v, ab.p_v, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(a.p_w + b.p_w, ab.p_w, rtol=1e-10, atol=1e-14)
-
-
-def test_mean_adjoint_averages():
-    g, p, spec, tg, cost, x0 = _setup(N=5)
-    cov = SpectralCovariance.power_spectrum(4)
-    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        paths, _ = solve_adjoint_regression(p, g, tg, trajs, cost)
-    avg = mean_adjoint(paths)
-    np.testing.assert_allclose(avg.p_v, 0.5 * (paths[0].p_v + paths[1].p_v), atol=1e-14)
+        assert np.all(part.p_v[tg.N] == 0.0)
+    for name in ("p_v", "p_w", "sp_v"):
+        np.testing.assert_allclose(
+            getattr(part, name) + getattr(other, name),
+            getattr(both, name),
+            rtol=1e-10,
+            atol=1e-14,
+        )
 
 
 def test_duality_gap_exact_for_linear_terminal_cost():

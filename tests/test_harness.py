@@ -115,6 +115,16 @@ def test_negative_seed_rejected_before_output(tmp_path):
     assert not out.exists()
 
 
+def test_cli_unstable_step_size_exits_2_before_output(tmp_path, capsys):
+    scenario_path = tmp_path / "stiff.ini"
+    save_scenario(Scenario(steps=5, v0="constant:10"), scenario_path)
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert "dt=0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_prints_summary(tmp_path, capsys):
     code = main(["simulate", "--out", str(tmp_path / "out"), "--seed", "3"])
     assert code == 0

@@ -67,6 +67,10 @@ def test_validation_errors():
         Scenario(n=8, modes=100).validate()
     with pytest.raises(ConfigurationError, match="seed"):
         Scenario(seed=-1).validate()
+    # dt = 0.1 and I_ion'(10) = 275.25: the explicit cubic step is unstable
+    with pytest.raises(ConfigurationError, match=r"dt=0\.1 .* = 27\.5"):
+        Scenario(steps=5, v0="constant:10").validate()
+    Scenario(steps=5, v0="constant:10", linear=True).validate()
 
 
 def test_digest_stable_under_key_order(tmp_path):
