@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, inner_l2, neumann_laplacian, norm_h_sq
 
 
@@ -48,10 +48,15 @@ class FhnParams:
             return 0.0
         return max(0.0, (self.a + self.b) ** 2 / 3.0 - self.a * self.b)
 
-    def forcing(self, grid: Grid) -> Field:
+    def forcing(self, grid: Grid) -> Field | float:
+        """The forcing as `f_apply` adds it: a float for a uniform f, which
+        broadcasts without building a field each step; else the field."""
         if np.isscalar(self.f):
-            return grid.constant(float(self.f))
-        return np.asarray(self.f)
+            return float(self.f)
+        f = np.asarray(self.f)
+        if f.shape != grid.shape:
+            raise ContractViolation(f"forcing shape {f.shape} does not match grid {grid.shape}")
+        return f
 
 
 def i_ion(params: FhnParams, v):

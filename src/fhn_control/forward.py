@@ -156,7 +156,12 @@ class Trajectory:
 
 
 def ensemble_state(trajs: list, n: int) -> StateX:
-    """State of every path at node n, stacked to (M,) + grid.shape."""
+    """State of every path at node n, stacked to (M,) + grid.shape; for one
+    path a read-only view of its node, not a copy."""
+    if len(trajs) == 1:
+        X = StateX(trajs[0].v[n : n + 1], trajs[0].w[n : n + 1])
+        X.v.flags.writeable = X.w.flags.writeable = False
+        return X
     return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
 
 

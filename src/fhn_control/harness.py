@@ -10,13 +10,13 @@ enough to reproduce the directory bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import importlib.metadata
 import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .adjoint import (
@@ -49,6 +49,7 @@ from .forward import (
     u_norm,
 )
 from .grid import (
+    HELMHOLTZ_SOLVER,
     StateX,
     eigenmode_matrix,
     inner_h,
@@ -113,7 +114,7 @@ def _write_manifest(
         "versions": {
             "fhn_control": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
         "formats": {
             "trajectory": TRAJECTORY_CSV_FORMAT,
@@ -122,6 +123,7 @@ def _write_manifest(
             "energy": ENERGY_CSV_FORMAT,
             "report": REPORT_CSV_FORMAT,
             "snapshot": SNAPSHOT_FORMAT,
+            "helmholtz": HELMHOLTZ_SOLVER,
         },
         "artifacts": [str(a) for a in artifacts],
         "summary": summary,

@@ -15,6 +15,7 @@ the only one that opens streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,6 +60,15 @@ class SpectralCovariance:
     def is_zero(self) -> bool:
         return all(l == 0.0 for l in self.lam1) and all(l == 0.0 for l in self.lam2)
 
+    @cached_property
+    def sqrt_lam(self) -> tuple:
+        """(sqrt(lam1), sqrt(lam2)) as read-only arrays, built once per
+        covariance rather than once per sampled step."""
+        roots = (np.sqrt(np.asarray(self.lam1)), np.sqrt(np.asarray(self.lam2)))
+        for r in roots:
+            r.flags.writeable = False
+        return roots
+
 
 @dataclass
 class WienerIncrement:
@@ -102,8 +112,9 @@ def sample_increment(
     if dt == 0.0:
         return WienerIncrement.zero(grid)
     scale = np.sqrt(dt)
-    c1 = np.sqrt(np.asarray(cov.lam1)) * xi[0] * scale
-    c2 = np.sqrt(np.asarray(cov.lam2)) * xi[1] * scale
+    sqrt1, sqrt2 = cov.sqrt_lam
+    c1 = sqrt1 * xi[0] * scale
+    c2 = sqrt2 * xi[1] * scale
     E = eigenmode_matrix(grid, cov.K)
     return WienerIncrement(
         dbeta1=(E @ c1).reshape(grid.shape),
@@ -134,6 +145,7 @@ def sqrt_q_apply(cov: SpectralCovariance, grid: Grid, X: StateX) -> StateX:
     Content beyond the truncation is discarded, consistent with the
     truncated covariance.
     """
-    c_v = mode_coefficients(grid, cov.K, X.v) * np.sqrt(np.asarray(cov.lam1))
-    c_w = mode_coefficients(grid, cov.K, X.w) * np.sqrt(np.asarray(cov.lam2))
+    sqrt1, sqrt2 = cov.sqrt_lam
+    c_v = mode_coefficients(grid, cov.K, X.v) * sqrt1
+    c_w = mode_coefficients(grid, cov.K, X.w) * sqrt2
     return StateX(synthesize(grid, cov.K, c_v), synthesize(grid, cov.K, c_w))

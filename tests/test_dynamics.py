@@ -13,7 +13,7 @@ from fhn_control.dynamics import (
     i_ion_prime,
     one_sided_margin,
 )
-from fhn_control.errors import ConfigurationError
+from fhn_control.errors import ConfigurationError, ContractViolation
 from fhn_control.grid import (
     Grid,
     StateX,
@@ -72,6 +72,10 @@ def test_forcing_scalar_and_field():
     field = np.arange(8.0)
     p2 = FhnParams(f=field)
     np.testing.assert_array_equal(p2.forcing(g), field)
+    # a uniform forcing stays a float, so f_apply builds no field per step
+    assert type(p.forcing(g)) is float
+    with pytest.raises(ContractViolation):
+        FhnParams(f=np.arange(9.0)).forcing(g)
 
 
 def test_f_apply_reaction_only_in_voltage():

@@ -14,6 +14,7 @@ from fhn_control.forward import (
     actuator_adjoint,
     actuator_apply,
     energy_report,
+    ensemble_state,
     implicit_solve,
     implicit_solve_star,
     integrate,
@@ -190,6 +191,26 @@ def test_integrate_ensemble_paths_differ_and_order_is_stable():
     again = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
     for a, b in zip(trajs, again):
         np.testing.assert_array_equal(a.v, b.v)
+
+
+def test_ensemble_state_stacks_paths_and_views_one_path():
+    g = Grid(1, 8)
+    tg = TimeGrid(0.05, 10)
+    trajs = integrate_ensemble(
+        FhnParams(), g, SpectralCovariance.power_spectrum(4), ActuatorSpec.identity(g),
+        tg, StateX.zero(g), ControlPath.zero(tg, g), 0, 3,
+    )
+    X = ensemble_state(trajs, 5)
+    np.testing.assert_array_equal(X.v, np.stack([t.v[5] for t in trajs]))
+    np.testing.assert_array_equal(X.w, np.stack([t.w[5] for t in trajs]))
+    # one path: the node itself, without a copy, and not writable through
+    one = ensemble_state(trajs[:1], 5)
+    assert one.v.shape == (1,) + g.shape
+    assert np.shares_memory(one.v, trajs[0].v) and np.shares_memory(one.w, trajs[0].w)
+    np.testing.assert_array_equal(one.v[0], trajs[0].v[5])
+    np.testing.assert_array_equal(one.w[0], trajs[0].w[5])
+    with pytest.raises(ValueError):
+        one.v[0, 0] = 1.0
 
 
 def test_blow_up_detection():

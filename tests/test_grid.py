@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from fhn_control import grid as grid_module
 from fhn_control.errors import ConfigurationError, ContractViolation
 from fhn_control.grid import (
+    DENSE_MAX_N,
     Grid,
     StateX,
+    _dct1_matrix,
     _dct_symbol,
+    _dense_solve_factor,
     eigenmode_matrix,
     grad_norm_sq,
     helmholtz_solve,
@@ -58,7 +62,11 @@ def test_cached_arrays_are_read_only():
         Grid(1, 8).weights()[0] = 99.0
     np.testing.assert_array_equal(Grid(1, 8).weights(), fresh)
     g = Grid(2, 6)
-    for cached in (g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g)):
+    g1 = Grid(1, 6)
+    for cached in (
+        g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g), _dct1_matrix(g),
+        _dense_solve_factor(g, 1.3, 1e-3), _dense_solve_factor(g1, 1.3, 1e-3),
+    ):
         with pytest.raises(ValueError):
             cached[0, 0] = 99.0
 
@@ -192,15 +200,48 @@ def test_helmholtz_solve_inverts_operator():
         np.testing.assert_allclose(helmholtz_solve(g, c, dt, rhs), x, atol=1e-11)
 
 
+# one grid per dimension on each side of the dense/transform crossover
+CROSSOVER_GRIDS = [(1, 16), (1, DENSE_MAX_N + 1), (2, 12), (2, DENSE_MAX_N + 1)]
+CROSSOVER_IDS = ["d1-dense", "d1-transform", "d2-dense", "d2-transform"]
+
+
 def test_helmholtz_solve_batched_axes():
-    rng = np.random.default_rng(13)
-    g = Grid(1, 16)
-    batch = rng.standard_normal((5,) + g.shape)
-    out = helmholtz_solve(g, 1.0, 1e-3, batch)
-    for m in range(5):
-        np.testing.assert_allclose(
-            out[m], helmholtz_solve(g, 1.0, 1e-3, batch[m]), atol=1e-13
-        )
+    # each entry of a batch of any size equals the one-field solve bit for
+    # bit, so an ensemble path does not depend on the ensemble size
+    for d, n in CROSSOVER_GRIDS:
+        rng = np.random.default_rng([13, d, n])
+        g = Grid(d, n)
+        fields = rng.standard_normal((50,) + g.shape)
+        single = [helmholtz_solve(g, 1.0, 1e-3, f) for f in fields]
+        for M in (1, 3, 7, 50):
+            out = helmholtz_solve(g, 1.0, 1e-3, fields[:M])
+            assert out.shape == (M,) + g.shape
+            for m in range(M):
+                np.testing.assert_array_equal(out[m], single[m], err_msg=f"d={d} n={n} M={M}")
+
+
+@pytest.mark.parametrize("d, n", CROSSOVER_GRIDS, ids=CROSSOVER_IDS)
+def test_helmholtz_solve_keeps_constants_exact(d, n):
+    # a constant is the zero mode: its solution is exactly rhs / c
+    g = Grid(d, n)
+    c, dt = 1.3, 2e-3
+    values = np.array([0.37, -2.5, 0.0])
+    out = helmholtz_solve(g, c, dt, values.reshape((3,) + (1,) * d) * np.ones(g.shape))
+    for m, value in enumerate(values):
+        assert np.ptp(out[m]) == 0.0
+        assert out[m].flat[0] == value / c
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (1, 64), (1, DENSE_MAX_N), (2, 12), (2, 48), (2, DENSE_MAX_N)])
+def test_helmholtz_dense_solve_matches_transform(d, n, monkeypatch):
+    rng = np.random.default_rng([17, d, n])
+    g = Grid(d, n)
+    rhs = rng.standard_normal((4,) + g.shape)
+    c, dt = 1.3, 2e-3
+    dense = helmholtz_solve(g, c, dt, rhs)
+    monkeypatch.setattr(grid_module, "DENSE_MAX_N", 0)
+    transform = helmholtz_solve(g, c, dt, rhs)
+    assert np.max(np.abs(dense - transform)) <= 1e-13 * np.max(np.abs(transform))
 
 
 def test_helmholtz_rejects_nonpositive_coefficient():

@@ -1,12 +1,19 @@
 """Harness commands, manifests, artifact reproducibility, and the CLI."""
 
+import importlib.metadata
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fhn_control
 from fhn_control.cli import main
 from fhn_control.errors import ConfigurationError
 from fhn_control.forward import SNAPSHOT_FORMAT
+from fhn_control.grid import HELMHOLTZ_SOLVER
 from fhn_control.harness import gradient_check, invariant_checks, run
 from fhn_control.scenario import Scenario, save_scenario
 
@@ -28,7 +35,29 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path):
     assert manifest["scenario"]["n"] == 12
     assert manifest["scenario_digest"] == Scenario(**SMALL).digest()
     assert "numpy" in manifest["versions"]
+    assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
     assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
+    assert manifest["formats"]["helmholtz"] == HELMHOLTZ_SOLVER
+
+
+def test_simulate_does_not_import_scipy(tmp_path):
+    # below the dense-solve crossover nothing on the run path needs scipy;
+    # a fresh interpreter shows whether any module still imports it
+    code = (
+        "import sys\n"
+        "import fhn_control\n"
+        "from fhn_control.harness import run\n"
+        "from fhn_control.scenario import Scenario\n"
+        f"scenario = Scenario(**{SMALL!r}, mode='stochastic')\n"
+        f"assert run(scenario, 'simulate', {str(tmp_path / 'out')!r}).passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fhn_control.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_optimize_artifacts_and_history(tmp_path):

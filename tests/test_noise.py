@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fhn_control.errors import ConfigurationError
-from fhn_control.grid import Grid, StateX, mode_coefficients, neumann_eigenmode
+from fhn_control.grid import (
+    Grid,
+    StateX,
+    eigenmode_matrix,
+    mode_coefficients,
+    neumann_eigenmode,
+)
 from fhn_control.noise import (
     SpectralCovariance,
     WienerIncrement,
@@ -63,6 +69,17 @@ def test_sample_increment_reproducible_and_shape():
     np.testing.assert_array_equal(dW1.dbeta1, dW2.dbeta1)
     np.testing.assert_array_equal(dW1.dbeta2, dW2.dbeta2)
     assert dW1.dbeta1.shape == g.shape
+    # reference synthesis straight from the eigenvalue tuples: the cached
+    # square roots leave every sampled value unchanged
+    xi = increment_stream(0, 0, 0).standard_normal((2, cov.K))
+    E = eigenmode_matrix(g, cov.K)
+    c1 = np.sqrt(np.asarray(cov.lam1)) * xi[0] * np.sqrt(1e-3)
+    c2 = np.sqrt(np.asarray(cov.lam2)) * xi[1] * np.sqrt(1e-3)
+    np.testing.assert_array_equal(dW1.dbeta1, (E @ c1).reshape(g.shape))
+    np.testing.assert_array_equal(dW1.dbeta2, (E @ c2).reshape(g.shape))
+    for root in cov.sqrt_lam:
+        with pytest.raises(ValueError):
+            root[0] = 1.0
 
 
 def test_sample_increment_dt_zero_consumes_stream():
