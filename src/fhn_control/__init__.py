@@ -22,8 +22,8 @@ from .grid import (
     norm_l2_sq,
     norm_v_sq,
 )
-from .noise import SpectralCovariance, WienerIncrement, sample_increment, sample_path, trace_q
-from .dynamics import FhnParams, a_apply, a_star_apply, f_apply, i_ion, one_sided_margin
+from .noise import SpectralCovariance, sample_increment, sample_path, trace_q
+from .dynamics import FhnParams, a_apply, f_apply, i_ion, one_sided_margin
 from .forward import (
     ActuatorSpec,
     ControlPath,
@@ -68,13 +68,11 @@ __all__ = [
     "norm_l2_sq",
     "norm_v_sq",
     "SpectralCovariance",
-    "WienerIncrement",
     "sample_increment",
     "sample_path",
     "trace_q",
     "FhnParams",
     "a_apply",
-    "a_star_apply",
     "f_apply",
     "i_ion",
     "one_sided_margin",

@@ -63,20 +63,6 @@ class AdjointPath:
     p_w: np.ndarray
     sp_v: np.ndarray  # (N,) + grid.shape
 
-    def state(self, n: int) -> StateX:
-        return StateX(self.p_v[n], self.p_w[n])
-
-
-@dataclass
-class VariationPath:
-    """Solution of the linearized state equation; starts from zero."""
-
-    z_v: np.ndarray
-    z_w: np.ndarray
-
-    def state(self, n: int) -> StateX:
-        return StateX(self.z_v[n], self.z_w[n])
-
 
 def solve_variational(
     params: FhnParams,
@@ -85,8 +71,9 @@ def solve_variational(
     timegrid: TimeGrid,
     traj: Trajectory,
     direction: ControlPath,
-) -> VariationPath:
-    """Forward sweep of the linearization along the frozen trajectory.
+) -> StateX:
+    """Forward sweep of the linearization along the frozen trajectory; the
+    tangent path has (N+1,) + grid.shape fields and starts from zero.
 
     This is the exact derivative of the forward step map: the reaction
     Jacobian is evaluated at the pre-step state, matching the explicit
@@ -95,15 +82,14 @@ def solve_variational(
     if direction.values.shape[0] != timegrid.N + 1:
         raise ContractViolation("direction does not match the time grid")
     N, dt = timegrid.N, timegrid.dt
-    z_v = np.zeros((N + 1,) + grid.shape)
-    z_w = np.zeros((N + 1,) + grid.shape)
+    z = StateX(np.zeros((N + 1,) + grid.shape), np.zeros((N + 1,) + grid.shape))
     Z = StateX.zero(grid)
     for n in range(N):
-        Z = tangent_step(params, grid, spec, traj.state(n), Z, direction.values[n], dt)
+        Z = tangent_step(params, grid, spec, traj[n], Z, direction.values[n], dt)
         if not np.all(np.isfinite(Z.v)):
             raise FloatingPointError(f"variational sweep blew up at step {n + 1}")
-        z_v[n + 1], z_w[n + 1] = Z.v, Z.w
-    return VariationPath(z_v, z_w)
+        z.v[n + 1], z.w[n + 1] = Z.v, Z.w
+    return z
 
 
 def solve_adjoint_deterministic(
@@ -259,12 +245,12 @@ def duality_gap(
     """
     var = solve_variational(params, grid, spec, timegrid, traj, direction)
     N, dt, gamma = timegrid.N, timegrid.dt, params.gamma
-    lhs = inner_h(grid, gamma, cost.dg0(traj.state(N)), var.state(N))
+    lhs = inner_h(grid, gamma, cost.dg0(traj[N]), var[N])
     # the cost gradient is evaluated node by node (the reference may depend
     # on n); each side's pairings over all nodes are one batched quadrature
-    dg = [cost.dg(traj.state(n), n) for n in range(N)]
+    dg = [cost.dg(traj[n], n) for n in range(N)]
     dg_path = StateX(np.stack([d.v for d in dg]), np.stack([d.w for d in dg]))
-    running = inner_h(grid, gamma, dg_path, StateX(var.z_v[:N], var.z_w[:N]))
+    running = inner_h(grid, gamma, dg_path, var[:N])
     lhs += float(np.dot(timegrid.g_weights()[:N], running))
     # B d_n = (mask * d_n, 0) pairs with the voltage part of p_n only
     bd_p = gamma * inner_l2(grid, spec.mask * direction.values[:N], adj.p_v[:N])

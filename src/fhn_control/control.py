@@ -127,16 +127,17 @@ def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
     return ControlPath(cost.subdiff_inverse_field(q.values))
 
 
-def contraction_margin(cost: CostSpec, T: float, threshold: float = DEFAULT_MARGIN_THRESHOLD) -> dict:
-    """Uniqueness margin L*T + Lip(Dg0) against the calibrated threshold."""
+def contraction_margin(cost: CostSpec, T: float) -> dict:
+    """Uniqueness margin L*T + Lip(Dg0) against the calibrated
+    `DEFAULT_MARGIN_THRESHOLD`."""
     L = cost.inverse_subdiff_lipschitz
     margin = L * T + cost.lip_dg0
     return {
         "L": L,
         "lip_dg0": cost.lip_dg0,
         "margin": margin,
-        "threshold": threshold,
-        "within": margin < threshold,
+        "threshold": DEFAULT_MARGIN_THRESHOLD,
+        "within": margin < DEFAULT_MARGIN_THRESHOLD,
     }
 
 

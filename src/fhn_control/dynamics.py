@@ -103,24 +103,12 @@ def a_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
     )
 
 
-def a_star_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
-    """Adjoint of `a_apply` in the weighted inner product.
-
-    <A(v,w),(p,q)>_H = gamma<v, Lap p + q>_2 + <w, -gamma p - delta q>_2,
-    using that the reflected Laplacian is trapezoid-self-adjoint.
-    """
-    return StateX(
-        neumann_laplacian(grid, X.v) + X.w,
-        -params.gamma * X.v - params.delta * X.w,
-    )
+#: Standard deviation of the random states `one_sided_margin` samples.
+MARGIN_SAMPLE_AMPLITUDE = 2.0
 
 
 def one_sided_margin(
-    params: FhnParams,
-    grid: Grid,
-    samples: int,
-    stream: np.random.Generator,
-    amplitude: float = 2.0,
+    params: FhnParams, grid: Grid, samples: int, stream: np.random.Generator
 ) -> dict:
     """Sampled supremum of <F(x)-F(y), x-y>_H / |x-y|_H^2.
 
@@ -135,10 +123,10 @@ def one_sided_margin(
     while done < samples:
         m = min(batch, samples - done)
         shape = (m,) + grid.shape
-        vx = amplitude * stream.standard_normal(shape)
-        wx = amplitude * stream.standard_normal(shape)
-        vy = amplitude * stream.standard_normal(shape)
-        wy = amplitude * stream.standard_normal(shape)
+        vx = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
+        wx = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
+        vy = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
+        wy = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
         dv = vx - vy
         dw = wx - wy
         # forcing cancels in F(x) - F(y); only the cubic difference remains

@@ -2,15 +2,17 @@
 
 One step solves
 
-    (I - dt*A) X+ = X + dt*(F(X) + B u) + noise increment,
+    (I - dt*A) X+ = X + dt*(F(X) + B u) + dW,
 
 i.e. the coupled linear operator is fully implicit (eliminating the
 recovery component leaves a single symmetric positive definite Helmholtz
 solve for the voltage), while the reaction, the control and the noise
-are explicit.  `implicit_solve_star` is the exact weighted-inner-product
-transpose of the same solve.  `step`, its linearization `tangent_step`
-and the transposed linearization `transpose_step` are the one kernel
-that the forward, variational and adjoint sweeps all run.
+are explicit.  The noise increment dW = (dbeta1, dbeta2) is a `StateX`
+pair like the state it is added to.  `implicit_solve_star` is the exact
+weighted-inner-product transpose of the same solve.  `step`, its
+linearization `tangent_step` and the transposed linearization
+`transpose_step` are the one kernel that the forward, variational and
+adjoint sweeps all run.
 
 Time-quadrature conventions (fixed here, relied on by the adjoint and
 control modules for exact discrete gradients):
@@ -21,6 +23,10 @@ control modules for exact discrete gradients):
 
 Step n of the dynamics consumes the control at the left node n; the
 value at node N never enters the dynamics.
+
+A path is a `StateX` whose fields carry a leading time axis: `Trajectory`
+adds the (seed, path_index) that re-derives its noise, `traj[n]` is the
+state at node n, and the norms reduce a whole path at once.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ import numpy as np
 from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BlowUpError, ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
-from .noise import SpectralCovariance, WienerIncrement, sample_path
+from .noise import SpectralCovariance, sample_path
 
 BLOWUP_THRESHOLD = 1.0e6
 
 SNAPSHOT_FORMAT = "fhn-snapshot-v2"
-TRAJECTORY_CSV_FORMAT = "fhn-trajectory-csv-v1"
 
 
 @dataclass(frozen=True)
@@ -142,24 +147,20 @@ def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, v: Field) -> 
 
 
 @dataclass
-class Trajectory:
-    """Time-indexed state of one path; `noise.sample_path` re-derives its
-    driving increments from (seed, path_index)."""
+class Trajectory(StateX):
+    """State path of one run, fields of shape (N+1,) + grid.shape;
+    `noise.sample_path` re-derives its driving increments from
+    (seed, path_index)."""
 
-    v: np.ndarray  # (N+1,) + grid.shape
-    w: np.ndarray
     path_index: int
     seed: int
-
-    def state(self, n: int) -> StateX:
-        return StateX(self.v[n], self.w[n])
 
 
 def ensemble_state(trajs: list, n: int) -> StateX:
     """State of every path at node n, stacked to (M,) + grid.shape; for one
     path a read-only view of its node, not a copy."""
     if len(trajs) == 1:
-        X = StateX(trajs[0].v[n : n + 1], trajs[0].w[n : n + 1])
+        X = trajs[0][n : n + 1]
         X.v.flags.writeable = X.w.flags.writeable = False
         return X
     return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
@@ -194,7 +195,7 @@ def step(
     spec: ActuatorSpec,
     X: StateX,
     u_t: Field,
-    dW: WienerIncrement,
+    dW: StateX,
     dt: float,
 ) -> StateX:
     """One semi-implicit update: X+ = S(X + dt*(F(X) + B u) + dW).
@@ -203,8 +204,8 @@ def step(
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    rv = X.v + dt * (f_apply(params, grid, X).v + spec.mask * u_t) + dW.dbeta1
-    rw = X.w + dW.dbeta2
+    rv = X.v + dt * (f_apply(params, grid, X).v + spec.mask * u_t) + dW.v
+    rw = X.w + dW.w
     return implicit_solve(params, grid, dt, StateX(rv, rw))
 
 
@@ -239,13 +240,13 @@ def integrate(
     control: ControlPath,
     seed: int,
     path_index: int = 0,
-    increments: WienerIncrement | None = None,
+    increments: StateX | None = None,
 ) -> Trajectory:
     """Run N steps from x0.
 
     Deterministic given (seed, path_index): the noise is
     `sample_path(cov, grid, timegrid, seed, path_index)`, unless
-    `increments` ((N,) + grid.shape arrays) supplies it, as coupled
+    `increments` (a path of (N,) + grid.shape fields) supplies it, as coupled
     refinement studies do with sums of fine-level increments over one
     Brownian path.
     """
@@ -256,19 +257,19 @@ def integrate(
     N = timegrid.N
     dt = timegrid.dt
     if increments is not None:
-        if not increments.dbeta1.shape == increments.dbeta2.shape == (N,) + grid.shape:
+        if increments.v.shape != (N,) + grid.shape:
             raise ContractViolation("increment arrays do not match the time grid")
     elif not cov.is_zero():
         increments = sample_path(cov, grid, timegrid, seed, path_index)
     # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
-    dW = WienerIncrement.zero(grid)
+    dW = StateX.zero(grid)
     v = np.empty((N + 1,) + grid.shape)
     w = np.empty((N + 1,) + grid.shape)
     v[0], w[0] = x0.v, x0.w
     X = x0
     for n in range(N):
         if increments is not None:
-            dW = WienerIncrement(increments.dbeta1[n], increments.dbeta2[n])
+            dW = increments[n]
         X = step(params, grid, spec, X, control.values[n], dW, dt)
         energy = norm_h_sq(grid, params.gamma, X)
         if not np.isfinite(energy) or energy > BLOWUP_THRESHOLD**2:
@@ -304,29 +305,14 @@ def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> 
     time-quadrature of |X|_V^2; plus their ensemble averages.
     """
     tw = timegrid.u_weights()
-    paths = [StateX(traj.v, traj.w) for traj in trajs]
-    sup_h = [float(np.max(norm_h_sq(grid, gamma, X))) for X in paths]
-    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, X))) for X in paths]
+    sup_h = [float(np.max(norm_h_sq(grid, gamma, traj))) for traj in trajs]
+    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, traj))) for traj in trajs]
     return {
         "sup_h_sq": sup_h,
         "int_v_sq": int_v,
         "mean_sup_h_sq": float(np.mean(sup_h)),
         "mean_int_v_sq": float(np.mean(int_v)),
     }
-
-
-def trajectory_to_csv(path: str, grid: Grid, timegrid: TimeGrid, traj: Trajectory) -> None:
-    """Write (time, node-wise v, node-wise w) rows; see TRAJECTORY_CSV_FORMAT."""
-    m = grid.num_nodes
-    times = timegrid.times()
-    header = ["time"] + [f"v{i}" for i in range(m)] + [f"w{i}" for i in range(m)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for n in range(timegrid.N + 1):
-            row = [repr(float(times[n]))]
-            row += [repr(float(x)) for x in traj.v[n].ravel()]
-            row += [repr(float(x)) for x in traj.w[n].ravel()]
-            fh.write(",".join(row) + "\n")
 
 
 def save_snapshot(path: str, traj: Trajectory) -> None:

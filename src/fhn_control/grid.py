@@ -4,7 +4,9 @@ and the shared cosine eigenbasis.
 Conventions
 -----------
 A field is a plain ``numpy`` array of shape ``grid.shape`` (one value per
-node).  The product state ``X = (v, w)`` pairs two such fields.  The norms
+node).  The product state ``X = (v, w)`` pairs two such fields; with a
+leading axis on both it is a path or an ensemble, and ``X[n]`` is its
+node n.  Noise increments and tangent paths are such pairs too.  The norms
 and the Helmholtz solve act on the trailing grid axes and treat leading
 axes as a batch (time nodes, ensemble paths).  All L2
 pairings use trapezoid quadrature, whose end-node half-weights make the
@@ -108,6 +110,10 @@ class StateX:
 
     __rmul__ = __mul__
 
+    def __getitem__(self, index) -> "StateX":
+        """Index both fields alike: a node of a path, or a slice of it."""
+        return StateX(self.v[index], self.w[index])
+
     @staticmethod
     def zero(grid: Grid) -> "StateX":
         return StateX(grid.zeros(), grid.zeros())
@@ -198,7 +204,6 @@ def neumann_laplacian(grid: Grid, u: Field) -> Field:
     """
     _check_field(grid, u)
     h2 = grid.h**2
-    out = np.zeros_like(u)
     padded = np.pad(u, 1, mode="reflect")
     if grid.d == 1:
         out = (padded[2:] - 2.0 * u + padded[:-2]) / h2
@@ -221,11 +226,21 @@ def mode_frequencies(grid: Grid, K: int) -> list:
             f"truncation K={K} outside valid range [1, {(kmax + 1) ** grid.d}] "
             f"for n={grid.n}, d={grid.d}"
         )
-    combos = sorted(
-        itertools.product(range(kmax + 1), repeat=grid.d),
-        key=lambda t: (sum(t), t),
+
+    def with_total(s: int, axes: int) -> list:
+        # combinations over `axes` axes with frequency total s, lexicographic
+        if axes == 1:
+            return [(s,)] if s <= kmax else []
+        return [
+            (k,) + t for k in range(min(s, kmax) + 1) for t in with_total(s - k, axes - 1)
+        ]
+
+    # generate totals in increasing order and stop after K modes, instead of
+    # sorting all (kmax + 1)**d combinations for every mode looked up
+    combos = itertools.chain.from_iterable(
+        with_total(s, grid.d) for s in range(grid.d * kmax + 1)
     )
-    return combos[:K]
+    return list(itertools.islice(combos, K))
 
 
 def _axis_mode(grid: Grid, k: int) -> np.ndarray:
@@ -267,12 +282,6 @@ def mode_coefficients(grid: Grid, K: int, u: Field) -> np.ndarray:
     _check_field(grid, u)
     E = eigenmode_matrix(grid, K)
     return E.T @ (_weights(grid) * u).ravel()
-
-
-def synthesize(grid: Grid, K: int, coeffs: np.ndarray) -> Field:
-    """Rebuild a field from its leading K mode coefficients."""
-    E = eigenmode_matrix(grid, K)
-    return (E @ coeffs).reshape(grid.shape)
 
 
 @lru_cache(maxsize=None)

@@ -34,8 +34,8 @@ from .errors import ConfigurationError
 from .forward import (
     ControlPath,
     SNAPSHOT_FORMAT,
-    TRAJECTORY_CSV_FORMAT,
     TimeGrid,
+    Trajectory,
     actuator_adjoint,
     actuator_apply,
     energy_report,
@@ -44,7 +44,6 @@ from .forward import (
     integrate,
     integrate_ensemble,
     save_snapshot,
-    trajectory_to_csv,
     u_inner,
     u_norm,
 )
@@ -60,7 +59,7 @@ from .grid import (
     norm_h_sq,
     norm_l2_sq,
 )
-from .noise import SpectralCovariance, WienerIncrement, sample_path, trace_q
+from .noise import SpectralCovariance, sample_path, trace_q
 from .scenario import Scenario, emit_scenario
 
 COMMANDS = (
@@ -71,6 +70,7 @@ COMMANDS = (
     "convergence-study",
 )
 
+TRAJECTORY_CSV_FORMAT = "fhn-trajectory-csv-v1"
 HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v1"
 CONTROL_CSV_FORMAT = "fhn-control-csv-v1"
 ENERGY_CSV_FORMAT = "fhn-energy-csv-v1"
@@ -95,11 +95,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write a header and an iterable of rows; rows may be generated one
+    at a time, so a large table is never held in memory whole."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def trajectory_to_csv(path: Path, grid, timegrid: TimeGrid, traj: Trajectory) -> None:
+    """Write (time, node-wise v, node-wise w) rows; see TRAJECTORY_CSV_FORMAT.
+
+    A node's v and w values are Python floats from `.tolist()`, each field
+    joined in one `map(repr)` pass: the text `_fmt` gives a float, without
+    a Python-level call per value."""
+    m = grid.num_nodes
+    header = ["time"] + [f"v{i}" for i in range(m)] + [f"w{i}" for i in range(m)]
+
+    def values(field: np.ndarray) -> str:
+        return ",".join(map(repr, field.ravel().tolist()))
+
+    rows = (
+        (t, values(traj.v[n]), values(traj.w[n]))
+        for n, t in enumerate(timegrid.times().tolist())
+    )
+    _write_csv(path, header, rows)
 
 
 def _write_manifest(
@@ -185,10 +206,7 @@ def _control_to_csv(path: Path, grid, timegrid, u: ControlPath) -> None:
     m = grid.num_nodes
     header = ["time"] + [f"u{i}" for i in range(m)]
     times = timegrid.times()
-    rows = [
-        [times[n]] + [float(x) for x in u.values[n].ravel()]
-        for n in range(timegrid.N + 1)
-    ]
+    rows = ([times[n]] + u.values[n].ravel().tolist() for n in range(timegrid.N + 1))
     _write_csv(path, header, rows)
 
 
@@ -451,13 +469,14 @@ def self_convergence_rate(
             u = ControlPath.zero(tg, grid)
             if stochastic:
                 ratio = finest // steps
-                agg1 = fine.dbeta1.reshape(steps, ratio, *grid.shape).sum(axis=1)
-                agg2 = fine.dbeta2.reshape(steps, ratio, *grid.shape).sum(axis=1)
-                agg = WienerIncrement(agg1, agg2)
+                agg = StateX(
+                    fine.v.reshape(steps, ratio, *grid.shape).sum(axis=1),
+                    fine.w.reshape(steps, ratio, *grid.shape).sum(axis=1),
+                )
                 traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
             else:
                 traj = integrate(params, grid, SpectralCovariance.zero(1), spec, tg, x0, u, seed, p)
-            finals.append(traj.state(tg.N))
+            finals.append(traj[tg.N])
         for lev in range(levels):
             diff = finals[lev] - finals[lev + 1]
             errors[lev] += norm_h_sq(grid, params.gamma, diff) ** 0.5 / n_paths

@@ -3,7 +3,9 @@
 Both covariance operators diagonalize on the shared cosine basis, so an
 increment over one time step is a truncated Karhunen-Loeve sum: draw one
 standard Gaussian per retained mode, scale by sqrt(eigenvalue * dt), and
-synthesize on the grid.
+synthesize on the grid.  An increment (dbeta1, dbeta2) lives on the same
+product space as the state, so it is a `StateX`: one field pair for a
+step, or fields with a leading step axis for a whole path.
 
 Streams are counter-based: the generator for a given (seed, path, step)
 is derived from that triple alone, so Monte Carlo fan-out order never
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, StateX, eigenmode_matrix, mode_coefficients, synthesize
+from .grid import Grid, StateX, eigenmode_matrix
 
 if TYPE_CHECKING:
     from .forward import TimeGrid
@@ -61,25 +63,12 @@ class SpectralCovariance:
         return all(l == 0.0 for l in self.lam1) and all(l == 0.0 for l in self.lam2)
 
     @cached_property
-    def sqrt_lam(self) -> tuple:
-        """(sqrt(lam1), sqrt(lam2)) as read-only arrays, built once per
-        covariance rather than once per sampled step."""
-        roots = (np.sqrt(np.asarray(self.lam1)), np.sqrt(np.asarray(self.lam2)))
-        for r in roots:
-            r.flags.writeable = False
+    def sqrt_lam(self) -> np.ndarray:
+        """Rows sqrt(lam1), sqrt(lam2): one read-only (2, K) array, built
+        once per covariance rather than once per sampled step."""
+        roots = np.sqrt(np.array([self.lam1, self.lam2], dtype=float))
+        roots.flags.writeable = False
         return roots
-
-
-@dataclass
-class WienerIncrement:
-    """Increments of the two driving noises over one time step."""
-
-    dbeta1: Field
-    dbeta2: Field
-
-    @staticmethod
-    def zero(grid: Grid) -> "WienerIncrement":
-        return WienerIncrement(grid.zeros(), grid.zeros())
 
 
 def trace_q(cov: SpectralCovariance, which: int) -> float:
@@ -95,12 +84,29 @@ def increment_stream(seed: int, path: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed, path, step])
 
 
+def _synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray) -> StateX:
+    """Increments from standard normals xi of shape (..., 2, K).
+
+    Each component is one stacked product of the eigenmode matrix with a
+    coefficient column per leading index, so every step is synthesized
+    by the same arithmetic as a single step (one GEMM over all steps
+    would not be: its rows differ from the one-step product in the last
+    bit).  Each component lands in its own contiguous array."""
+    E = eigenmode_matrix(grid, cov.K)
+    c = cov.sqrt_lam * xi * np.sqrt(dt)
+    shape = xi.shape[:-2] + grid.shape
+    return StateX(
+        np.matmul(E, c[..., 0, :, None]).reshape(shape),
+        np.matmul(E, c[..., 1, :, None]).reshape(shape),
+    )
+
+
 def sample_increment(
     cov: SpectralCovariance,
     grid: Grid,
     dt: float,
     stream: np.random.Generator,
-) -> WienerIncrement:
+) -> StateX:
     """Draw one Karhunen-Loeve increment pair with variance dt per mode.
 
     dt = 0 is accepted as a boundary case and returns zero fields (the
@@ -110,42 +116,20 @@ def sample_increment(
         raise ConfigurationError(f"dt must be nonnegative, got {dt}")
     xi = stream.standard_normal((2, cov.K))
     if dt == 0.0:
-        return WienerIncrement.zero(grid)
-    scale = np.sqrt(dt)
-    sqrt1, sqrt2 = cov.sqrt_lam
-    c1 = sqrt1 * xi[0] * scale
-    c2 = sqrt2 * xi[1] * scale
-    E = eigenmode_matrix(grid, cov.K)
-    return WienerIncrement(
-        dbeta1=(E @ c1).reshape(grid.shape),
-        dbeta2=(E @ c2).reshape(grid.shape),
-    )
+        return StateX.zero(grid)
+    return _synthesize(cov, grid, dt, xi)
 
 
 def sample_path(
     cov: SpectralCovariance, grid: Grid, timegrid: TimeGrid, seed: int, path: int
-) -> WienerIncrement:
-    """Increments of one path over every step, as (N,) + grid.shape arrays.
+) -> StateX:
+    """Increments of one path over every step, as (N,) + grid.shape fields.
 
     Step n draws from `increment_stream(seed, path, n)`, so the result
-    depends on (seed, path) alone and equals the step-by-step draws.
+    depends on (seed, path) alone and equals the step-by-step
+    `sample_increment` draws bit for bit.
     """
-    steps = [
-        sample_increment(cov, grid, timegrid.dt, increment_stream(seed, path, n))
-        for n in range(timegrid.N)
-    ]
-    return WienerIncrement(
-        np.stack([dW.dbeta1 for dW in steps]), np.stack([dW.dbeta2 for dW in steps])
-    )
-
-
-def sqrt_q_apply(cov: SpectralCovariance, grid: Grid, X: StateX) -> StateX:
-    """Component-wise spectral multiplier by sqrt(lambda_k).
-
-    Content beyond the truncation is discarded, consistent with the
-    truncated covariance.
-    """
-    sqrt1, sqrt2 = cov.sqrt_lam
-    c_v = mode_coefficients(grid, cov.K, X.v) * sqrt1
-    c_w = mode_coefficients(grid, cov.K, X.w) * sqrt2
-    return StateX(synthesize(grid, cov.K, c_v), synthesize(grid, cov.K, c_w))
+    xi = np.empty((timegrid.N, 2, cov.K))
+    for n in range(timegrid.N):
+        increment_stream(seed, path, n).standard_normal(out=xi[n])
+    return _synthesize(cov, grid, timegrid.dt, xi)

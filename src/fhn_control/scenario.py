@@ -110,19 +110,22 @@ class Scenario:
             raise ConfigurationError("tol must be positive")
         if self.eps0 < 0:
             raise ConfigurationError("eps0 must be nonnegative")
-        # these constructors enforce their own invariants
-        grid = Grid(self.d, self.n, self.ell)
-        params = FhnParams(self.a, self.b, self.gamma, self.delta, self.forcing, self.linear)
-        dt = TimeGrid(self.horizon, self.steps).dt
+        # these constructors enforce their own invariants, and building
+        # every field and mask spec here rejects a bad one before any output
+        grid = self.build_grid()
+        params = self.build_params()
+        dt = self.build_timegrid().dt
         if self.modes < 1 or self.modes > (grid.max_mode_freq() + 1) ** grid.d:
             raise ConfigurationError(
                 f"modes={self.modes} outside the grid's exact truncation range"
             )
+        self.build_actuator()
+        self.build_cost()
+        x0 = self.build_initial_state()
         # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 the step
         # amplifies the voltage instead of damping it, and the run blows up
         # a few steps later (I_ion' is zero in linear mode)
-        v0 = _parse_field(grid, self.v0, "v0")
-        growth = dt * float(np.max(i_ion_prime(params, v0)))
+        growth = dt * float(np.max(i_ion_prime(params, x0.v)))
         if growth >= 2.0:
             raise ConfigurationError(
                 f"step size dt={dt:g} is unstable at the initial voltage: "
@@ -191,17 +194,34 @@ def _parse_field(grid: Grid, text: str, key: str) -> Field:
                 raise ConfigurationError(f"{key}: bad modal term {item!r}") from None
         return out
     if kind == "file":
-        path, _, arr_key = rest.partition(":")
-        data = np.load(path)
-        arr = np.asarray(data[arr_key] if arr_key else data[data.files[0]])
-        if arr.shape != grid.shape:
-            raise ConfigurationError(
-                f"{key}: array in {path} has shape {arr.shape}, grid is {grid.shape}"
-            )
-        return arr
+        return _load_array(grid, rest, key)
     raise ConfigurationError(
         f"{key}: unknown field spec kind {kind!r} (use constant:, modes:, file:)"
     )
+
+
+def _load_array(grid: Grid, rest: str, key: str) -> Field:
+    """Array of a `file:<path>[:<name>]` spec: the named array of an .npz
+    file, or its first array when no name is given."""
+    path, _, arr_key = rest.partition(":")
+    try:
+        data = np.load(path)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key}: cannot read {path}: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigurationError(f"{key}: {path} is not an .npz archive")
+    with data:
+        name = arr_key or data.files[0]
+        if name not in data.files:
+            raise ConfigurationError(
+                f"{key}: no array {name!r} in {path} (it holds {data.files})"
+            )
+        arr = np.asarray(data[name])
+    if arr.shape != grid.shape:
+        raise ConfigurationError(
+            f"{key}: array in {path} has shape {arr.shape}, grid is {grid.shape}"
+        )
+    return arr
 
 
 def _parse_state(grid: Grid, text: str, key: str):
@@ -224,12 +244,7 @@ def _parse_mask(grid: Grid, text: str) -> Field:
         return np.multiply.outer(ind, np.ones(grid.n))
     kind, _, rest = text.partition(":")
     if kind == "file":
-        path, _, arr_key = rest.partition(":")
-        data = np.load(path)
-        arr = np.asarray(data[arr_key] if arr_key else data[data.files[0]])
-        if arr.shape != grid.shape:
-            raise ConfigurationError(f"mask: array shape {arr.shape} != grid {grid.shape}")
-        return arr
+        return _load_array(grid, rest, "mask")
     raise ConfigurationError(
         f"unknown mask spec {text!r} (use ones, left_half, or file:<path>)"
     )

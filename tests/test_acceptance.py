@@ -174,7 +174,7 @@ def test_criterion_6_adjoint_oracles():
     )
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
     m_star = np.array([[0.0, 1.0], [-p.gamma, -p.delta]])
-    terminal = cost.dg0(traj.state(tg.N))
+    terminal = cost.dg0(traj[tg.N])
     lam_T = np.array([terminal.v[0], terminal.w[0]])
     worst = 0.0
     for n in (0, tg.N // 3, tg.N // 2):

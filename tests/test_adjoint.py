@@ -52,8 +52,8 @@ def test_variational_matches_forward_difference():
     minus = integrate(p, g, cov, spec, tg, x0, u - h * direction, 0)
     fd_v = (plus.v - minus.v) / (2 * h)
     fd_w = (plus.w - minus.w) / (2 * h)
-    np.testing.assert_allclose(var.z_v, fd_v, atol=1e-7)
-    np.testing.assert_allclose(var.z_w, fd_w, atol=1e-7)
+    np.testing.assert_allclose(var.v, fd_v, atol=1e-7)
+    np.testing.assert_allclose(var.w, fd_w, atol=1e-7)
 
 
 def test_variational_linear_in_direction():
@@ -65,7 +65,7 @@ def test_variational_linear_in_direction():
     d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
     v1 = solve_variational(p, g, spec, tg, traj, d)
     v3 = solve_variational(p, g, spec, tg, traj, 3.0 * d)
-    np.testing.assert_allclose(v3.z_v, 3.0 * v1.z_v, atol=1e-12)
+    np.testing.assert_allclose(v3.v, 3.0 * v1.v, atol=1e-12)
 
 
 def test_adjoint_terminal_condition():
@@ -74,7 +74,7 @@ def test_adjoint_terminal_condition():
         p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
     )
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    terminal = cost.dg0(traj.state(tg.N))
+    terminal = cost.dg0(traj[tg.N])
     np.testing.assert_allclose(adj.p_v[-1], -terminal.v, atol=1e-14)
     np.testing.assert_allclose(adj.p_w[-1], -terminal.w, atol=1e-14)
 
@@ -90,7 +90,7 @@ def test_adjoint_matches_matrix_exponential_oracle():
     )
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
     m_star = np.array([[0.0, 1.0], [-p.gamma, -p.delta]])
-    lam_T = np.array([cost.dg0(traj.state(tg.N)).v[0], cost.dg0(traj.state(tg.N)).w[0]])
+    lam_T = np.array([cost.dg0(traj[tg.N]).v[0], cost.dg0(traj[tg.N]).w[0]])
     for n in (0, tg.N // 2):
         s = tg.T - tg.times()[n]
         oracle = expm(s * m_star) @ lam_T
@@ -114,11 +114,11 @@ def _transpose_sweep(p, g, tg, traj, cost):
     p_v = np.zeros((tg.N + 1,) + g.shape)
     p_w = np.zeros((tg.N + 1,) + g.shape)
     sp_v = np.zeros((tg.N,) + g.shape)
-    lam = cost.dg0(traj.state(tg.N))
+    lam = cost.dg0(traj[tg.N])
     p_v[tg.N], p_w[tg.N] = -lam.v, -lam.w
     gw = tg.g_weights()
     for n in range(tg.N - 1, -1, -1):
-        X = traj.state(n)
+        X = traj[n]
         y = implicit_solve_star(p, g, tg.dt, lam)
         lam = transpose_step(p, g, X, y, gw[n] * cost.dg(X, n), tg.dt)
         sp_v[n] = -y.v
@@ -270,4 +270,4 @@ def test_adjoint_nontrivial_energy():
         p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
     )
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    assert norm_h_sq(g, p.gamma, adj.state(0)) > 0.0
+    assert norm_h_sq(g, p.gamma, StateX(adj.p_v[0], adj.p_w[0])) > 0.0

@@ -6,7 +6,6 @@ import pytest
 from fhn_control.dynamics import (
     FhnParams,
     a_apply,
-    a_star_apply,
     df_apply,
     f_apply,
     i_ion,
@@ -97,18 +96,6 @@ def test_df_apply_is_derivative_of_f_apply():
     h = 1e-6
     fd_v = (f_apply(p, g, X + h * Z).v - f_apply(p, g, X - h * Z).v) / (2 * h)
     np.testing.assert_allclose(df_apply(p, g, X, Z).v, fd_v, atol=1e-6)
-
-
-def test_a_star_is_weighted_adjoint():
-    rng = np.random.default_rng(4)
-    for g in [Grid(1, 24), Grid(2, 10)]:
-        p = FhnParams(gamma=0.7, delta=1.1)
-        for _ in range(10):
-            X = StateX(rng.standard_normal(g.shape), rng.standard_normal(g.shape))
-            Y = StateX(rng.standard_normal(g.shape), rng.standard_normal(g.shape))
-            lhs = inner_h(g, p.gamma, a_apply(p, g, X), Y)
-            rhs = inner_h(g, p.gamma, X, a_star_apply(p, g, Y))
-            assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
 def test_skew_cancellation_identity():

@@ -22,12 +22,12 @@ from fhn_control.forward import (
     load_snapshot,
     save_snapshot,
     step,
-    trajectory_to_csv,
     u_inner,
     u_norm,
 )
 from fhn_control.grid import Grid, StateX, grad_norm_sq, inner_h, norm_h_sq, norm_l2_sq
-from fhn_control.noise import SpectralCovariance, WienerIncrement, sample_path
+from fhn_control.harness import trajectory_to_csv
+from fhn_control.noise import SpectralCovariance, sample_path
 
 
 def test_timegrid_properties():
@@ -110,7 +110,7 @@ def test_step_preserves_equilibrium():
     g = Grid(1, 16)
     p = FhnParams(f=0.0)
     spec = ActuatorSpec.identity(g)
-    X = step(p, g, spec, StateX.zero(g), g.zeros(), WienerIncrement.zero(g), 1e-3)
+    X = step(p, g, spec, StateX.zero(g), g.zeros(), StateX.zero(g), 1e-3)
     np.testing.assert_array_equal(X.v, g.zeros())
     np.testing.assert_array_equal(X.w, g.zeros())
 
@@ -152,8 +152,8 @@ def test_integrate_deterministic_replay():
     np.testing.assert_array_equal(t1.w, t2.w)
     dW1 = sample_path(cov, g, tg, t1.seed, t1.path_index)
     dW2 = sample_path(cov, g, tg, t2.seed, t2.path_index)
-    np.testing.assert_array_equal(dW1.dbeta1, dW2.dbeta1)
-    np.testing.assert_array_equal(dW1.dbeta2, dW2.dbeta2)
+    np.testing.assert_array_equal(dW1.v, dW2.v)
+    np.testing.assert_array_equal(dW1.w, dW2.w)
     t3 = integrate(p, g, cov, spec, tg, x0, u, 8)
     assert not np.array_equal(t1.v, t3.v)
 
@@ -172,7 +172,7 @@ def test_integrate_replays_supplied_increments():
     replay = integrate(p, g, cov, spec, tg, x0, u, 99, increments=derived)
     np.testing.assert_array_equal(replay.v, traj.v)
     np.testing.assert_array_equal(replay.w, traj.w)
-    short = WienerIncrement(derived.dbeta1[1:], derived.dbeta2[1:])
+    short = derived[1:]
     with pytest.raises(ContractViolation):
         integrate(p, g, cov, spec, tg, x0, u, 3, increments=short)
 
@@ -191,6 +191,29 @@ def test_integrate_ensemble_paths_differ_and_order_is_stable():
     again = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
     for a, b in zip(trajs, again):
         np.testing.assert_array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
+def test_integrate_ensemble_paths_invariant_to_ensemble_size(grid):
+    # path p of an ensemble of M paths is path p of any other ensemble,
+    # bit for bit, whatever M is
+    p = FhnParams()
+    tg = TimeGrid(0.04, 20)
+    cov = SpectralCovariance.power_spectrum(8, 0.3, 0.3)
+    x0 = StateX(grid.constant(0.3), grid.zeros())
+    u = ControlPath(0.1 * np.ones((tg.N + 1,) + grid.shape))
+    runs = {
+        M: integrate_ensemble(p, grid, cov, ActuatorSpec.identity(grid), tg, x0, u, 5, M)
+        for M in (1, 7, 50)
+    }
+    largest = runs[50]
+    assert not np.array_equal(largest[0].v, largest[1].v)
+    for M, trajs in runs.items():
+        assert len(trajs) == M
+        for path, traj in enumerate(trajs):
+            assert traj.path_index == path
+            np.testing.assert_array_equal(traj.v, largest[path].v)
+            np.testing.assert_array_equal(traj.w, largest[path].w)
 
 
 def test_ensemble_state_stacks_paths_and_views_one_path():
@@ -271,7 +294,7 @@ def test_path_functionals_match_per_node_reference(d):
     for traj in trajs:
         h_sq, v_sq = [], []
         for n in range(tg.N + 1):
-            X = traj.state(n)
+            X = traj[n]
             h_sq.append(norm_h_sq(g, p.gamma, X))
             v_sq.append(
                 p.gamma * (norm_l2_sq(g, X.v) + grad_norm_sq(g, X.v)) + norm_l2_sq(g, X.w)
@@ -280,9 +303,9 @@ def test_path_functionals_match_per_node_reference(d):
         int_v.append(float(np.dot(tw, v_sq)))
         running = 0
         for n in range(tg.N):
-            diff = traj.state(n) - cost.x_ref(n)
+            diff = traj[n] - cost.x_ref(n)
             running += gw[n] * (0.5 * cost.c_g * norm_h_sq(g, p.gamma, diff))
-        terminal = 0.5 * cost.c0 * norm_h_sq(g, p.gamma, traj.state(tg.N) - cost.x_T)
+        terminal = 0.5 * cost.c0 * norm_h_sq(g, p.gamma, traj[tg.N] - cost.x_T)
         per_path.append(terminal + running + control_cost)
 
     rep = energy_report(g, tg, p.gamma, trajs)

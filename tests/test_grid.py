@@ -1,5 +1,7 @@
 """Grid, inner products, Laplacian, eigenbasis, and Helmholtz solves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from fhn_control.grid import (
     norm_h_sq,
     norm_l2_sq,
     norm_v_sq,
-    synthesize,
 )
 
 
@@ -118,6 +119,27 @@ def test_state_arithmetic():
     np.testing.assert_allclose(Y.w, X.w)
     with pytest.raises(ContractViolation):
         StateX(np.zeros(8), np.zeros(9))
+    # the zero pair is also the noise-free increment the integrator adds
+    Z = StateX.zero(Grid(2, 8))
+    assert Z.v.shape == Z.w.shape == (8, 8)
+    assert not Z.v.any() and not Z.w.any()
+
+
+def test_state_indexing_views_both_fields():
+    # a path is a StateX with a leading time axis: X[n] is node n and
+    # X[a:b] a stretch of the path, both views of the same fields
+    g = Grid(2, 5)
+    rng = np.random.default_rng(1)
+    X = StateX(rng.standard_normal((7,) + g.shape), rng.standard_normal((7,) + g.shape))
+    node = X[3]
+    assert isinstance(node, StateX) and node.v.shape == g.shape
+    np.testing.assert_array_equal(node.v, X.v[3])
+    np.testing.assert_array_equal(node.w, X.w[3])
+    part = X[2:5]
+    assert part.v.shape == part.w.shape == (3,) + g.shape
+    assert np.shares_memory(part.v, X.v) and np.shares_memory(part.w, X.w)
+    assert np.shares_memory(node.v, X.v) and np.shares_memory(node.w, X.w)
+    np.testing.assert_array_equal(part[1].w, X.w[3])
 
 
 def test_laplacian_self_adjoint_under_trapezoid_weights():
@@ -161,6 +183,14 @@ def test_mode_frequencies_ordering():
     assert totals == sorted(totals)
     with pytest.raises(ContractViolation):
         mode_frequencies(g, 10**6)
+    # reference: sort every combination by total frequency, then lexicographically
+    for g in [Grid(1, 9), Grid(2, 4), Grid(2, 7)]:
+        kmax = g.max_mode_freq()
+        ref = sorted(
+            itertools.product(range(kmax + 1), repeat=g.d), key=lambda t: (sum(t), t)
+        )
+        for K in range(1, len(ref) + 1):
+            assert mode_frequencies(g, K) == ref[:K]
 
 
 def test_eigenmodes_orthonormal_and_eigen_identity():
@@ -187,7 +217,7 @@ def test_project_synthesize_roundtrip():
     g = Grid(1, 32)
     K = 10
     coeffs = rng.standard_normal(K)
-    u = synthesize(g, K, coeffs)
+    u = eigenmode_matrix(g, K) @ coeffs
     np.testing.assert_allclose(mode_coefficients(g, K, u), coeffs, atol=1e-12)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fhn_control
@@ -160,3 +161,33 @@ def test_cli_simulate_prints_summary(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "simulate"
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "section, key, spec",
+    [
+        ("initial", "w0", "constant:abc"),
+        ("initial", "v0", "file:{npz}:b"),
+        ("initial", "w0", "file:{npy}"),
+        ("initial", "v0", "file:{ini}"),
+        ("actuator", "mask", "halfway"),
+        ("actuator", "mask", "file:{npz}:b"),
+        ("cost", "x_ref", "modes:2:x"),
+        ("cost", "x_target", "constant:0.1|sideways:1"),
+    ],
+)
+def test_cli_bad_field_spec_exits_2_before_output(tmp_path, capsys, section, key, spec):
+    # every field and mask spec is built during validation, so a bad one
+    # fails with a configuration error before the output directory exists
+    npz = tmp_path / "m.npz"
+    np.savez(npz, a=np.zeros(64))
+    npy = tmp_path / "m.npy"
+    np.save(npy, np.zeros(64))
+    scenario_path = tmp_path / "bad.ini"
+    spec = spec.format(npz=npz, npy=npy, ini=scenario_path)
+    scenario_path.write_text(f"[{section}]\n{key} = {spec}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()

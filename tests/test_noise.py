@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from fhn_control.errors import ConfigurationError
-from fhn_control.grid import (
-    Grid,
-    StateX,
-    eigenmode_matrix,
-    mode_coefficients,
-    neumann_eigenmode,
-)
+from fhn_control.forward import TimeGrid
+from fhn_control.grid import Grid, StateX, eigenmode_matrix, mode_coefficients
 from fhn_control.noise import (
     SpectralCovariance,
-    WienerIncrement,
     increment_stream,
     sample_increment,
-    sqrt_q_apply,
+    sample_path,
     trace_q,
 )
 
@@ -66,17 +60,18 @@ def test_sample_increment_reproducible_and_shape():
     cov = SpectralCovariance.power_spectrum(8)
     dW1 = sample_increment(cov, g, 1e-3, increment_stream(0, 0, 0))
     dW2 = sample_increment(cov, g, 1e-3, increment_stream(0, 0, 0))
-    np.testing.assert_array_equal(dW1.dbeta1, dW2.dbeta1)
-    np.testing.assert_array_equal(dW1.dbeta2, dW2.dbeta2)
-    assert dW1.dbeta1.shape == g.shape
+    assert isinstance(dW1, StateX)
+    np.testing.assert_array_equal(dW1.v, dW2.v)
+    np.testing.assert_array_equal(dW1.w, dW2.w)
+    assert dW1.v.shape == g.shape
     # reference synthesis straight from the eigenvalue tuples: the cached
     # square roots leave every sampled value unchanged
     xi = increment_stream(0, 0, 0).standard_normal((2, cov.K))
     E = eigenmode_matrix(g, cov.K)
     c1 = np.sqrt(np.asarray(cov.lam1)) * xi[0] * np.sqrt(1e-3)
     c2 = np.sqrt(np.asarray(cov.lam2)) * xi[1] * np.sqrt(1e-3)
-    np.testing.assert_array_equal(dW1.dbeta1, (E @ c1).reshape(g.shape))
-    np.testing.assert_array_equal(dW1.dbeta2, (E @ c2).reshape(g.shape))
+    np.testing.assert_array_equal(dW1.v, (E @ c1).reshape(g.shape))
+    np.testing.assert_array_equal(dW1.w, (E @ c2).reshape(g.shape))
     for root in cov.sqrt_lam:
         with pytest.raises(ValueError):
             root[0] = 1.0
@@ -87,7 +82,7 @@ def test_sample_increment_dt_zero_consumes_stream():
     cov = SpectralCovariance.power_spectrum(4)
     stream = increment_stream(1, 0, 0)
     dW = sample_increment(cov, g, 0.0, stream)
-    np.testing.assert_array_equal(dW.dbeta1, g.zeros())
+    np.testing.assert_array_equal(dW.v, g.zeros())
     # the stream advanced exactly as it would for dt > 0
     after = stream.standard_normal()
     ref = increment_stream(1, 0, 0)
@@ -109,7 +104,7 @@ def test_increment_mode_variance_matches_spectrum():
     coeffs = np.empty((n_samples, K))
     for i in range(n_samples):
         dW = sample_increment(cov, g, dt, increment_stream(42, i, 0))
-        coeffs[i] = mode_coefficients(g, K, dW.dbeta1)
+        coeffs[i] = mode_coefficients(g, K, dW.v)
     sample_var = np.var(coeffs, axis=0)
     expected = np.asarray(cov.lam1) * dt
     np.testing.assert_allclose(sample_var, expected, rtol=0.15)
@@ -127,30 +122,20 @@ def test_increment_components_independent():
     c2 = np.empty(n_samples)
     for i in range(n_samples):
         dW = sample_increment(cov, g, 0.1, increment_stream(5, i, 0))
-        c1[i] = mode_coefficients(g, 1, dW.dbeta1)[0]
-        c2[i] = mode_coefficients(g, 1, dW.dbeta2)[0]
+        c1[i] = mode_coefficients(g, 1, dW.v)[0]
+        c2[i] = mode_coefficients(g, 1, dW.w)[0]
     assert abs(np.corrcoef(c1, c2)[0, 1]) < 0.06
 
 
-def test_sqrt_q_apply_scales_modes():
-    g = Grid(1, 32)
-    cov = SpectralCovariance.power_spectrum(4, 0.2, 0.4)
-    X = StateX(neumann_eigenmode(g, 3), neumann_eigenmode(g, 2))
-    out = sqrt_q_apply(cov, g, X)
-    np.testing.assert_allclose(out.v, np.sqrt(cov.lam1[2]) * X.v, atol=1e-12)
-    np.testing.assert_allclose(out.w, np.sqrt(cov.lam2[1]) * X.w, atol=1e-12)
-
-
-def test_sqrt_q_apply_discards_unresolved_content():
-    g = Grid(1, 32)
-    cov = SpectralCovariance.power_spectrum(2)
-    X = StateX(neumann_eigenmode(g, 5), g.zeros())
-    out = sqrt_q_apply(cov, g, X)
-    np.testing.assert_allclose(out.v, 0.0, atol=1e-12)
-
-
-def test_wiener_increment_zero():
-    g = Grid(2, 8)
-    dW = WienerIncrement.zero(g)
-    assert dW.dbeta1.shape == g.shape
-    assert np.all(dW.dbeta2 == 0.0)
+@pytest.mark.parametrize("grid", [Grid(1, 16), Grid(2, 7)], ids=["d1", "d2"])
+def test_sample_path_equals_per_step_increments(grid):
+    # one stacked synthesis over all steps gives the one-step draws bit for bit
+    cov = SpectralCovariance.power_spectrum(12, 0.3, 0.2)
+    tg = TimeGrid(0.2, 40)
+    path = sample_path(cov, grid, tg, seed=11, path=3)
+    assert path.v.shape == path.w.shape == (tg.N,) + grid.shape
+    assert path.v.flags.c_contiguous and path.w.flags.c_contiguous
+    for n in range(tg.N):
+        dW = sample_increment(cov, grid, tg.dt, increment_stream(11, 3, n))
+        np.testing.assert_array_equal(path.v[n], dW.v)
+        np.testing.assert_array_equal(path.w[n], dW.w)
