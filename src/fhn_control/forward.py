@@ -44,6 +44,7 @@ from .noise import SpectralCovariance, sample_path
 BLOWUP_THRESHOLD = 1.0e6
 
 SNAPSHOT_FORMAT = "fhn-snapshot-v2"
+CONTROL_FORMAT = "fhn-control-npz-v1"
 
 
 @dataclass(frozen=True)
@@ -316,9 +317,11 @@ def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> 
 
 
 def save_snapshot(path: str, traj: Trajectory) -> None:
-    """Compact binary trajectory snapshot: the state path plus the
-    (seed, path_index) that re-derives its noise."""
-    np.savez_compressed(
+    """Binary trajectory snapshot: the state path plus the (seed,
+    path_index) that re-derives its noise.  Field paths are written
+    uncompressed, since doubles barely compress and deflate costs ~50x
+    the write; np.load reads either."""
+    np.savez(
         path,
         format=SNAPSHOT_FORMAT,
         v=traj.v,
@@ -328,14 +331,19 @@ def save_snapshot(path: str, traj: Trajectory) -> None:
     )
 
 
+def save_control(path: str, timegrid: TimeGrid, u: ControlPath) -> None:
+    """Binary control path: the time nodes and u on every node."""
+    np.savez(path, format=CONTROL_FORMAT, times=timegrid.times(), u=u.values)
+
+
 def load_snapshot(path: str) -> Trajectory:
-    data = np.load(path)
-    fmt = str(data["format"])
-    if fmt != SNAPSHOT_FORMAT:
-        raise ConfigurationError(f"unknown snapshot format {fmt!r}")
-    return Trajectory(
-        v=data["v"],
-        w=data["w"],
-        path_index=int(data["path_index"]),
-        seed=int(data["seed"]),
-    )
+    with np.load(path) as data:
+        fmt = str(data["format"])
+        if fmt != SNAPSHOT_FORMAT:
+            raise ConfigurationError(f"unknown snapshot format {fmt!r}")
+        return Trajectory(
+            v=data["v"],
+            w=data["w"],
+            path_index=int(data["path_index"]),
+            seed=int(data["seed"]),
+        )

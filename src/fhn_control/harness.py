@@ -1,7 +1,8 @@
 """Run orchestration: commands, artifacts, manifests, verification suites.
 
-Every command takes a validated scenario, writes CSV artifacts plus a
-JSON manifest into its output directory, and returns a RunRecord.  The
+Every command takes a validated scenario, writes its artifacts plus a
+JSON manifest into its output directory, and returns a RunRecord.  Tables
+are CSV; field paths over space and time are binary `.npz`.  The
 manifest echoes the full scenario (defaults included), the scenario
 digest, the library versions, and the artifact format tags, which is
 enough to reproduce the directory bit for bit.
@@ -32,10 +33,10 @@ from .control import (
 from .dynamics import FhnParams, a_apply, one_sided_margin
 from .errors import ConfigurationError
 from .forward import (
+    CONTROL_FORMAT,
     ControlPath,
     SNAPSHOT_FORMAT,
     TimeGrid,
-    Trajectory,
     actuator_adjoint,
     actuator_apply,
     energy_report,
@@ -43,6 +44,7 @@ from .forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
+    save_control,
     save_snapshot,
     u_inner,
     u_norm,
@@ -70,9 +72,7 @@ COMMANDS = (
     "convergence-study",
 )
 
-TRAJECTORY_CSV_FORMAT = "fhn-trajectory-csv-v1"
 HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v1"
-CONTROL_CSV_FORMAT = "fhn-control-csv-v1"
 ENERGY_CSV_FORMAT = "fhn-energy-csv-v1"
 REPORT_CSV_FORMAT = "fhn-report-csv-v1"
 
@@ -88,9 +88,8 @@ class RunRecord:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    # np.float64 subclasses float, and numpy 2 reprs it as np.float64(...)
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
 
@@ -102,25 +101,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_fmt, row)) + "\n")
-
-
-def trajectory_to_csv(path: Path, grid, timegrid: TimeGrid, traj: Trajectory) -> None:
-    """Write (time, node-wise v, node-wise w) rows; see TRAJECTORY_CSV_FORMAT.
-
-    A node's v and w values are Python floats from `.tolist()`, each field
-    joined in one `map(repr)` pass: the text `_fmt` gives a float, without
-    a Python-level call per value."""
-    m = grid.num_nodes
-    header = ["time"] + [f"v{i}" for i in range(m)] + [f"w{i}" for i in range(m)]
-
-    def values(field: np.ndarray) -> str:
-        return ",".join(map(repr, field.ravel().tolist()))
-
-    rows = (
-        (t, values(traj.v[n]), values(traj.w[n]))
-        for n, t in enumerate(timegrid.times().tolist())
-    )
-    _write_csv(path, header, rows)
 
 
 def _write_manifest(
@@ -138,9 +118,8 @@ def _write_manifest(
             "scipy": importlib.metadata.version("scipy"),
         },
         "formats": {
-            "trajectory": TRAJECTORY_CSV_FORMAT,
             "history": HISTORY_CSV_FORMAT,
-            "control": CONTROL_CSV_FORMAT,
+            "control": CONTROL_FORMAT,
             "energy": ENERGY_CSV_FORMAT,
             "report": REPORT_CSV_FORMAT,
             "snapshot": SNAPSHOT_FORMAT,
@@ -177,9 +156,6 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
     u = ControlPath.zero(timegrid, grid)
     trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
     artifacts = []
-    traj_csv = out / "trajectory_path0.csv"
-    trajectory_to_csv(traj_csv, grid, timegrid, trajs[0])
-    artifacts.append(traj_csv)
     snap = out / "trajectory_path0.npz"
     save_snapshot(snap, trajs[0])
     artifacts.append(snap)
@@ -200,14 +176,6 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
         "mean_int_v_sq": report["mean_int_v_sq"],
     }
     return artifacts, summary, True
-
-
-def _control_to_csv(path: Path, grid, timegrid, u: ControlPath) -> None:
-    m = grid.num_nodes
-    header = ["time"] + [f"u{i}" for i in range(m)]
-    times = timegrid.times()
-    rows = ([times[n]] + u.values[n].ravel().tolist() for n in range(timegrid.N + 1))
-    _write_csv(path, header, rows)
 
 
 def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
@@ -247,12 +215,12 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
         ],
     )
     artifacts.append(history_csv)
-    control_csv = out / "control.csv"
-    _control_to_csv(control_csv, grid, timegrid, report.u_star)
-    artifacts.append(control_csv)
-    traj_csv = out / "state_path0.csv"
-    trajectory_to_csv(traj_csv, grid, timegrid, report.trajectories[0])
-    artifacts.append(traj_csv)
+    control_npz = out / "control.npz"
+    save_control(control_npz, timegrid, report.u_star)
+    artifacts.append(control_npz)
+    snap = out / "state_path0.npz"
+    save_snapshot(snap, report.trajectories[0])
+    artifacts.append(snap)
     summary = {
         "converged": report.converged,
         "iterations": len(report.iterations),

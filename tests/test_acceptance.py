@@ -6,7 +6,9 @@ read captured output) to see the lines.
 """
 
 import dataclasses
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,16 +309,26 @@ def test_criterion_10_reproducibility(tmp_path):
         n=16, modes=8, steps=50, horizon=0.1, mode="stochastic", ensemble=8,
         tol=1e-5, max_iters=10,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        run(scenario, "optimize", tmp_path / "a")
-        run(scenario, "optimize", tmp_path / "b")
-    names = ("history.csv", "control.csv", "state_path0.csv")
-    identical = all(
-        (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
-        for n in names
-    )
+    identical, listed = True, True
+    names = []
+    for command in ("simulate", "optimize"):
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run(scenario, command, a)
+            run(scenario, command, b)
+        # every artifact but the manifest, which names its own directory
+        files = sorted(f.name for f in a.iterdir() if f.name != "manifest.json")
+        for out in (a, b):
+            manifest = json.loads((out / "manifest.json").read_text())
+            listed = listed and sorted(Path(x).name for x in manifest["artifacts"]) == files
+        identical = identical and all(
+            (a / n).read_bytes() == (b / n).read_bytes() for n in files
+        )
+        names += [f"{command}/{n}" for n in files]
     ok = _report(
-        10, identical, f"optimize rerun artifacts {names} bit-identical={identical}"
+        10,
+        identical and listed,
+        f"rerun artifacts {names} bit-identical={identical}, manifest lists them={listed}",
     )
     assert ok

@@ -1,5 +1,7 @@
 """Time grids, control paths, the semi-implicit step, and integration."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -26,7 +28,6 @@ from fhn_control.forward import (
     u_norm,
 )
 from fhn_control.grid import Grid, StateX, grad_norm_sq, inner_h, norm_h_sq, norm_l2_sq
-from fhn_control.harness import trajectory_to_csv
 from fhn_control.noise import SpectralCovariance, sample_path
 
 
@@ -332,10 +333,24 @@ def test_snapshot_roundtrip(tmp_path):
     with np.load(path) as data:
         assert sorted(data.files) == ["format", "path_index", "seed", "v", "w"]
         assert str(data["format"]) == "fhn-snapshot-v2"
+    with zipfile.ZipFile(path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
     back = load_snapshot(path)
     np.testing.assert_array_equal(back.v, traj.v)
     np.testing.assert_array_equal(back.w, traj.w)
     assert (back.seed, back.path_index) == (5, 0)
+
+
+def test_load_snapshot_reads_compressed_v2(tmp_path):
+    # earlier versions wrote the same v2 fields with np.savez_compressed
+    rng = np.random.default_rng(3)
+    v, w = rng.standard_normal((2, 11, 8))
+    path = tmp_path / "v2.npz"
+    np.savez_compressed(path, format="fhn-snapshot-v2", v=v, w=w, path_index=2, seed=9)
+    back = load_snapshot(path)
+    np.testing.assert_array_equal(back.v, v)
+    np.testing.assert_array_equal(back.w, w)
+    assert (back.seed, back.path_index) == (9, 2)
 
 
 def test_load_snapshot_rejects_v1(tmp_path):
@@ -349,22 +364,3 @@ def test_load_snapshot_rejects_v1(tmp_path):
     )
     with pytest.raises(ConfigurationError, match="fhn-snapshot-v1"):
         load_snapshot(path)
-
-
-def test_trajectory_csv_header_and_rows(tmp_path):
-    g = Grid(1, 4)
-    p = FhnParams()
-    spec = ActuatorSpec.identity(g)
-    tg = TimeGrid(0.01, 2)
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg,
-        StateX(g.constant(0.1), g.zeros()), ControlPath.zero(tg, g), 0,
-    )
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(path, g, tg, traj)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "time,v0,v1,v2,v3,w0,w1,w2,w3"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(0.1)

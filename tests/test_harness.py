@@ -5,20 +5,36 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fhn_control
+from fhn_control import harness
 from fhn_control.cli import main
 from fhn_control.errors import ConfigurationError
-from fhn_control.forward import SNAPSHOT_FORMAT
+from fhn_control.forward import CONTROL_FORMAT, SNAPSHOT_FORMAT, load_snapshot
 from fhn_control.grid import HELMHOLTZ_SOLVER
-from fhn_control.harness import gradient_check, invariant_checks, run
+from fhn_control.harness import COMMANDS, gradient_check, invariant_checks, run
 from fhn_control.scenario import Scenario, save_scenario
 
 SMALL = dict(n=12, steps=30, horizon=0.1, modes=6, ensemble=4)
+
+
+def assert_runs_identical(a: Path, b: Path) -> None:
+    """Every artifact of two runs is byte-identical, and each manifest
+    lists exactly the files beside it; manifest.json itself names its
+    directory, so it is left out of the byte comparison."""
+    listed = []
+    for out in (a, b):
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed.append({Path(x).name for x in manifest["artifacts"]})
+        assert listed[-1] == {f.name for f in out.iterdir()} - {"manifest.json"}
+    assert listed[0] == listed[1]
+    for name in sorted(listed[0]):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_run_rejects_unknown_command(tmp_path):
@@ -29,8 +45,10 @@ def test_run_rejects_unknown_command(tmp_path):
 def test_simulate_writes_artifacts_and_manifest(tmp_path):
     record = run(Scenario(**SMALL), "simulate", tmp_path)
     assert record.passed
-    assert (tmp_path / "trajectory_path0.csv").exists()
+    assert (tmp_path / "trajectory_path0.npz").exists()
     assert (tmp_path / "energy.csv").exists()
+    with np.load(tmp_path / "trajectory_path0.npz") as data:
+        assert str(data["format"]) == SNAPSHOT_FORMAT
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["scenario"]["n"] == 12
@@ -68,25 +86,78 @@ def test_optimize_artifacts_and_history(tmp_path):
     history = (tmp_path / "history.csv").read_text().strip().split("\n")
     assert history[0].startswith("iteration,psi,residual")
     assert len(history) >= 2
-    assert (tmp_path / "control.csv").exists()
-    assert (tmp_path / "state_path0.csv").exists()
+    assert (tmp_path / "control.npz").exists()
+    assert (tmp_path / "state_path0.npz").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["formats"]["control"] == CONTROL_FORMAT
+    assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
+    with np.load(tmp_path / "control.npz") as data:
+        assert sorted(data.files) == ["format", "times", "u"]
+        assert str(data["format"]) == CONTROL_FORMAT
+    with np.load(tmp_path / "state_path0.npz") as data:
+        assert str(data["format"]) == SNAPSHOT_FORMAT
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_optimize_field_artifacts_round_trip(tmp_path, monkeypatch, d):
+    # the artifacts must hold exactly what the optimizer returned
+    reports = []
+    optimize = harness.optimize
+
+    def recording_optimize(*args, **kwargs):
+        reports.append(optimize(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "optimize", recording_optimize)
+    scenario = Scenario(**dict(SMALL, d=d), mode="stochastic", tol=1e-5, max_iters=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run(scenario, "optimize", tmp_path)
+    (report,) = reports
+    back = load_snapshot(tmp_path / "state_path0.npz")
+    np.testing.assert_array_equal(back.v, report.trajectories[0].v)
+    np.testing.assert_array_equal(back.w, report.trajectories[0].w)
+    assert (back.seed, back.path_index) == (report.trajectories[0].seed, 0)
+    with np.load(tmp_path / "control.npz") as data:
+        np.testing.assert_array_equal(data["u"], report.u_star.values)
+        np.testing.assert_array_equal(data["times"], scenario.build_timegrid().times())
 
 
 def test_optimize_rerun_bit_identical(tmp_path):
     scenario = Scenario(**SMALL, tol=1e-5, max_iters=15)
     run(scenario, "optimize", tmp_path / "a")
     run(scenario, "optimize", tmp_path / "b")
-    for name in ("history.csv", "control.csv", "state_path0.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert_runs_identical(tmp_path / "a", tmp_path / "b")
+
+
+def test_simulate_rerun_bit_identical(tmp_path):
+    scenario = Scenario(**SMALL, mode="stochastic")
+    run(scenario, "simulate", tmp_path / "a")
+    run(scenario, "simulate", tmp_path / "b")
+    assert_runs_identical(tmp_path / "a", tmp_path / "b")
+
+
+def test_csv_artifacts_hold_plain_numbers(tmp_path):
+    # numpy 2 reprs a numpy scalar as np.float64(...); no CSV may hold one
+    scenario = Scenario(**SMALL, mode="stochastic")
+    for command in COMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run(scenario, command, tmp_path / command)
+    tables = sorted(tmp_path.glob("*/*.csv"))
+    assert {t.parent.name for t in tables} == set(COMMANDS)
+    for table in tables:
+        assert "np." not in table.read_text(), table
 
 
 def test_seed_override_changes_stochastic_output(tmp_path):
     scenario = Scenario(**SMALL, mode="stochastic")
     run(scenario, "simulate", tmp_path / "a", seed=1)
     run(scenario, "simulate", tmp_path / "b", seed=2)
-    a = (tmp_path / "a" / "trajectory_path0.csv").read_bytes()
-    b = (tmp_path / "b" / "trajectory_path0.csv").read_bytes()
-    assert a != b
+    # the snapshot also stores the seed, so compare the paths themselves
+    a = load_snapshot(tmp_path / "a" / "trajectory_path0.npz")
+    b = load_snapshot(tmp_path / "b" / "trajectory_path0.npz")
+    assert not np.array_equal(a.v, b.v)
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seed"] == 1
 
