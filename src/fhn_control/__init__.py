@@ -28,7 +28,6 @@ from .forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
-    Trajectory,
     energy_report,
     integrate,
     integrate_ensemble,
@@ -79,7 +78,6 @@ __all__ = [
     "ActuatorSpec",
     "ControlPath",
     "TimeGrid",
-    "Trajectory",
     "energy_report",
     "integrate",
     "integrate_ensemble",

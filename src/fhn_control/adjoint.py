@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FhnParams
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
-    Trajectory,
     actuator_adjoint,
-    ensemble_state,
+    ensemble_size,
     implicit_solve_star,
     tangent_step,
     transpose_step,
@@ -69,7 +68,7 @@ def solve_variational(
     grid: Grid,
     spec: ActuatorSpec,
     timegrid: TimeGrid,
-    traj: Trajectory,
+    traj: StateX,
     direction: ControlPath,
 ) -> StateX:
     """Forward sweep of the linearization along the frozen trajectory; the
@@ -96,7 +95,7 @@ def solve_adjoint_deterministic(
     params: FhnParams,
     grid: Grid,
     timegrid: TimeGrid,
-    traj: Trajectory,
+    traj: StateX,
     cost,
 ) -> AdjointPath:
     """Backward transpose sweep along one trajectory (kappa = 0).
@@ -104,7 +103,7 @@ def solve_adjoint_deterministic(
     Meant for noise-free runs; applying it to a single noisy path is an
     anticipating approximation and is the caller's responsibility.
     """
-    return solve_adjoint_regression(params, grid, timegrid, [traj], cost)[0]
+    return solve_adjoint_regression(params, grid, timegrid, traj[:, None], cost)[0]
 
 
 def control_signal(
@@ -161,10 +160,11 @@ def solve_adjoint_regression(
     params: FhnParams,
     grid: Grid,
     timegrid: TimeGrid,
-    trajs: list,
+    ens: StateX,
     cost,
 ) -> tuple:
-    """Regression Monte Carlo backward sweep over an ensemble.
+    """Regression Monte Carlo backward sweep over an ensemble, whose fields
+    have shape (N+1, M) + grid.shape.
 
     Returns (mean AdjointPath, kappa energy per step), where the kappa
     energy is the ensemble mean of |residual|_H^2 and the residual is the
@@ -172,9 +172,7 @@ def solve_adjoint_regression(
     fit.  One path is its own conditional expectation: the sweep is then
     the exact transpose sweep and the kappa energy is zero.
     """
-    M = len(trajs)
-    if M < 1:
-        raise ConfigurationError("regression adjoint needs at least one path")
+    M = ensemble_size(timegrid, grid.shape, ens)
     if 1 < M < 10 * BASIS_SIZE:
         warnings.warn(
             f"ensemble of {M} paths is small for {BASIS_SIZE} features; "
@@ -196,13 +194,13 @@ def solve_adjoint_regression(
     sp_v = np.zeros((N,) + grid.shape)
     kappa_energy = np.zeros(N)
 
-    lam = cost.dg0(ensemble_state(trajs, N))
+    lam = cost.dg0(ens[N])
     store_mean_negated(p_v[N], lam.v)
     store_mean_negated(p_w[N], lam.w)
 
     half = grid.num_nodes
     for n in range(N - 1, -1, -1):
-        X = ensemble_state(trajs, n)
+        X = ens[n]
         y = implicit_solve_star(params, grid, dt, lam)
         fit = y
         if M > 1:
@@ -229,7 +227,7 @@ def duality_gap(
     grid: Grid,
     spec: ActuatorSpec,
     timegrid: TimeGrid,
-    traj: Trajectory,
+    traj: StateX,
     adj: AdjointPath,
     direction: ControlPath,
     cost,

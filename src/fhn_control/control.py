@@ -29,7 +29,7 @@ from .forward import (
     ControlPath,
     TimeGrid,
     energy_report,
-    ensemble_state,
+    ensemble_size,
     integrate_ensemble,
     u_inner,
     u_norm,
@@ -162,22 +162,22 @@ def psi_estimate(
     if ensemble < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble}")
     n_paths = 1 if cov.is_zero() else ensemble
-    trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
-    return psi_from_trajectories(timegrid, cost, u, trajs)
+    ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
+    return psi_from_trajectories(timegrid, cost, u, ens)
 
 
-def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, trajs: list) -> tuple:
-    """Cost of u averaged over its already integrated paths; (value, stderr).
-    Each node's cost is taken over all paths at once; the sums over nodes
-    stay sequential, so each path's cost equals its per-path sum bit for bit."""
+def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, ens: StateX) -> tuple:
+    """Cost of u averaged over its already integrated ensemble, fields
+    (N+1, M) + grid.shape; (value, stderr).  Each node's cost is taken over
+    all paths at once; the sums over nodes stay sequential, so each path's
+    cost equals its per-path sum bit for bit."""
+    # the state lives on the grid the control does
+    n_paths = ensemble_size(timegrid, u.values.shape[1:], ens)
     gw = timegrid.g_weights()
     control_cost = float(sum(timegrid.u_weights() * cost.h(u.values)))
-    state_cost = cost.g0(ensemble_state(trajs, timegrid.N))
+    state_cost = cost.g0(ens[timegrid.N])
     if cost.c_g != 0.0:
-        state_cost = state_cost + sum(
-            gw[n] * cost.g(ensemble_state(trajs, n), n) for n in range(timegrid.N)
-        )
-    n_paths = len(trajs)
+        state_cost = state_cost + sum(gw[n] * cost.g(ens[n], n) for n in range(timegrid.N))
     per_path = state_cost + np.full(n_paths, control_cost)
     value = float(np.mean(per_path))
     stderr = 0.0 if n_paths == 1 else float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
@@ -213,7 +213,7 @@ class OptimizeReport:
 
     iterations: list = field(default_factory=list)
     u_star: ControlPath | None = None
-    trajectories: list = field(default_factory=list)
+    ensemble: StateX | None = None
     certificate_residual: float = float("nan")
     converged: bool = False
     margin: dict = field(default_factory=dict)
@@ -256,21 +256,19 @@ def optimize(
     theta = None
 
     def evaluate(candidate):
-        trajs = integrate_ensemble(
-            params, grid, cov, spec, timegrid, x0, candidate, seed, n_paths
-        )
-        return psi_from_trajectories(timegrid, cost, candidate, trajs)[0], trajs
+        ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, candidate, seed, n_paths)
+        return psi_from_trajectories(timegrid, cost, candidate, ens)[0], ens
 
-    def signal(trajs):
-        adj, _ = solve_adjoint_regression(params, grid, timegrid, trajs, cost)
+    def signal(ens):
+        adj, _ = solve_adjoint_regression(params, grid, timegrid, ens, cost)
         return control_signal(params, grid, spec, timegrid, adj)
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
-    psi_u, trajs = evaluate(u)
+    psi_u, ens = evaluate(u)
     # fixed-point residual of the current u; None once u has moved past it
     certificate = None
     for k in range(max_iters):
-        q = signal(trajs)
+        q = signal(ens)
         grad = ControlPath(cost.alpha * u.values - q.values)
         fixed_point = subdiff_inverse(cost, q)
         # the optimality residual is the gap to the plain fixed-point map;
@@ -278,19 +276,19 @@ def optimize(
         # would otherwise masquerade as convergence)
         residual = u_norm(grid, timegrid, fixed_point - u)
         certificate = residual
+        # one record per iteration, read off the current paths; a step
+        # taken below fills in its outcome
+        record = {
+            "iter": k,
+            "psi": psi_u,
+            "residual": residual,
+            "eps": 0.0,
+            "accepted": True,
+            "tau": 0.0,
+            "mean_sup_h_sq": energy_report(grid, timegrid, params.gamma, ens)["mean_sup_h_sq"],
+        }
+        report.iterations.append(record)
         if residual < tol:
-            energy = energy_report(grid, timegrid, params.gamma, trajs)
-            report.iterations.append(
-                {
-                    "iter": k,
-                    "psi": psi_u,
-                    "residual": residual,
-                    "eps": 0.0,
-                    "accepted": True,
-                    "tau": 0.0,
-                    "mean_sup_h_sq": energy["mean_sup_h_sq"],
-                }
-            )
             report.converged = True
             break
 
@@ -318,15 +316,14 @@ def optimize(
         for _ in range(MAX_BACKTRACKS):
             trial = u + tau * direction
             dist = u_norm(grid, timegrid, trial - u)
-            psi_c, trial_trajs = evaluate(trial)
+            psi_c, trial_ens = evaluate(trial)
             if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
                 accepted = True
                 break
             # keep at most two ensembles alive: the current one and a trial
-            del trial_trajs
+            del trial_ens
             tau *= 0.5
 
-        energy = energy_report(grid, timegrid, params.gamma, trajs)
         if accepted:
             step_path = tau * direction
             if dist > 0:
@@ -334,26 +331,16 @@ def optimize(
             # u + tau*direction is the trial bit for bit, so its paths are u's
             u = u + step_path
             psi_u = psi_c
-            trajs = trial_trajs
+            ens = trial_ens
             certificate = None
         else:
             theta = None
-        report.iterations.append(
-            {
-                "iter": k,
-                "psi": psi_u,
-                "residual": residual,
-                "eps": eps,
-                "accepted": accepted,
-                "tau": tau if accepted else 0.0,
-                "mean_sup_h_sq": energy["mean_sup_h_sq"],
-            }
-        )
+        record.update(psi=psi_u, eps=eps, accepted=accepted, tau=tau if accepted else 0.0)
 
     if certificate is None:
-        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, signal(trajs)) - u)
+        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, signal(ens)) - u)
     report.certificate_residual = certificate
     report.u_star = u
-    report.trajectories = trajs
+    report.ensemble = ens
     report.psi_final = psi_u
     return report

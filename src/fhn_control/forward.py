@@ -24,9 +24,12 @@ control modules for exact discrete gradients):
 Step n of the dynamics consumes the control at the left node n; the
 value at node N never enters the dynamics.
 
-A path is a `StateX` whose fields carry a leading time axis: `Trajectory`
-adds the (seed, path_index) that re-derives its noise, `traj[n]` is the
-state at node n, and the norms reduce a whole path at once.
+A path is a `StateX` whose fields carry a leading time axis, shape
+(N+1,) + grid.shape: `X[n]` is the state at node n, and the norms reduce a
+whole path at once.  An ensemble of M paths is one `StateX` of shape
+(N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
+`ens[:, p]` is path p, whose noise `noise.sample_path` re-derives from
+(seed, p).
 """
 
 from __future__ import annotations
@@ -147,24 +150,17 @@ def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, v: Field) -> 
     return gamma * spec.mask * v
 
 
-@dataclass
-class Trajectory(StateX):
-    """State path of one run, fields of shape (N+1,) + grid.shape;
-    `noise.sample_path` re-derives its driving increments from
-    (seed, path_index)."""
-
-    path_index: int
-    seed: int
-
-
-def ensemble_state(trajs: list, n: int) -> StateX:
-    """State of every path at node n, stacked to (M,) + grid.shape; for one
-    path a read-only view of its node, not a copy."""
-    if len(trajs) == 1:
-        X = trajs[0][n : n + 1]
-        X.v.flags.writeable = X.w.flags.writeable = False
-        return X
-    return StateX(np.stack([t.v[n] for t in trajs]), np.stack([t.w[n] for t in trajs]))
+def ensemble_size(timegrid: TimeGrid, field_shape: tuple, ens: StateX) -> int:
+    """Number of paths M of an ensemble whose fields have shape
+    (N+1, M) + field_shape; any other layout, such as a single path
+    without its path axis or a slice of nodes, is a contract violation."""
+    shape = ens.v.shape
+    if len(shape) < 2 or shape[0] != timegrid.N + 1 or shape[1] < 1 or shape[2:] != field_shape:
+        raise ContractViolation(
+            f"ensemble fields have shape {shape}, expected "
+            f"(N+1, M) + {field_shape} with N+1 = {timegrid.N + 1} and M >= 1"
+        )
+    return shape[1]
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +238,8 @@ def integrate(
     seed: int,
     path_index: int = 0,
     increments: StateX | None = None,
-) -> Trajectory:
-    """Run N steps from x0.
+) -> StateX:
+    """Run N steps from x0; the path has (N+1,) + grid.shape fields.
 
     Deterministic given (seed, path_index): the noise is
     `sample_path(cov, grid, timegrid, seed, path_index)`, unless
@@ -276,7 +272,7 @@ def integrate(
         if not np.isfinite(energy) or energy > BLOWUP_THRESHOLD**2:
             raise BlowUpError(n + 1, float(np.sqrt(max(energy, 0.0))))
         v[n + 1], w[n + 1] = X.v, X.w
-    return Trajectory(v, w, path_index, seed)
+    return StateX(v, w)
 
 
 def integrate_ensemble(
@@ -289,25 +285,34 @@ def integrate_ensemble(
     control: ControlPath,
     seed: int,
     n_paths: int,
-) -> list:
-    """Independent paths under a common control; path p uses stream (seed, p, .)."""
+) -> StateX:
+    """Independent paths under a common control, as one read-only ensemble
+    of shape (N+1, M) + grid.shape.  Path p uses stream (seed, p, .) and is
+    `integrate(..., seed, p)` bit for bit."""
     if n_paths < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {n_paths}")
-    return [
-        integrate(params, grid, cov, spec, timegrid, x0, control, seed, p)
-        for p in range(n_paths)
-    ]
+    shape = (timegrid.N + 1, n_paths) + grid.shape
+    ens = StateX(np.empty(shape), np.empty(shape))
+    for p in range(n_paths):
+        path = integrate(params, grid, cov, spec, timegrid, x0, control, seed, p)
+        ens.v[:, p], ens.w[:, p] = path.v, path.w
+    # the cost, the backward sweep, energy_report and the optimizer's
+    # report all share these arrays
+    ens.v.flags.writeable = ens.w.flags.writeable = False
+    return ens
 
 
-def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> dict:
+def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, ens: StateX) -> dict:
     """Discrete analogues of the a-priori energy functionals.
 
     Per path: sup over time nodes of |X|_H^2, and the trapezoid
-    time-quadrature of |X|_V^2; plus their ensemble averages.
+    time-quadrature of |X|_V^2; plus their ensemble averages.  Paths are
+    reduced one at a time, which keeps the temporaries one path large.
     """
     tw = timegrid.u_weights()
-    sup_h = [float(np.max(norm_h_sq(grid, gamma, traj))) for traj in trajs]
-    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, traj))) for traj in trajs]
+    paths = [ens[:, p] for p in range(ensemble_size(timegrid, grid.shape, ens))]
+    sup_h = [float(np.max(norm_h_sq(grid, gamma, X))) for X in paths]
+    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, X))) for X in paths]
     return {
         "sup_h_sq": sup_h,
         "int_v_sq": int_v,
@@ -316,18 +321,18 @@ def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, trajs: list) -> 
     }
 
 
-def save_snapshot(path: str, traj: Trajectory) -> None:
-    """Binary trajectory snapshot: the state path plus the (seed,
-    path_index) that re-derives its noise.  Field paths are written
-    uncompressed, since doubles barely compress and deflate costs ~50x
-    the write; np.load reads either."""
+def save_snapshot(path: str, X: StateX, seed: int, path_index: int) -> None:
+    """Binary snapshot of one state path, fields (N+1,) + grid.shape, plus
+    the (seed, path_index) that re-derives its noise.  Field paths are
+    written uncompressed, since doubles barely compress and deflate costs
+    ~50x the write; np.load reads either."""
     np.savez(
         path,
         format=SNAPSHOT_FORMAT,
-        v=traj.v,
-        w=traj.w,
-        path_index=traj.path_index,
-        seed=traj.seed,
+        v=X.v,
+        w=X.w,
+        path_index=path_index,
+        seed=seed,
     )
 
 
@@ -336,14 +341,10 @@ def save_control(path: str, timegrid: TimeGrid, u: ControlPath) -> None:
     np.savez(path, format=CONTROL_FORMAT, times=timegrid.times(), u=u.values)
 
 
-def load_snapshot(path: str) -> Trajectory:
+def load_snapshot(path: str) -> tuple:
+    """Read a snapshot back as (state path, seed, path_index)."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != SNAPSHOT_FORMAT:
             raise ConfigurationError(f"unknown snapshot format {fmt!r}")
-        return Trajectory(
-            v=data["v"],
-            w=data["w"],
-            path_index=int(data["path_index"]),
-            seed=int(data["seed"]),
-        )
+        return StateX(data["v"], data["w"]), int(data["seed"]), int(data["path_index"])

@@ -154,12 +154,12 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
     params, grid, cov, spec, timegrid, cost, x0 = _build(scenario)
     n_paths = 1 if cov.is_zero() else scenario.ensemble
     u = ControlPath.zero(timegrid, grid)
-    trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
+    ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
     artifacts = []
     snap = out / "trajectory_path0.npz"
-    save_snapshot(snap, trajs[0])
+    save_snapshot(snap, ens[:, 0], seed, 0)
     artifacts.append(snap)
-    report = energy_report(grid, timegrid, params.gamma, trajs)
+    report = energy_report(grid, timegrid, params.gamma, ens)
     energy_csv = out / "energy.csv"
     _write_csv(
         energy_csv,
@@ -219,7 +219,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
     save_control(control_npz, timegrid, report.u_star)
     artifacts.append(control_npz)
     snap = out / "state_path0.npz"
-    save_snapshot(snap, report.trajectories[0])
+    save_snapshot(snap, report.ensemble[:, 0], seed, 0)
     artifacts.append(snap)
     summary = {
         "converged": report.converged,
@@ -247,8 +247,8 @@ def gradient_check(
             params, grid, cov, spec, timegrid, cost, x0, candidate, 1, seed
         )[0]
 
-    trajs = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, 1)
-    adj = solve_adjoint_deterministic(params, grid, timegrid, trajs[0], cost)
+    traj = integrate(params, grid, cov, spec, timegrid, x0, u, seed)
+    adj = solve_adjoint_deterministic(params, grid, timegrid, traj, cost)
     grad = gradient(params, grid, spec, timegrid, cost, u, adj)
     errors = []
     for _ in range(n_directions):

@@ -145,7 +145,7 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
         p, g, s.build_cov(), s.build_actuator(), tg, s.build_initial_state(), u, 0
     )
     ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
-    adj, kappa = solve_adjoint_regression(p, g, tg, [traj], cost)
+    adj, kappa = solve_adjoint_regression(p, g, tg, traj[:, None], cost)
     np.testing.assert_array_equal(adj.p_v, ref_v)
     np.testing.assert_array_equal(adj.p_w, ref_w)
     np.testing.assert_array_equal(adj.sp_v, ref_sp)
@@ -157,9 +157,9 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
 def test_regression_warns_on_small_ensemble():
     g, p, spec, tg, cost, x0 = _setup(N=5)
     cov = SpectralCovariance.power_spectrum(4)
-    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 3)
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 3)
     with pytest.warns(RuntimeWarning, match="small"):
-        solve_adjoint_regression(p, g, tg, trajs, cost)
+        solve_adjoint_regression(p, g, tg, ens, cost)
 
 
 def test_regression_error_shrinks_with_noise():
@@ -170,10 +170,10 @@ def test_regression_error_shrinks_with_noise():
     errs = []
     for sigma in (0.2, 0.05):
         cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
-        trajs = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
+        ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            avg, _ = solve_adjoint_regression(p, g, tg, trajs, cost)
+            avg, _ = solve_adjoint_regression(p, g, tg, ens, cost)
         errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
     assert errs[1] < errs[0]
 
@@ -181,11 +181,12 @@ def test_regression_error_shrinks_with_noise():
 def test_regression_kappa_energy():
     g, p, spec, tg, cost, x0 = _setup(N=10)
     cov = SpectralCovariance.power_spectrum(4)
-    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 30)
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _, kappa = solve_adjoint_regression(p, g, tg, trajs, cost)
-        _, kappa_one = solve_adjoint_regression(p, g, tg, trajs[:1], cost)
+        _, kappa = solve_adjoint_regression(p, g, tg, ens, cost)
+        # path 0 alone: the path axis is the second one
+        _, kappa_one = solve_adjoint_regression(p, g, tg, ens[:, :1], cost)
     assert kappa.shape == (tg.N,)
     assert np.all(kappa >= 0.0)
     # every step leaves a residual, node 0 included, where the fit is the mean
@@ -200,13 +201,13 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     # add up to the two-term cost
     g, p, spec, tg, _, x0 = _setup(N=10)
     cov = SpectralCovariance.power_spectrum(4)
-    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 12)
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 12)
 
     def sweep(cg, c_0):
         cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=cg, c0=c_0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return solve_adjoint_regression(p, g, tg, trajs, cost)[0]
+            return solve_adjoint_regression(p, g, tg, ens, cost)[0]
 
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fhn_control.adjoint import solve_adjoint_regression
 from fhn_control.control import CostSpec, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
@@ -16,7 +17,6 @@ from fhn_control.forward import (
     actuator_adjoint,
     actuator_apply,
     energy_report,
-    ensemble_state,
     implicit_solve,
     implicit_solve_star,
     integrate,
@@ -151,8 +151,9 @@ def test_integrate_deterministic_replay():
     t2 = integrate(p, g, cov, spec, tg, x0, u, 7)
     np.testing.assert_array_equal(t1.v, t2.v)
     np.testing.assert_array_equal(t1.w, t2.w)
-    dW1 = sample_path(cov, g, tg, t1.seed, t1.path_index)
-    dW2 = sample_path(cov, g, tg, t2.seed, t2.path_index)
+    # both paths came from (seed 7, path 0), which re-derives the same noise
+    dW1 = sample_path(cov, g, tg, 7, 0)
+    dW2 = sample_path(cov, g, tg, 7, 0)
     np.testing.assert_array_equal(dW1.v, dW2.v)
     np.testing.assert_array_equal(dW1.w, dW2.w)
     t3 = integrate(p, g, cov, spec, tg, x0, u, 8)
@@ -186,12 +187,25 @@ def test_integrate_ensemble_paths_differ_and_order_is_stable():
     cov = SpectralCovariance.power_spectrum(4)
     x0 = StateX.zero(g)
     u = ControlPath.zero(tg, g)
-    trajs = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
-    assert len(trajs) == 4
-    assert not np.array_equal(trajs[0].v, trajs[1].v)
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
+    assert ens.v.shape[1] == 4
+    assert not np.array_equal(ens.v[:, 0], ens.v[:, 1])
     again = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
-    for a, b in zip(trajs, again):
-        np.testing.assert_array_equal(a.v, b.v)
+    for path in range(4):
+        np.testing.assert_array_equal(ens.v[:, path], again.v[:, path])
+
+
+def test_integrate_ensemble_is_read_only():
+    # the cost, the sweep, energy_report and the optimizer's report share it
+    g = Grid(1, 8)
+    tg = TimeGrid(0.05, 10)
+    ens = integrate_ensemble(
+        FhnParams(), g, SpectralCovariance.power_spectrum(4), ActuatorSpec.identity(g),
+        tg, StateX.zero(g), ControlPath.zero(tg, g), 0, 3,
+    )
+    for field in (ens.v, ens.w, ens[5].v, ens[:, 0].w):
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
@@ -203,38 +217,42 @@ def test_integrate_ensemble_paths_invariant_to_ensemble_size(grid):
     cov = SpectralCovariance.power_spectrum(8, 0.3, 0.3)
     x0 = StateX(grid.constant(0.3), grid.zeros())
     u = ControlPath(0.1 * np.ones((tg.N + 1,) + grid.shape))
-    runs = {
-        M: integrate_ensemble(p, grid, cov, ActuatorSpec.identity(grid), tg, x0, u, 5, M)
-        for M in (1, 7, 50)
-    }
+    spec = ActuatorSpec.identity(grid)
+    runs = {M: integrate_ensemble(p, grid, cov, spec, tg, x0, u, 5, M) for M in (1, 7, 50)}
     largest = runs[50]
-    assert not np.array_equal(largest[0].v, largest[1].v)
-    for M, trajs in runs.items():
-        assert len(trajs) == M
-        for path, traj in enumerate(trajs):
-            assert traj.path_index == path
-            np.testing.assert_array_equal(traj.v, largest[path].v)
-            np.testing.assert_array_equal(traj.w, largest[path].w)
+    assert not np.array_equal(largest.v[:, 0], largest.v[:, 1])
+    for M, ens in runs.items():
+        # time first, then paths: ens[n] holds every path at node n
+        assert ens.v.shape == ens.w.shape == (tg.N + 1, M) + grid.shape
+        for path in range(M):
+            np.testing.assert_array_equal(ens.v[:, path], largest.v[:, path])
+            np.testing.assert_array_equal(ens.w[:, path], largest.w[:, path])
+    # path p is the one path that integrate draws from stream (seed, p)
+    for path in range(50):
+        X = integrate(p, grid, cov, spec, tg, x0, u, 5, path)
+        np.testing.assert_array_equal(largest.v[:, path], X.v)
+        np.testing.assert_array_equal(largest.w[:, path], X.w)
 
 
-def test_ensemble_state_stacks_paths_and_views_one_path():
+def test_ensemble_consumers_check_the_layout():
+    # a single path has no path axis, and ens[:1] is a slice of nodes, not
+    # path 0; neither is an ensemble
     g = Grid(1, 8)
+    p = FhnParams()
+    spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.05, 10)
-    trajs = integrate_ensemble(
-        FhnParams(), g, SpectralCovariance.power_spectrum(4), ActuatorSpec.identity(g),
-        tg, StateX.zero(g), ControlPath.zero(tg, g), 0, 3,
-    )
-    X = ensemble_state(trajs, 5)
-    np.testing.assert_array_equal(X.v, np.stack([t.v[5] for t in trajs]))
-    np.testing.assert_array_equal(X.w, np.stack([t.w[5] for t in trajs]))
-    # one path: the node itself, without a copy, and not writable through
-    one = ensemble_state(trajs[:1], 5)
-    assert one.v.shape == (1,) + g.shape
-    assert np.shares_memory(one.v, trajs[0].v) and np.shares_memory(one.w, trajs[0].w)
-    np.testing.assert_array_equal(one.v[0], trajs[0].v[5])
-    np.testing.assert_array_equal(one.w[0], trajs[0].w[5])
-    with pytest.raises(ValueError):
-        one.v[0, 0] = 1.0
+    cov = SpectralCovariance.power_spectrum(4)
+    x0 = StateX(g.constant(0.1), g.zeros())
+    u = ControlPath.zero(tg, g)
+    cost = CostSpec(g, p.gamma, alpha=1.0, c0=0.1)
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 3)
+    for bad in (integrate(p, g, cov, spec, tg, x0, u, 0), ens[:1]):
+        with pytest.raises(ContractViolation, match="ensemble"):
+            energy_report(g, tg, p.gamma, bad)
+        with pytest.raises(ContractViolation, match="ensemble"):
+            psi_from_trajectories(tg, cost, u, bad)
+        with pytest.raises(ContractViolation, match="ensemble"):
+            solve_adjoint_regression(p, g, tg, bad, cost)
 
 
 def test_blow_up_detection():
@@ -274,7 +292,7 @@ def test_path_functionals_match_per_node_reference(d):
     tg = TimeGrid(0.05, 10)
     rng = np.random.default_rng([d, 31])
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
-    trajs = integrate_ensemble(
+    ens = integrate_ensemble(
         p, g, SpectralCovariance.power_spectrum(4), spec, tg,
         StateX(g.constant(0.2), g.zeros()), u, 0, 3,
     )
@@ -292,7 +310,7 @@ def test_path_functionals_match_per_node_reference(d):
     control_cost = 0
     for n in range(tg.N + 1):
         control_cost += uw[n] * (0.5 * cost.alpha * norm_l2_sq(g, u.values[n]))
-    for traj in trajs:
+    for traj in (ens[:, path] for path in range(3)):
         h_sq, v_sq = [], []
         for n in range(tg.N + 1):
             X = traj[n]
@@ -309,14 +327,14 @@ def test_path_functionals_match_per_node_reference(d):
         terminal = 0.5 * cost.c0 * norm_h_sq(g, p.gamma, traj[tg.N] - cost.x_T)
         per_path.append(terminal + running + control_cost)
 
-    rep = energy_report(g, tg, p.gamma, trajs)
+    rep = energy_report(g, tg, p.gamma, ens)
     assert rep["sup_h_sq"] == sup_h
     assert rep["int_v_sq"] == int_v
     assert rep["mean_sup_h_sq"] == float(np.mean(sup_h)) > 0
     assert rep["mean_int_v_sq"] == float(np.mean(int_v)) > 0
-    value, stderr = psi_from_trajectories(tg, cost, u, trajs)
+    value, stderr = psi_from_trajectories(tg, cost, u, ens)
     assert value == float(np.mean(per_path))
-    assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(len(trajs)))
+    assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(ens.v.shape[1]))
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -329,16 +347,16 @@ def test_snapshot_roundtrip(tmp_path):
         StateX(g.constant(0.1), g.zeros()), ControlPath.zero(tg, g), 5,
     )
     path = tmp_path / "snap.npz"
-    save_snapshot(path, traj)
+    save_snapshot(path, traj, 5, 0)
     with np.load(path) as data:
         assert sorted(data.files) == ["format", "path_index", "seed", "v", "w"]
         assert str(data["format"]) == "fhn-snapshot-v2"
     with zipfile.ZipFile(path) as archive:
         assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
-    back = load_snapshot(path)
+    back, seed, path_index = load_snapshot(path)
     np.testing.assert_array_equal(back.v, traj.v)
     np.testing.assert_array_equal(back.w, traj.w)
-    assert (back.seed, back.path_index) == (5, 0)
+    assert (seed, path_index) == (5, 0)
 
 
 def test_load_snapshot_reads_compressed_v2(tmp_path):
@@ -347,10 +365,10 @@ def test_load_snapshot_reads_compressed_v2(tmp_path):
     v, w = rng.standard_normal((2, 11, 8))
     path = tmp_path / "v2.npz"
     np.savez_compressed(path, format="fhn-snapshot-v2", v=v, w=w, path_index=2, seed=9)
-    back = load_snapshot(path)
+    back, seed, path_index = load_snapshot(path)
     np.testing.assert_array_equal(back.v, v)
     np.testing.assert_array_equal(back.w, w)
-    assert (back.seed, back.path_index) == (9, 2)
+    assert (seed, path_index) == (9, 2)
 
 
 def test_load_snapshot_rejects_v1(tmp_path):

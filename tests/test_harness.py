@@ -102,9 +102,11 @@ def test_optimize_artifacts_and_history(tmp_path):
 def test_optimize_field_artifacts_round_trip(tmp_path, monkeypatch, d):
     # the artifacts must hold exactly what the optimizer returned
     reports = []
+    seeds = []
     optimize = harness.optimize
 
     def recording_optimize(*args, **kwargs):
+        seeds.append(kwargs["seed"])
         reports.append(optimize(*args, **kwargs))
         return reports[-1]
 
@@ -114,10 +116,10 @@ def test_optimize_field_artifacts_round_trip(tmp_path, monkeypatch, d):
         warnings.simplefilter("ignore", RuntimeWarning)
         run(scenario, "optimize", tmp_path)
     (report,) = reports
-    back = load_snapshot(tmp_path / "state_path0.npz")
-    np.testing.assert_array_equal(back.v, report.trajectories[0].v)
-    np.testing.assert_array_equal(back.w, report.trajectories[0].w)
-    assert (back.seed, back.path_index) == (report.trajectories[0].seed, 0)
+    back, seed, path_index = load_snapshot(tmp_path / "state_path0.npz")
+    np.testing.assert_array_equal(back.v, report.ensemble.v[:, 0])
+    np.testing.assert_array_equal(back.w, report.ensemble.w[:, 0])
+    assert (seed, path_index) == (seeds[0], 0)
     with np.load(tmp_path / "control.npz") as data:
         np.testing.assert_array_equal(data["u"], report.u_star.values)
         np.testing.assert_array_equal(data["times"], scenario.build_timegrid().times())
@@ -155,8 +157,8 @@ def test_seed_override_changes_stochastic_output(tmp_path):
     run(scenario, "simulate", tmp_path / "a", seed=1)
     run(scenario, "simulate", tmp_path / "b", seed=2)
     # the snapshot also stores the seed, so compare the paths themselves
-    a = load_snapshot(tmp_path / "a" / "trajectory_path0.npz")
-    b = load_snapshot(tmp_path / "b" / "trajectory_path0.npz")
+    a, _, _ = load_snapshot(tmp_path / "a" / "trajectory_path0.npz")
+    b, _, _ = load_snapshot(tmp_path / "b" / "trajectory_path0.npz")
     assert not np.array_equal(a.v, b.v)
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seed"] == 1
