@@ -44,6 +44,7 @@ from .adjoint import (
 from .control import (
     CostSpec,
     OptimizeReport,
+    Problem,
     contraction_margin,
     gradient,
     optimize,
@@ -90,6 +91,7 @@ __all__ = [
     "solve_variational",
     "CostSpec",
     "OptimizeReport",
+    "Problem",
     "contraction_margin",
     "gradient",
     "optimize",

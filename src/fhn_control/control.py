@@ -122,6 +122,36 @@ class CostSpec:
         return 1.0 / self.alpha
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One optimal control problem: dynamics on a grid, noise covariances,
+    actuator, time grid, tracking cost, initial state and ensemble size."""
+
+    params: FhnParams
+    grid: Grid
+    cov: SpectralCovariance
+    spec: ActuatorSpec
+    timegrid: TimeGrid
+    cost: CostSpec
+    x0: StateX
+    ensemble: int = 1
+
+    def __post_init__(self):
+        if self.ensemble < 1:
+            raise ConfigurationError(f"ensemble size must be >= 1, got {self.ensemble}")
+
+    @property
+    def n_paths(self) -> int:
+        """Paths a run integrates: the ensemble, or one when the noise is off."""
+        return 1 if self.cov.is_zero() else self.ensemble
+
+    def paths(self, u: ControlPath, seed: int) -> StateX:
+        """The `n_paths` paths under control u, as one read-only ensemble."""
+        return integrate_ensemble(
+            self.params, self.grid, self.cov, self.spec, self.timegrid, self.x0, u, seed, self.n_paths
+        )
+
+
 def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
     """Inverse subdifferential of the control cost, applied nodewise."""
     return ControlPath(cost.subdiff_inverse_field(q.values))
@@ -141,29 +171,14 @@ def contraction_margin(cost: CostSpec, T: float) -> dict:
     }
 
 
-def psi_estimate(
-    params: FhnParams,
-    grid: Grid,
-    cov: SpectralCovariance,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    cost: CostSpec,
-    x0: StateX,
-    u: ControlPath,
-    ensemble: int = 1,
-    seed: int = 0,
-) -> tuple:
+def psi_estimate(problem: Problem, u: ControlPath, seed: int = 0) -> tuple:
     """Monte Carlo estimate of the cost functional; returns (value, stderr).
 
     Noise-free runs use a single path and report zero standard error.
     Path streams depend only on (seed, path, step), so repeated calls
     with different candidate controls reuse common random numbers.
     """
-    if ensemble < 1:
-        raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble}")
-    n_paths = 1 if cov.is_zero() else ensemble
-    ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
-    return psi_from_trajectories(timegrid, cost, u, ens)
+    return psi_from_trajectories(problem.timegrid, problem.cost, u, problem.paths(u, seed))
 
 
 def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, ens: StateX) -> tuple:
@@ -229,15 +244,8 @@ class OptimizeReport:
 
 
 def optimize(
-    params: FhnParams,
-    grid: Grid,
-    cov: SpectralCovariance,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    cost: CostSpec,
-    x0: StateX,
+    problem: Problem,
     seed: int = 0,
-    ensemble: int = 1,
     tol: float = 1.0e-6,
     max_iters: int = 40,
     eps0: float = 1.0e-3,
@@ -246,22 +254,22 @@ def optimize(
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
 
-    Every quantity is deterministic given (seed, scenario): candidate
+    Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise streams.
     Each distinct control is integrated once: the accepted trial's paths
     serve the next adjoint solve and the final certificate.
     """
-    n_paths = 1 if cov.is_zero() else ensemble
+    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
 
     def evaluate(candidate):
-        ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, candidate, seed, n_paths)
+        ens = problem.paths(candidate, seed)
         return psi_from_trajectories(timegrid, cost, candidate, ens)[0], ens
 
     def signal(ens):
         adj, _ = solve_adjoint_regression(params, grid, timegrid, ens, cost)
-        return control_signal(params, grid, spec, timegrid, adj)
+        return control_signal(params, grid, problem.spec, timegrid, adj)
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
     psi_u, ens = evaluate(u)

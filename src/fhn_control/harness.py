@@ -1,11 +1,11 @@
 """Run orchestration: commands, artifacts, manifests, verification suites.
 
-Every command takes a validated scenario, writes its artifacts plus a
-JSON manifest into its output directory, and returns a RunRecord.  Tables
-are CSV; field paths over space and time are binary `.npz`.  The
-manifest echoes the full scenario (defaults included), the scenario
-digest, the library versions, and the artifact format tags, which is
-enough to reproduce the directory bit for bit.
+Every command reads the validated scenario's one built `problem`, writes
+its artifacts plus a JSON manifest into its output directory, and returns
+a RunRecord.  Tables are CSV; field paths over space and time are binary
+`.npz`.  The manifest echoes the full scenario (defaults included), the
+scenario digest, the library versions, and the artifact format tags,
+which is enough to reproduce the directory bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .forward import (
     implicit_solve,
     implicit_solve_star,
     integrate,
-    integrate_ensemble,
     save_control,
     save_snapshot,
     u_inner,
@@ -135,31 +134,18 @@ def _write_manifest(
     return path
 
 
-def _build(scenario: Scenario):
-    return (
-        scenario.build_params(),
-        scenario.build_grid(),
-        scenario.build_cov(),
-        scenario.build_actuator(),
-        scenario.build_timegrid(),
-        scenario.build_cost(),
-        scenario.build_initial_state(),
-    )
-
-
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
-    params, grid, cov, spec, timegrid, cost, x0 = _build(scenario)
-    n_paths = 1 if cov.is_zero() else scenario.ensemble
-    u = ControlPath.zero(timegrid, grid)
-    ens = integrate_ensemble(params, grid, cov, spec, timegrid, x0, u, seed, n_paths)
+    problem = scenario.problem
+    grid, timegrid, n_paths = problem.grid, problem.timegrid, problem.n_paths
+    ens = problem.paths(ControlPath.zero(timegrid, grid), seed)
     artifacts = []
     snap = out / "trajectory_path0.npz"
     save_snapshot(snap, ens[:, 0], seed, 0)
     artifacts.append(snap)
-    report = energy_report(grid, timegrid, params.gamma, ens)
+    report = energy_report(grid, timegrid, problem.params.gamma, ens)
     energy_csv = out / "energy.csv"
     _write_csv(
         energy_csv,
@@ -179,21 +165,10 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
 
 
 def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
-    params, grid, cov, spec, timegrid, cost, x0 = _build(scenario)
+    problem = scenario.problem
     report = optimize(
-        params,
-        grid,
-        cov,
-        spec,
-        timegrid,
-        cost,
-        x0,
-        seed=seed,
-        ensemble=scenario.ensemble,
-        tol=scenario.tol,
-        max_iters=scenario.max_iters,
-        eps0=scenario.eps0,
-        use_theta=scenario.use_theta,
+        problem, seed=seed, tol=scenario.tol, max_iters=scenario.max_iters,
+        eps0=scenario.eps0, use_theta=scenario.use_theta,
     )
     artifacts = []
     margin = report.margin["margin"]
@@ -216,7 +191,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
     )
     artifacts.append(history_csv)
     control_npz = out / "control.npz"
-    save_control(control_npz, timegrid, report.u_star)
+    save_control(control_npz, problem.timegrid, report.u_star)
     artifacts.append(control_npz)
     snap = out / "state_path0.npz"
     save_snapshot(snap, report.ensemble[:, 0], seed, 0)
@@ -227,7 +202,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
         "psi_final": report.psi_final,
         "certificate_residual": report.certificate_residual,
         "margin": report.margin,
-        "control_norm": u_norm(grid, timegrid, report.u_star),
+        "control_norm": u_norm(problem.grid, problem.timegrid, report.u_star),
     }
     return artifacts, summary, True
 
@@ -237,24 +212,20 @@ def gradient_check(
 ) -> list:
     """Relative errors between the adjoint gradient and central finite
     differences of the cost, over random unit directions (noise off)."""
-    params, grid, _, spec, timegrid, cost, x0 = _build(scenario)
-    cov = SpectralCovariance.zero(1)
+    problem = dataclasses.replace(scenario.problem, cov=SpectralCovariance.zero(1))
+    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     rng = np.random.default_rng([seed, 2024])
     u = ControlPath(0.3 * rng.standard_normal((timegrid.N + 1,) + grid.shape))
-
-    def psi_of(candidate):
-        return psi_estimate(
-            params, grid, cov, spec, timegrid, cost, x0, candidate, 1, seed
-        )[0]
-
-    traj = integrate(params, grid, cov, spec, timegrid, x0, u, seed)
+    traj = integrate(params, grid, problem.cov, problem.spec, timegrid, problem.x0, u, seed)
     adj = solve_adjoint_deterministic(params, grid, timegrid, traj, cost)
-    grad = gradient(params, grid, spec, timegrid, cost, u, adj)
+    grad = gradient(params, grid, problem.spec, timegrid, cost, u, adj)
     errors = []
     for _ in range(n_directions):
         v = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
         v = (1.0 / u_norm(grid, timegrid, v)) * v
-        fd = (psi_of(u + h * v) - psi_of(u - h * v)) / (2.0 * h)
+        plus, _ = psi_estimate(problem, u + h * v, seed)
+        minus, _ = psi_estimate(problem, u - h * v, seed)
+        fd = (plus - minus) / (2.0 * h)
         ip = u_inner(grid, timegrid, grad, v)
         errors.append(abs(fd - ip) / max(abs(ip), 1.0e-12))
     return errors
@@ -277,7 +248,9 @@ def _cmd_verify_gradient(scenario: Scenario, out: Path, seed: int) -> tuple:
 
 def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     """Fast cross-module invariant battery; returns (name, ok, detail)."""
-    params, grid, cov_s, spec, timegrid, cost, x0 = _build(scenario)
+    problem = scenario.problem
+    params, grid, spec, timegrid = problem.params, problem.grid, problem.spec, problem.timegrid
+    cost, x0 = problem.cost, problem.x0
     rng = np.random.default_rng([seed, 99])
     checks = []
 
@@ -422,28 +395,30 @@ def self_convergence_rate(
     Stochastic runs share one Brownian path per sample across levels by
     aggregating fine-level increments.
     """
-    params, grid, _, spec, _, _, x0 = _build(scenario)
+    problem = scenario.problem
+    params, grid, spec, x0 = problem.params, problem.grid, problem.spec, problem.x0
     T = scenario.horizon
     finest = base_steps * 2 ** (levels - 1) * 2
     errors = [0.0] * levels
+    cov = SpectralCovariance.zero(1)
+    if stochastic:
+        cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
     for p in range(n_paths):
         if stochastic:
-            cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
             fine = sample_path(cov, grid, TimeGrid(T, finest), seed, p)
         finals = []
         for lev in range(levels + 1):
             steps = base_steps * 2**lev
             tg = TimeGrid(T, steps)
             u = ControlPath.zero(tg, grid)
+            agg = None
             if stochastic:
                 ratio = finest // steps
                 agg = StateX(
                     fine.v.reshape(steps, ratio, *grid.shape).sum(axis=1),
                     fine.w.reshape(steps, ratio, *grid.shape).sum(axis=1),
                 )
-                traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
-            else:
-                traj = integrate(params, grid, SpectralCovariance.zero(1), spec, tg, x0, u, seed, p)
+            traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
             finals.append(traj[tg.N])
         for lev in range(levels):
             diff = finals[lev] - finals[lev + 1]
@@ -463,14 +438,15 @@ def _smooth_direction(grid, tg: TimeGrid) -> ControlPath:
 
 def duality_slope(scenario: Scenario, dts: tuple = (4.0e-3, 2.0e-3, 1.0e-3), seed: int = 0) -> dict:
     """Log-log slope of the deterministic duality gap in dt."""
-    params, grid, _, spec, _, cost, x0 = _build(scenario)
+    problem = scenario.problem
+    params, grid, spec, cost = problem.params, problem.grid, problem.spec, problem.cost
     cov = SpectralCovariance.zero(1)
     gaps = []
     for dt in dts:
         steps = int(round(scenario.horizon / dt))
         tg = TimeGrid(scenario.horizon, steps)
         u = ControlPath.zero(tg, grid)
-        traj = integrate(params, grid, cov, spec, tg, x0, u, seed)
+        traj = integrate(params, grid, cov, spec, tg, problem.x0, u, seed)
         adj = solve_adjoint_deterministic(params, grid, tg, traj, cost)
         direction = _smooth_direction(grid, tg)
         gaps.append(abs(duality_gap(params, grid, spec, tg, traj, adj, direction, cost)))
@@ -487,13 +463,12 @@ def margin_sweep(
     <= 0.9 between consecutive accepted residuals after the third
     iteration) is observed.  Diagnostic only.
     """
-    params, grid, _, spec, _, cost, x0 = _build(scenario)
-    cov = SpectralCovariance.zero(1)
+    noiseless = dataclasses.replace(scenario.problem, cov=SpectralCovariance.zero(1))
     rows = []
     for T in horizons:
         tg = TimeGrid(T, max(int(round(T / dt)), 2))
         report = optimize(
-            params, grid, cov, spec, tg, cost, x0,
+            dataclasses.replace(noiseless, timegrid=tg),
             seed=seed, tol=1.0e-12, max_iters=max_iters, eps0=scenario.eps0,
             use_theta=scenario.use_theta,
         )
@@ -504,7 +479,7 @@ def margin_sweep(
         rows.append(
             {
                 "T": T,
-                "margin": contraction_margin(cost, T)["margin"],
+                "margin": contraction_margin(noiseless.cost, T)["margin"],
                 "geometric_decay": geometric,
                 "worst_late_ratio": max(late) if late else float("nan"),
                 "residuals": res,

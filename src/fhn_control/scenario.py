@@ -1,9 +1,10 @@
-"""Scenario configuration: INI-style files, validation, and digests.
+"""Scenario configuration: INI-style files, the built problem, and digests.
 
 A scenario file is plain key/value text with sections; every key has a
-default, so the empty file is a valid scenario.  Loading validates every
-invariant and rejects unknown keys outright.  The canonical digest is
-stable under key reordering and is what run manifests record.
+default, so the empty file is a valid scenario.  A frozen `Scenario` builds
+its `control.Problem` once, checking every invariant and reading every field
+spec; loading builds it and rejects unknown keys outright.  The canonical
+digest is stable under key reordering and is what run manifests record.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import configparser
 import hashlib
 import io
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .control import CostSpec
+from .control import CostSpec, Problem
 from .dynamics import FhnParams, i_ion_prime
 from .errors import ConfigurationError
 from .forward import ActuatorSpec, TimeGrid
@@ -56,9 +59,9 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Flat, serializable description of one run; see `build` for the
+    """Flat, serializable description of one run; `problem` holds the
     assembled numerical objects."""
 
     d: int = 1
@@ -91,46 +94,54 @@ class Scenario:
     eps0: float = 1.0e-3
     use_theta: bool = True
 
-    def validate(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.terminal_weight < 0 or self.running_weight < 0:
-            raise ConfigurationError("cost weights must be nonnegative")
+    @cached_property
+    def problem(self) -> Problem:
+        """The one validated build of this scenario, shared by every command
+        of a run; a bad field or mask spec fails here, before any output."""
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ConfigurationError("noise amplitudes must be nonnegative")
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigurationError(
                 f"mode must be 'deterministic' or 'stochastic', got {self.mode!r}"
             )
-        if self.ensemble < 1:
-            raise ConfigurationError("ensemble must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
         if self.eps0 < 0:
             raise ConfigurationError("eps0 must be nonnegative")
-        # these constructors enforce their own invariants, and building
-        # every field and mask spec here rejects a bad one before any output
+        # the constructors enforce their own invariants: CostSpec checks alpha
+        # and the cost weights, Problem the ensemble size
         grid = self.build_grid()
         params = self.build_params()
-        dt = self.build_timegrid().dt
+        timegrid = self.build_timegrid()
         if self.modes < 1 or self.modes > (grid.max_mode_freq() + 1) ** grid.d:
             raise ConfigurationError(
                 f"modes={self.modes} outside the grid's exact truncation range"
             )
-        self.build_actuator()
-        self.build_cost()
-        x0 = self.build_initial_state()
+        problem = Problem(
+            params, grid, self.build_cov(), self.build_actuator(), timegrid,
+            self.build_cost(), self.build_initial_state(), self.ensemble,
+        )
         # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 the step
         # amplifies the voltage instead of damping it, and the run blows up
         # a few steps later (I_ion' is zero in linear mode)
-        growth = dt * float(np.max(i_ion_prime(params, x0.v)))
+        dt = timegrid.dt
+        growth = dt * float(np.max(i_ion_prime(params, problem.x0.v)))
         if growth >= 2.0:
             raise ConfigurationError(
                 f"step size dt={dt:g} is unstable at the initial voltage: "
                 f"dt*max I_ion'(v0) = {growth:.4g} >= 2; increase steps"
             )
+        # every caller shares these arrays
+        problem.spec.mask.flags.writeable = False
+        for x in (problem.x0, problem.cost.x_ref, problem.cost.x_T):
+            if isinstance(x, StateX):
+                x.v.flags.writeable = x.w.flags.writeable = False
+        return problem
+
+    def validate(self) -> Problem:
+        return self.problem
 
     def digest(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True)
@@ -206,17 +217,19 @@ def _load_array(grid: Grid, rest: str, key: str) -> Field:
     path, _, arr_key = rest.partition(":")
     try:
         data = np.load(path)
-    except ValueError as exc:
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigurationError(f"{key}: {path} is not an .npz archive")
+        with data:
+            name = arr_key or next(iter(data.files), None)
+            if name not in data.files:
+                raise ConfigurationError(
+                    f"{key}: no array {name!r} in {path} (it holds {data.files})"
+                )
+            arr = np.asarray(data[name])
+    except ConfigurationError:
+        raise
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"{key}: cannot read {path}: {exc}") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ConfigurationError(f"{key}: {path} is not an .npz archive")
-    with data:
-        name = arr_key or data.files[0]
-        if name not in data.files:
-            raise ConfigurationError(
-                f"{key}: no array {name!r} in {path} (it holds {data.files})"
-            )
-        arr = np.asarray(data[name])
     if arr.shape != grid.shape:
         raise ConfigurationError(
             f"{key}: array in {path} has shape {arr.shape}, grid is {grid.shape}"

@@ -225,20 +225,12 @@ def test_criterion_6_adjoint_oracles():
 @pytest.fixture(scope="module")
 def short_horizon_report():
     # criterion-7 scenario: alpha=2, c0=0.1, T=0.5, margin 0.35, with noise
-    s = Scenario()
-    params, grid = s.build_params(), s.build_grid()
-    spec, tg = s.build_actuator(), s.build_timegrid()
-    cost, x0 = s.build_cost(), s.build_initial_state()
-    cov = SpectralCovariance.power_spectrum(s.modes, s.sigma1, s.sigma2)
+    problem = dataclasses.replace(Scenario(), mode="stochastic", ensemble=30).problem
+    params, grid, tg, x0 = problem.params, problem.grid, problem.timegrid, problem.x0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = optimize(
-            params, grid, cov, spec, tg, cost, x0,
-            seed=0, ensemble=30, tol=1e-6, max_iters=20,
-        )
-    baseline = integrate_ensemble(
-        params, grid, cov, spec, tg, x0, ControlPath.zero(tg, grid), 0, 30
-    )
+        report = optimize(problem, seed=0, tol=1e-6, max_iters=20)
+    baseline = problem.paths(ControlPath.zero(tg, grid), 0)
     base_energy = energy_report(grid, tg, params.gamma, baseline)
     x0_sq = norm_h_sq(grid, params.gamma, x0)
     return report, base_energy, x0_sq

@@ -1,5 +1,6 @@
 """Cost functional, exact gradients, contraction margin, and the optimizer."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import fhn_control.grid as grid_module
 from fhn_control.adjoint import solve_adjoint_deterministic
 from fhn_control.control import (
     CostSpec,
+    Problem,
     contraction_margin,
     gradient,
     optimize,
@@ -32,13 +34,34 @@ from fhn_control.noise import SpectralCovariance
 
 
 def _setup(n=16, N=50, T=0.1, alpha=2.0, c_g=1.0, c0=0.1, v0=0.3, linear=False):
+    """A noise-free 1-D problem on the whole domain."""
     g = Grid(1, n)
     p = FhnParams(linear=linear)
-    spec = ActuatorSpec.identity(g)
-    tg = TimeGrid(T, N)
-    cost = CostSpec(grid=g, gamma=p.gamma, alpha=alpha, c_g=c_g, c0=c0)
-    x0 = StateX(g.constant(v0), g.zeros())
-    return g, p, spec, tg, cost, x0
+    return Problem(
+        params=p,
+        grid=g,
+        cov=SpectralCovariance.zero(1),
+        spec=ActuatorSpec.identity(g),
+        timegrid=TimeGrid(T, N),
+        cost=CostSpec(grid=g, gamma=p.gamma, alpha=alpha, c_g=c_g, c0=c0),
+        x0=StateX(g.constant(v0), g.zeros()),
+    )
+
+
+def _noisy(problem, ensemble):
+    return dataclasses.replace(
+        problem, cov=SpectralCovariance.power_spectrum(4, 0.05, 0.05), ensemble=ensemble
+    )
+
+
+def test_problem_path_count_follows_noise():
+    problem = _noisy(_setup(n=8), 20)
+    assert problem.n_paths == 20
+    assert dataclasses.replace(problem, cov=SpectralCovariance.zero(4)).n_paths == 1
+    with pytest.raises(ConfigurationError, match="ensemble"):
+        dataclasses.replace(problem, ensemble=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.ensemble = 5
 
 
 def test_cost_spec_validation():
@@ -96,37 +119,39 @@ def test_contraction_margin_formula():
 
 
 def test_psi_estimate_zero_cost_for_zero_everything():
-    g, p, spec, tg, cost, _ = _setup(c0=0.0, c_g=1.0)
-    x0 = StateX.zero(g)
-    val, err = psi_estimate(
-        p, g, SpectralCovariance.zero(1), spec, tg, cost, x0, ControlPath.zero(tg, g)
-    )
+    problem = _setup(c0=0.0, c_g=1.0)
+    problem = dataclasses.replace(problem, x0=StateX.zero(problem.grid))
+    val, err = psi_estimate(problem, ControlPath.zero(problem.timegrid, problem.grid))
     assert val == pytest.approx(0.0, abs=1e-15)
     assert err == 0.0
 
 
 def test_psi_estimate_control_cost_only():
-    g, p, spec, tg, cost, _ = _setup(c0=0.0, c_g=0.0, alpha=2.0, linear=True)
-    x0 = StateX.zero(g)
+    problem = _setup(c0=0.0, c_g=0.0, alpha=2.0, linear=True)
+    g, tg = problem.grid, problem.timegrid
+    problem = dataclasses.replace(problem, x0=StateX.zero(g))
     u = ControlPath(np.ones((tg.N + 1,) + g.shape))
-    val, _ = psi_estimate(
-        p, g, SpectralCovariance.zero(1), spec, tg, cost, x0, u
-    )
+    val, _ = psi_estimate(problem, u)
     # the state cost is off, so only (alpha/2)|u|^2 = 1 * T * |Lambda| remains
     assert val == pytest.approx(1.0 * tg.T, rel=1e-10)
 
 
 def test_psi_estimate_stochastic_reports_stderr():
-    g, p, spec, tg, cost, x0 = _setup(N=10)
-    cov = SpectralCovariance.power_spectrum(4)
-    val, err = psi_estimate(p, g, cov, spec, tg, cost, x0, ControlPath.zero(tg, g), 16, 0)
+    problem = dataclasses.replace(
+        _setup(N=10), cov=SpectralCovariance.power_spectrum(4), ensemble=16
+    )
+    u = ControlPath.zero(problem.timegrid, problem.grid)
+    val, err = psi_estimate(problem, u, 0)
     assert val > 0
     assert err > 0
 
 
 def test_gradient_matches_finite_differences():
-    g, p, spec, tg, cost, x0 = _setup()
-    cov = SpectralCovariance.zero(1)
+    problem = _setup()
+    g, p, cov, spec, tg, cost, x0 = (
+        problem.grid, problem.params, problem.cov, problem.spec, problem.timegrid,
+        problem.cost, problem.x0,
+    )
     rng = np.random.default_rng(3)
     u = ControlPath(0.3 * rng.standard_normal((tg.N + 1,) + g.shape))
     traj = integrate(p, g, cov, spec, tg, x0, u, 0)
@@ -136,18 +161,19 @@ def test_gradient_matches_finite_differences():
     for k in range(3):
         d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
         d = (1.0 / u_norm(g, tg, d)) * d
-        plus, _ = psi_estimate(p, g, cov, spec, tg, cost, x0, u + h * d)
-        minus, _ = psi_estimate(p, g, cov, spec, tg, cost, x0, u - h * d)
+        plus, _ = psi_estimate(problem, u + h * d)
+        minus, _ = psi_estimate(problem, u - h * d)
         fd = (plus - minus) / (2 * h)
         ip = u_inner(g, tg, grad, d)
         assert abs(fd - ip) <= 1e-8 * max(1.0, abs(ip))
 
 
 def test_gradient_rejects_mismatched_paths():
-    g, p, spec, tg, cost, x0 = _setup()
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
+    problem = _setup()
+    g, p, spec, tg, cost = (
+        problem.grid, problem.params, problem.spec, problem.timegrid, problem.cost
     )
+    traj = integrate(p, g, problem.cov, spec, tg, problem.x0, ControlPath.zero(tg, g), 0)
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
     bad = ControlPath(np.zeros((tg.N + 2,) + g.shape))
     with pytest.raises(ContractViolation):
@@ -155,10 +181,7 @@ def test_gradient_rejects_mismatched_paths():
 
 
 def test_optimize_converges_and_certificate_small():
-    g, p, spec, tg, cost, x0 = _setup(N=100, T=0.2)
-    rep = optimize(
-        p, g, SpectralCovariance.zero(1), spec, tg, cost, x0, tol=1e-7, max_iters=30
-    )
+    rep = optimize(_setup(N=100, T=0.2), tol=1e-7, max_iters=30)
     assert rep.converged
     assert rep.certificate_residual <= 1e-6
     psi = rep.psi_history
@@ -166,56 +189,44 @@ def test_optimize_converges_and_certificate_small():
 
 
 def test_optimize_improves_on_zero_control():
-    g, p, spec, tg, cost, x0 = _setup(N=100, T=0.2)
-    cov = SpectralCovariance.zero(1)
-    base, _ = psi_estimate(p, g, cov, spec, tg, cost, x0, ControlPath.zero(tg, g))
-    rep = optimize(p, g, cov, spec, tg, cost, x0, tol=1e-7, max_iters=30)
+    problem = _setup(N=100, T=0.2)
+    g, tg = problem.grid, problem.timegrid
+    base, _ = psi_estimate(problem, ControlPath.zero(tg, g))
+    rep = optimize(problem, tol=1e-7, max_iters=30)
     assert rep.psi_final < base
     assert u_norm(g, tg, rep.u_star) > 0
 
 
 def test_optimize_respects_iteration_cap():
-    g, p, spec, tg, cost, x0 = _setup(N=20)
-    rep = optimize(
-        p, g, SpectralCovariance.zero(1), spec, tg, cost, x0, tol=1e-16, max_iters=3
-    )
+    rep = optimize(_setup(N=20), tol=1e-16, max_iters=3)
     assert not rep.converged
     assert len(rep.iterations) == 3
 
 
 def test_optimize_warm_start_converges_immediately():
-    g, p, spec, tg, cost, x0 = _setup(N=50)
-    cov = SpectralCovariance.zero(1)
-    first = optimize(p, g, cov, spec, tg, cost, x0, tol=1e-8, max_iters=30)
-    second = optimize(
-        p, g, cov, spec, tg, cost, x0, tol=1e-6, max_iters=5, u0=first.u_star
-    )
+    problem = _setup(N=50)
+    first = optimize(problem, tol=1e-8, max_iters=30)
+    second = optimize(problem, tol=1e-6, max_iters=5, u0=first.u_star)
     assert second.converged
     assert len(second.iterations) <= 2
 
 
 def test_optimize_stochastic_smoke():
-    g, p, spec, tg, cost, x0 = _setup(n=8, N=20)
-    cov = SpectralCovariance.power_spectrum(4, 0.05, 0.05)
+    problem = _noisy(_setup(n=8, N=20), 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = optimize(
-            p, g, cov, spec, tg, cost, x0, ensemble=20, tol=1e-4, max_iters=10
-        )
+        rep = optimize(problem, tol=1e-4, max_iters=10)
     assert rep.converged
     assert rep.certificate_residual <= 1e-3
-    assert rep.ensemble.v.shape == (tg.N + 1, 20) + g.shape
+    assert rep.ensemble.v.shape == (problem.timegrid.N + 1, 20) + problem.grid.shape
 
 
 def test_optimize_theta_toggle_same_fixed_point():
-    g, p, spec, tg, cost, x0 = _setup(N=50)
-    cov = SpectralCovariance.zero(1)
-    with_theta = optimize(p, g, cov, spec, tg, cost, x0, tol=1e-9, max_iters=30)
-    without = optimize(
-        p, g, cov, spec, tg, cost, x0, tol=1e-9, max_iters=30, use_theta=False
-    )
+    problem = _setup(N=50)
+    with_theta = optimize(problem, tol=1e-9, max_iters=30)
+    without = optimize(problem, tol=1e-9, max_iters=30, use_theta=False)
     assert with_theta.converged and without.converged
-    gap = u_norm(g, tg, with_theta.u_star - without.u_star)
+    gap = u_norm(problem.grid, problem.timegrid, with_theta.u_star - without.u_star)
     assert gap <= 1e-7
 
 
@@ -225,12 +236,7 @@ def test_optimize_theta_toggle_same_fixed_point():
     ids=["deterministic", "stochastic", "iteration-cap"],
 )
 def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max_iters):
-    g, p, spec, tg, cost, x0 = _setup(n=8, N=20)
-    cov = (
-        SpectralCovariance.power_spectrum(4, 0.05, 0.05)
-        if stochastic
-        else SpectralCovariance.zero(1)
-    )
+    problem = _noisy(_setup(n=8, N=20), 20) if stochastic else _setup(n=8, N=20)
     integrated = []
     signal_depth = []
     solves_in_signal = []
@@ -260,9 +266,7 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
     monkeypatch.setattr(grid_module, "helmholtz_solve", counting_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = optimize(
-            p, g, cov, spec, tg, cost, x0, ensemble=20, tol=tol, max_iters=max_iters
-        )
+        rep = optimize(problem, tol=tol, max_iters=max_iters)
 
     assert len(integrated) >= 2
     assert len(set(integrated)) == len(integrated)

@@ -28,6 +28,7 @@ from fhn_control.grid import (
     norm_l2_sq,
     norm_v_sq,
 )
+from fhn_control.scenario import Scenario
 
 
 def test_grid_basic_properties():
@@ -64,9 +65,16 @@ def test_cached_arrays_are_read_only():
     np.testing.assert_array_equal(Grid(1, 8).weights(), fresh)
     g = Grid(2, 6)
     g1 = Grid(1, 6)
+    # a scenario's built problem is shared by every command of a run
+    problem = Scenario(
+        d=2, n=6, modes=4, mask="left_half", x_ref="constant:0.2|modes:2:0.1",
+        x_target="modes:3:0.1",
+    ).problem
+    x_ref, x_T = problem.cost.x_ref, problem.cost.x_T
     for cached in (
         g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g), _dct1_matrix(g),
         _dense_solve_factor(g, 1.3, 1e-3), _dense_solve_factor(g1, 1.3, 1e-3),
+        problem.x0.v, problem.x0.w, problem.spec.mask, x_ref.v, x_ref.w, x_T.v, x_T.w,
     ):
         with pytest.raises(ValueError):
             cached[0, 0] = 99.0

@@ -236,6 +236,29 @@ def test_cli_simulate_prints_summary(tmp_path, capsys):
     assert payload["passed"] is True
 
 
+def test_cli_reads_each_file_spec_once(tmp_path, monkeypatch):
+    # specs are built once per scenario, and every command shares the build
+    v0 = tmp_path / "v0.npz"
+    np.savez(v0, v=np.full(SMALL["n"], 0.3))
+    mask = tmp_path / "mask.npz"
+    np.savez(mask, m=np.ones(SMALL["n"]))
+    scenario_path = tmp_path / "scn.ini"
+    save_scenario(Scenario(**SMALL, v0=f"file:{v0}:v", mask=f"file:{mask}"), scenario_path)
+    loads = []
+    real_load = np.load
+
+    def counting_load(path, *args, **kwargs):
+        loads.append(str(path))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting_load)
+    for command in ("simulate", "optimize", "verify-gradient", "verify-invariants"):
+        loads.clear()
+        out = tmp_path / command
+        assert main([command, "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        assert sorted(loads) == sorted([str(v0), str(mask)]), command
+
+
 @pytest.mark.parametrize(
     "section, key, spec",
     [
@@ -243,6 +266,11 @@ def test_cli_simulate_prints_summary(tmp_path, capsys):
         ("initial", "v0", "file:{npz}:b"),
         ("initial", "w0", "file:{npy}"),
         ("initial", "v0", "file:{ini}"),
+        ("initial", "v0", "file:{empty}"),
+        ("initial", "w0", "file:{missing}"),
+        ("actuator", "mask", "file:{notzip}"),
+        ("cost", "x_ref", "file:{corrupt}"),
+        ("cost", "x_target", "file:{noarrays}"),
         ("actuator", "mask", "halfway"),
         ("actuator", "mask", "file:{npz}:b"),
         ("cost", "x_ref", "modes:2:x"),
@@ -256,11 +284,28 @@ def test_cli_bad_field_spec_exits_2_before_output(tmp_path, capsys, section, key
     np.savez(npz, a=np.zeros(64))
     npy = tmp_path / "m.npy"
     np.save(npy, np.zeros(64))
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    notzip = tmp_path / "notzip.npz"
+    notzip.write_bytes(b"PK\x03\x04 not a zip archive")
+    corrupt = tmp_path / "corrupt.npz"  # a valid archive whose member fails its CRC
+    np.savez(corrupt, a=np.ones(64))
+    data = bytearray(corrupt.read_bytes())
+    data[data.index(np.ones(64).tobytes())] ^= 0xFF
+    corrupt.write_bytes(bytes(data))
+    noarrays = tmp_path / "noarrays.npz"
+    np.savez(noarrays)
     scenario_path = tmp_path / "bad.ini"
-    spec = spec.format(npz=npz, npy=npy, ini=scenario_path)
+    spec = spec.format(
+        npz=npz, npy=npy, ini=scenario_path, empty=empty, notzip=notzip, corrupt=corrupt,
+        noarrays=noarrays, missing=tmp_path / "missing.npz",
+    )
     scenario_path.write_text(f"[{section}]\n{key} = {spec}\n")
     out = tmp_path / "out"
     code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
     assert code == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    if spec.startswith("file:"):
+        assert spec.split(":")[1] in err  # the path
     assert not out.exists()

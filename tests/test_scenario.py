@@ -1,5 +1,7 @@
 """Scenario parsing, validation, digests, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ def test_default_scenario_is_valid():
     s.validate()
     assert s.n == 64
     assert s.mode == "deterministic"
+
+
+def test_scenario_is_frozen_and_builds_its_problem_once():
+    s = Scenario(n=16, modes=8, ensemble=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.n = 32
+    assert s.problem is s.problem
+    assert s.validate() is s.problem
+    assert s.problem.grid == s.build_grid()
+    assert s.problem.n_paths == 1  # deterministic mode: one path
+    noisy = dataclasses.replace(s, mode="stochastic")
+    assert noisy.problem is not s.problem
+    assert noisy.problem.n_paths == 5
+    with pytest.raises(ConfigurationError, match="ensemble"):
+        Scenario(ensemble=0).validate()
 
 
 def test_empty_file_is_default_scenario(tmp_path):
@@ -59,6 +76,8 @@ def test_bad_value_rejected(tmp_path):
 def test_validation_errors():
     with pytest.raises(ConfigurationError, match="alpha"):
         Scenario(alpha=0.0).validate()
+    with pytest.raises(ConfigurationError, match="cost weights"):
+        Scenario(terminal_weight=-0.1).validate()
     with pytest.raises(ConfigurationError, match="mode"):
         Scenario(mode="sideways").validate()
     with pytest.raises(ConfigurationError, match="nonnegative"):
