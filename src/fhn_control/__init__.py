@@ -2,10 +2,10 @@
 FitzHugh-Nagumo system with a recovery variable.
 
 The package simulates the controlled voltage/recovery dynamics on
-Neumann grids, solves the dual backward sweep (exact transpose in the
-deterministic case, regression Monte Carlo over ensembles), and finds
-open-loop optimal controls through a regularized fixed-point iteration
-on the adjoint feedback map.
+Neumann grids, solves the dual backward sweep (the exact transpose along
+every path, averaged over the ensemble), and finds open-loop optimal
+controls through a regularized fixed-point iteration on the adjoint
+feedback map.
 """
 
 __version__ = "0.1.0"

@@ -14,19 +14,19 @@ from this path is the exact gradient of the discrete cost functional.
 The sweeps also keep the transported values S* p_{n+1}, from which the
 control signal is read off without further solves.
 
-There is one backward sweep.  Over an ensemble of M > 1 paths
-adaptedness is restored by least-squares projection: at each backward
-step the transported value S* lam_{n+1} is replaced by its regression
-onto state features over the ensemble, and the per-path regression
-residual serves as the martingale-integrand estimate.  A single path is
-fitted exactly, so with M = 1 the sweep is the exact transpose sweep and
-does no regression work.  The sweep keeps only the ensemble mean of the
-dual path: B* is linear, so that is all the control signal reads.
+There is one backward sweep, and it runs every path of an ensemble at
+once.  The control is one deterministic open-loop path shared by all
+paths, and a run evaluates every candidate control on the same noise
+streams (common random numbers).  So the exact gradient of the sampled
+cost Psi_M = (1/M) sum_p J(u, omega_p) is the mean of the M pathwise
+gradients, each of which is the transpose sweep along its own path.  B*
+is linear, so the sweep keeps only the ensemble mean of the dual path:
+that is all the control signal reads.  With M = 1 it is the
+deterministic sweep.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +43,11 @@ from .forward import (
     tangent_step,
     transpose_step,
 )
-from .grid import Grid, StateX, eigenmode_matrix, inner_h, inner_l2, norm_h_sq
+from .grid import Grid, StateX, inner_h, inner_l2
 
-#: Regression features: the constant plus the leading (BASIS_SIZE - 1) // 2
-#: mode coefficients of each state component.
-BASIS_SIZE = 9
-#: Tikhonov weight of the fallback fit when the design matrix loses rank.
-RIDGE = 1.0e-8
+#: Manifest tag of the backward sweep: the ensemble mean of the exact
+#: per-path transpose sweeps.
+ADJOINT_SWEEP = "pathwise-mean-v1"
 
 
 @dataclass
@@ -98,12 +96,12 @@ def solve_adjoint_deterministic(
     traj: StateX,
     cost,
 ) -> AdjointPath:
-    """Backward transpose sweep along one trajectory (kappa = 0).
+    """Backward transpose sweep along one trajectory, fields (N+1,) +
+    grid.shape: the one-path case of `solve_adjoint_regression`.
 
-    Meant for noise-free runs; applying it to a single noisy path is an
-    anticipating approximation and is the caller's responsibility.
+    Along a noisy path it gives the exact gradient of that path's cost.
     """
-    return solve_adjoint_regression(params, grid, timegrid, traj[:, None], cost)[0]
+    return solve_adjoint_regression(params, grid, timegrid, traj[:, None], cost)
 
 
 def control_signal(
@@ -126,62 +124,25 @@ def control_signal(
     return ControlPath(values)
 
 
-def _features(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Regression design matrix: constant plus leading mode coefficients
-    of both state components.  v, w have shape (M,) + grid.shape."""
-    M = v.shape[0]
-    n_modes = (BASIS_SIZE - 1) // 2
-    cols = [np.ones(M)]
-    if n_modes > 0:
-        E = eigenmode_matrix(grid, n_modes)
-        wts = grid.weights().ravel()
-        cols.append((v.reshape(M, -1) * wts) @ E)
-        cols.append((w.reshape(M, -1) * wts) @ E)
-    return np.column_stack(cols)
-
-
-def _regress(phi: np.ndarray, targets: np.ndarray, warn: bool = True) -> np.ndarray:
-    """Least-squares fit of targets (M, k) on features (M, F); returns the
-    fitted values.  Falls back to ridge on rank deficiency."""
-    F = phi.shape[1]
-    coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
-    if rank < F:
-        if warn:
-            warnings.warn(
-                f"regression basis degraded (rank {rank} < {F}); using ridge fallback",
-                RuntimeWarning,
-            )
-        gram = phi.T @ phi + RIDGE * np.eye(F)
-        coef = np.linalg.solve(gram, phi.T @ targets)
-    return phi @ coef
-
-
 def solve_adjoint_regression(
     params: FhnParams,
     grid: Grid,
     timegrid: TimeGrid,
     ens: StateX,
     cost,
-) -> tuple:
-    """Regression Monte Carlo backward sweep over an ensemble, whose fields
-    have shape (N+1, M) + grid.shape.
+) -> AdjointPath:
+    """The backward sweep: the exact transpose sweep along every path of an
+    ensemble, whose fields have shape (N+1, M) + grid.shape, all paths at
+    once.  Returns the ensemble-mean AdjointPath, which equals the sum of
+    the M one-path sweeps divided by M, bit for bit.
 
-    Returns (mean AdjointPath, kappa energy per step), where the kappa
-    energy is the ensemble mean of |residual|_H^2 and the residual is the
-    gap between the transported dual value and its conditional-expectation
-    fit.  One path is its own conditional expectation: the sweep is then
-    the exact transpose sweep and the kappa energy is zero.
+    The benchmark's tracer resolves both sweep names, this one and
+    `solve_adjoint_deterministic`, so renaming either changes the
+    benchmark too.
     """
     M = ensemble_size(timegrid, grid.shape, ens)
-    if 1 < M < 10 * BASIS_SIZE:
-        warnings.warn(
-            f"ensemble of {M} paths is small for {BASIS_SIZE} features; "
-            "conditional expectations may be noisy",
-            RuntimeWarning,
-        )
     N, dt = timegrid.N, timegrid.dt
     gw = timegrid.g_weights()
-    shape = (M,) + grid.shape
 
     def store_mean_negated(out, a):
         # paths are summed one after another, as averaging per-path sweeps
@@ -192,34 +153,20 @@ def solve_adjoint_regression(
     p_v = np.zeros((N + 1,) + grid.shape)
     p_w = np.zeros((N + 1,) + grid.shape)
     sp_v = np.zeros((N,) + grid.shape)
-    kappa_energy = np.zeros(N)
 
     lam = cost.dg0(ens[N])
     store_mean_negated(p_v[N], lam.v)
     store_mean_negated(p_w[N], lam.w)
 
-    half = grid.num_nodes
     for n in range(N - 1, -1, -1):
         X = ens[n]
         y = implicit_solve_star(params, grid, dt, lam)
-        fit = y
-        if M > 1:
-            phi = _features(grid, X.v, X.w)
-            targets = np.concatenate(
-                [y.v.reshape(M, -1), y.w.reshape(M, -1)], axis=1
-            )
-            # at n = 0 every path shares the initial state, so the design
-            # matrix is rank one by construction and the ridge fit is just
-            # the mean
-            fitted = _regress(phi, targets, warn=(n > 0))
-            fit = StateX(fitted[:, :half].reshape(shape), fitted[:, half:].reshape(shape))
-            kappa_energy[n] = np.mean(norm_h_sq(grid, params.gamma, y - fit))
-        lam = transpose_step(params, grid, X, fit, gw[n] * cost.dg(X, n), dt)
+        lam = transpose_step(params, grid, X, y, gw[n] * cost.dg(X, n), dt)
         store_mean_negated(sp_v[n], y.v)
         store_mean_negated(p_v[n], lam.v)
         store_mean_negated(p_w[n], lam.w)
 
-    return AdjointPath(p_v, p_w, sp_v), kappa_energy
+    return AdjointPath(p_v, p_w, sp_v)
 
 
 def duality_gap(

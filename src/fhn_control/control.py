@@ -268,7 +268,7 @@ def optimize(
         return psi_from_trajectories(timegrid, cost, candidate, ens)[0], ens
 
     def signal(ens):
-        adj, _ = solve_adjoint_regression(params, grid, timegrid, ens, cost)
+        adj = solve_adjoint_regression(params, grid, timegrid, ens, cost)
         return control_signal(params, grid, problem.spec, timegrid, adj)
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))

@@ -221,8 +221,8 @@ def transpose_step(
     """Transpose of `tangent_step` in Z once its solve is transposed:
     source + (I + dt*DF(X)*) y for y = S* lam, where DF(X)* = DF(X) acts
     pointwise on the voltage.  Callers apply S* themselves because they
-    also need y alone (dt*B* y is the control part of the transpose) and
-    the regression sweep fits y before this call.  Leading axes broadcast."""
+    also need y alone (dt*B* y is the control part of the transpose).
+    Leading axes broadcast."""
     rv = source.v + y.v + dt * df_apply(params, grid, X, y).v
     return StateX(rv, source.w + y.w)
 

@@ -21,8 +21,10 @@ import numpy as np
 
 from . import __version__
 from .adjoint import (
+    ADJOINT_SWEEP,
     duality_gap,
     solve_adjoint_deterministic,
+    solve_adjoint_regression,
 )
 from .control import (
     contraction_margin,
@@ -123,6 +125,7 @@ def _write_manifest(
             "report": REPORT_CSV_FORMAT,
             "snapshot": SNAPSHOT_FORMAT,
             "helmholtz": HELMHOLTZ_SOLVER,
+            "adjoint": ADJOINT_SWEEP,
         },
         "artifacts": [str(a) for a in artifacts],
         "summary": summary,
@@ -210,14 +213,16 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
 def gradient_check(
     scenario: Scenario, n_directions: int = 5, h: float = 1.0e-5, seed: int = 0
 ) -> list:
-    """Relative errors between the adjoint gradient and central finite
-    differences of the cost, over random unit directions (noise off)."""
-    problem = dataclasses.replace(scenario.problem, cov=SpectralCovariance.zero(1))
+    """Relative errors between the gradient the optimizer uses and central
+    finite differences of the sampled cost, over random unit directions.
+    Every evaluation integrates the scenario's whole ensemble on the same
+    noise streams, so on a stochastic scenario this checks the gradient of
+    the mean cost over those paths."""
+    problem = scenario.problem
     params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     rng = np.random.default_rng([seed, 2024])
     u = ControlPath(0.3 * rng.standard_normal((timegrid.N + 1,) + grid.shape))
-    traj = integrate(params, grid, problem.cov, problem.spec, timegrid, problem.x0, u, seed)
-    adj = solve_adjoint_deterministic(params, grid, timegrid, traj, cost)
+    adj = solve_adjoint_regression(params, grid, timegrid, problem.paths(u, seed), cost)
     grad = gradient(params, grid, problem.spec, timegrid, cost, u, adj)
     errors = []
     for _ in range(n_directions):

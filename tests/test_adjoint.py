@@ -1,6 +1,4 @@
-"""Variational sweep, exact-transpose adjoint, regression adjoint, duality."""
-
-import warnings
+"""Variational sweep, exact-transpose adjoint, ensemble-mean adjoint, duality."""
 
 import numpy as np
 import pytest
@@ -126,17 +124,15 @@ def _transpose_sweep(p, g, tg, traj, cost):
     return p_v, p_w, sp_v
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(d=1, n=16, steps=50, horizon=0.1),
-        dict(d=2, n=12, steps=20, horizon=0.2, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
-    ],
-    ids=["d1", "d2"],
-)
+SWEEP_CASES = [
+    dict(d=1, n=16, steps=50, horizon=0.1),
+    dict(d=2, n=12, steps=20, horizon=0.2, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
+]
+
+
+@pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
 def test_regression_single_path_reduces_to_deterministic(overrides):
-    # one path is its own conditional expectation: the sweep is the exact
-    # transpose sweep, bit for bit, with zero kappa energy
+    # over one path the sweep is the reference transpose sweep, bit for bit
     s = Scenario(**overrides, modes=6)
     p, g, tg, cost = s.build_params(), s.build_grid(), s.build_timegrid(), s.build_cost()
     rng = np.random.default_rng(2)
@@ -145,21 +141,31 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
         p, g, s.build_cov(), s.build_actuator(), tg, s.build_initial_state(), u, 0
     )
     ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
-    adj, kappa = solve_adjoint_regression(p, g, tg, traj[:, None], cost)
+    adj = solve_adjoint_regression(p, g, tg, traj[:, None], cost)
     np.testing.assert_array_equal(adj.p_v, ref_v)
     np.testing.assert_array_equal(adj.p_w, ref_w)
     np.testing.assert_array_equal(adj.sp_v, ref_sp)
-    np.testing.assert_array_equal(kappa, 0.0)
     det = solve_adjoint_deterministic(p, g, tg, traj, cost)
     np.testing.assert_array_equal(det.sp_v, ref_sp)
 
 
-def test_regression_warns_on_small_ensemble():
-    g, p, spec, tg, cost, x0 = _setup(N=5)
-    cov = SpectralCovariance.power_spectrum(4)
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 3)
-    with pytest.warns(RuntimeWarning, match="small"):
-        solve_adjoint_regression(p, g, tg, ens, cost)
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
+def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
+    # the paths share one open-loop control and their noise streams, so the
+    # exact gradient of the sampled cost is the mean of the pathwise ones:
+    # the ensemble sweep is the sum of its one-path sweeps over M, bit for bit
+    problem = Scenario(**overrides, modes=6, mode="stochastic", ensemble=M).problem
+    p, g, tg, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    rng = np.random.default_rng(3)
+    ens = problem.paths(ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
+    adj = solve_adjoint_regression(p, g, tg, ens, cost)
+    parts = [solve_adjoint_regression(p, g, tg, ens[:, q : q + 1], cost) for q in range(M)]
+    for name in ("p_v", "p_w", "sp_v"):
+        total = getattr(parts[0], name).copy()
+        for part in parts[1:]:
+            total += getattr(part, name)
+        np.testing.assert_array_equal(getattr(adj, name), total / M)
 
 
 def test_regression_error_shrinks_with_noise():
@@ -171,27 +177,9 @@ def test_regression_error_shrinks_with_noise():
     for sigma in (0.2, 0.05):
         cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
         ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            avg, _ = solve_adjoint_regression(p, g, tg, ens, cost)
+        avg = solve_adjoint_regression(p, g, tg, ens, cost)
         errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
     assert errs[1] < errs[0]
-
-
-def test_regression_kappa_energy():
-    g, p, spec, tg, cost, x0 = _setup(N=10)
-    cov = SpectralCovariance.power_spectrum(4)
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, kappa = solve_adjoint_regression(p, g, tg, ens, cost)
-        # path 0 alone: the path axis is the second one
-        _, kappa_one = solve_adjoint_regression(p, g, tg, ens[:, :1], cost)
-    assert kappa.shape == (tg.N,)
-    assert np.all(kappa >= 0.0)
-    # every step leaves a residual, node 0 included, where the fit is the mean
-    assert np.all(kappa > 0.0)
-    np.testing.assert_array_equal(kappa_one, np.zeros(tg.N))
 
 
 @pytest.mark.parametrize("c_g, c0", [(1.0, 0.0), (0.0, 0.1)])
@@ -205,9 +193,7 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
 
     def sweep(cg, c_0):
         cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=cg, c0=c_0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return solve_adjoint_regression(p, g, tg, ens, cost)[0]
+        return solve_adjoint_regression(p, g, tg, ens, cost)
 
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)

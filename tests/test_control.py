@@ -1,7 +1,6 @@
 """Cost functional, exact gradients, contraction margin, and the optimizer."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -213,9 +212,7 @@ def test_optimize_warm_start_converges_immediately():
 
 def test_optimize_stochastic_smoke():
     problem = _noisy(_setup(n=8, N=20), 20)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = optimize(problem, tol=1e-4, max_iters=10)
+    rep = optimize(problem, tol=1e-4, max_iters=10)
     assert rep.converged
     assert rep.certificate_residual <= 1e-3
     assert rep.ensemble.v.shape == (problem.timegrid.N + 1, 20) + problem.grid.shape
@@ -264,9 +261,7 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
     monkeypatch.setattr(control_module, "control_signal", tracking_signal)
     monkeypatch.setattr(forward_module, "helmholtz_solve", counting_solve)
     monkeypatch.setattr(grid_module, "helmholtz_solve", counting_solve)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = optimize(problem, tol=tol, max_iters=max_iters)
+    rep = optimize(problem, tol=tol, max_iters=max_iters)
 
     assert len(integrated) >= 2
     assert len(set(integrated)) == len(integrated)

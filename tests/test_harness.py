@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 import fhn_control
 from fhn_control import harness
+from fhn_control.adjoint import ADJOINT_SWEEP
 from fhn_control.cli import main
 from fhn_control.errors import ConfigurationError
 from fhn_control.forward import CONTROL_FORMAT, SNAPSHOT_FORMAT, load_snapshot
@@ -57,6 +57,7 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path):
     assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
     assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
     assert manifest["formats"]["helmholtz"] == HELMHOLTZ_SOLVER
+    assert manifest["formats"]["adjoint"] == ADJOINT_SWEEP
 
 
 def test_simulate_does_not_import_scipy(tmp_path):
@@ -112,9 +113,7 @@ def test_optimize_field_artifacts_round_trip(tmp_path, monkeypatch, d):
 
     monkeypatch.setattr(harness, "optimize", recording_optimize)
     scenario = Scenario(**dict(SMALL, d=d), mode="stochastic", tol=1e-5, max_iters=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        run(scenario, "optimize", tmp_path)
+    run(scenario, "optimize", tmp_path)
     (report,) = reports
     back, seed, path_index = load_snapshot(tmp_path / "state_path0.npz")
     np.testing.assert_array_equal(back.v, report.ensemble.v[:, 0])
@@ -143,9 +142,7 @@ def test_csv_artifacts_hold_plain_numbers(tmp_path):
     # numpy 2 reprs a numpy scalar as np.float64(...); no CSV may hold one
     scenario = Scenario(**SMALL, mode="stochastic")
     for command in COMMANDS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run(scenario, command, tmp_path / command)
+        run(scenario, command, tmp_path / command)
     tables = sorted(tmp_path.glob("*/*.csv"))
     assert {t.parent.name for t in tables} == set(COMMANDS)
     for table in tables:
