@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FhnParams
-from .errors import ContractViolation
 from .forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
     actuator_adjoint,
+    actuator_apply,
+    check_control_path,
     ensemble_size,
     implicit_solve_star,
     tangent_step,
@@ -76,8 +77,7 @@ def solve_variational(
     Jacobian is evaluated at the pre-step state, matching the explicit
     treatment of the reaction in the forward scheme.
     """
-    if direction.values.shape[0] != timegrid.N + 1:
-        raise ContractViolation("direction does not match the time grid")
+    check_control_path(grid, timegrid, direction.values, "direction")
     N, dt = timegrid.N, timegrid.dt
     z = StateX(np.zeros((N + 1,) + grid.shape), np.zeros((N + 1,) + grid.shape))
     Z = StateX.zero(grid)
@@ -120,7 +120,7 @@ def control_signal(
     N, dt = timegrid.N, timegrid.dt
     scale = (dt / timegrid.u_weights()[:N]).reshape((N,) + (1,) * grid.d)
     values = np.zeros((N + 1,) + grid.shape)
-    values[:N] = scale * actuator_adjoint(spec, grid, params.gamma, adj.sp_v)
+    values[:N] = scale * actuator_adjoint(spec, params.gamma, adj.sp_v)
     return ControlPath(values)
 
 
@@ -197,7 +197,7 @@ def duality_gap(
     dg_path = StateX(np.stack([d.v for d in dg]), np.stack([d.w for d in dg]))
     running = inner_h(grid, gamma, dg_path, var[:N])
     lhs += float(np.dot(timegrid.g_weights()[:N], running))
-    # B d_n = (mask * d_n, 0) pairs with the voltage part of p_n only
-    bd_p = gamma * inner_l2(grid, spec.mask * direction.values[:N], adj.p_v[:N])
+    # B d_n pairs with the voltage part of p_n only
+    bd_p = gamma * inner_l2(grid, actuator_apply(spec, direction.values[:N]), adj.p_v[:N])
     rhs = -dt * float(np.sum(bd_p))
     return (lhs - rhs) / max(1.0, abs(rhs))

@@ -199,26 +199,15 @@ def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, en
     return value, stderr
 
 
-def gradient(
-    params: FhnParams,
-    grid: Grid,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    cost: CostSpec,
-    u: ControlPath,
-    adj,
-) -> ControlPath:
-    """Exact control-space gradient of the discrete cost: alpha*u - q(p).
+def gradient(cost: CostSpec, u: ControlPath, q: ControlPath) -> ControlPath:
+    """Exact control-space gradient of the discrete cost: alpha*u - q.
 
-    `adj` is the (ensemble-averaged) adjoint path computed along the
-    trajectories of u; mixing adjoints from a different control or time
-    grid is a contract violation.
+    `q` is the `adjoint.control_signal` of the (ensemble-mean) adjoint path
+    computed along the trajectories of u; a signal on a different time
+    grid or grid is a contract violation.
     """
-    if u.values.shape[0] != timegrid.N + 1:
-        raise ContractViolation("control path does not match the time grid")
-    if adj.p_v.shape[0] != timegrid.N + 1:
-        raise ContractViolation("adjoint path does not match the time grid")
-    q = control_signal(params, grid, spec, timegrid, adj)
+    if u.values.shape != q.values.shape:
+        raise ContractViolation(f"control shape {u.values.shape} != signal shape {q.values.shape}")
     return ControlPath(cost.alpha * u.values - q.values)
 
 
@@ -277,7 +266,7 @@ def optimize(
     certificate = None
     for k in range(max_iters):
         q = signal(ens)
-        grad = ControlPath(cost.alpha * u.values - q.values)
+        grad = gradient(cost, u, q)
         fixed_point = subdiff_inverse(cost, q)
         # the optimality residual is the gap to the plain fixed-point map;
         # step sizes are not a convergence measure (a blocked line search

@@ -2,15 +2,15 @@
 
 The drift splits as A + F: A carries the Laplacian and the linear
 voltage/recovery coupling, F carries the cubic ionic current plus the
-external forcing.  The one-sided Lipschitz constant of F is computed
-analytically from the cubic's roots; `one_sided_margin` checks it by
-sampling.
+external forcing.  F and DF act on the voltage only, so `f_apply` and
+`df_apply` take and return voltage fields.  The one-sided Lipschitz
+constant of F is computed analytically from the cubic's roots;
+`one_sided_margin` checks it by sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,27 +72,15 @@ def i_ion_prime(params: FhnParams, v):
     return 3.0 * v**2 - 2.0 * (params.a + params.b) * v + params.a * params.b
 
 
-@lru_cache(maxsize=16)
-def _zero_field(shape: tuple) -> Field:
-    """Shared read-only zero for the recovery part of the reaction, which
-    the step kernels never read; no per-step allocation."""
-    z = np.zeros(shape)
-    z.flags.writeable = False
-    return z
+def f_apply(params: FhnParams, grid: Grid, v: Field) -> Field:
+    """Voltage part of the reaction operator: -I_ion(v) + f."""
+    return -i_ion(params, v) + params.forcing(grid)
 
 
-def f_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
-    """Reaction operator: (-I_ion(v) + f, 0)."""
-    fv = -i_ion(params, X.v) + params.forcing(grid)
-    return StateX(fv, _zero_field(fv.shape))
-
-
-def df_apply(params: FhnParams, grid: Grid, X: StateX, Z: StateX) -> StateX:
-    """Frechet derivative of the reaction operator at X applied to Z.
-
-    Leading axes of X and Z broadcast, as in an ensemble of paths."""
-    dv = -i_ion_prime(params, X.v) * Z.v
-    return StateX(dv, _zero_field(dv.shape))
+def df_apply(params: FhnParams, grid: Grid, v: Field, z: Field) -> Field:
+    """Voltage part of the Frechet derivative of the reaction at v applied
+    to z: -I_ion'(v) z.  Leading axes broadcast, as in an ensemble."""
+    return -i_ion_prime(params, v) * z
 
 
 def a_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
@@ -129,8 +117,8 @@ def one_sided_margin(
         wy = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
         dv = vx - vy
         dw = wx - wy
-        # forcing cancels in F(x) - F(y); only the cubic difference remains
-        dfv = -(i_ion(params, vx) - i_ion(params, vy))
+        # F acts on the voltage only, so the recovery difference drops out
+        dfv = f_apply(params, grid, vx) - f_apply(params, grid, vy)
         num = params.gamma * inner_l2(grid, dfv, dv)
         denom = norm_h_sq(grid, params.gamma, StateX(dv, dw))
         valid = denom > 0

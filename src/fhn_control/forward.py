@@ -7,12 +7,14 @@ One step solves
 i.e. the coupled linear operator is fully implicit (eliminating the
 recovery component leaves a single symmetric positive definite Helmholtz
 solve for the voltage), while the reaction, the control and the noise
-are explicit.  The noise increment dW = (dbeta1, dbeta2) is a `StateX`
-pair like the state it is added to.  `implicit_solve_star` is the exact
-weighted-inner-product transpose of the same solve.  `step`, its
-linearization `tangent_step` and the transposed linearization
-`transpose_step` are the one kernel that the forward, variational and
-adjoint sweeps all run.
+are explicit.  F, DF and B act on the voltage only: `dynamics.f_apply`,
+`dynamics.df_apply` and `actuator_apply` return voltage fields.  The noise
+increment dW = (dbeta1, dbeta2) is a `StateX` pair like the state it is
+added to.  `implicit_solve_star` is the exact weighted-inner-product
+transpose of the same solve.  `step`, its linearization `tangent_step` and
+the transposed linearization `transpose_step` are the one kernel that the
+forward, variational and adjoint sweeps all run, built from the operators
+the invariant checks test.
 
 Time-quadrature conventions (fixed here, relied on by the adjoint and
 control modules for exact discrete gradients):
@@ -109,12 +111,17 @@ class ControlPath:
     __rmul__ = __mul__
 
 
+def check_control_path(grid: Grid, timegrid: TimeGrid, values: np.ndarray, what: str) -> None:
+    """A control or direction path has one grid field per time node."""
+    expected = (timegrid.N + 1,) + grid.shape
+    if values.shape != expected:
+        raise ContractViolation(f"{what} has shape {values.shape}, expected {expected}")
+
+
 def u_inner(grid: Grid, timegrid: TimeGrid, u: ControlPath, v: ControlPath) -> float:
     """Discrete control-space inner product (trapezoid in time and space)."""
-    if u.values.shape != v.values.shape:
-        raise ContractViolation("control paths live on different time grids")
-    if u.values.shape[0] != timegrid.N + 1:
-        raise ContractViolation("control path does not match the time grid")
+    check_control_path(grid, timegrid, u.values, "control path")
+    check_control_path(grid, timegrid, v.values, "control path")
     spatial = np.tensordot(u.values * v.values, grid.weights(), axes=grid.d)
     return float(np.dot(timegrid.u_weights(), spatial))
 
@@ -130,7 +137,8 @@ class ActuatorSpec:
     mask: Field
 
     def __post_init__(self):
-        if np.any(self.mask < 0) or np.any(self.mask > 1):
+        # written so that a NaN entry fails too
+        if not np.all((self.mask >= 0) & (self.mask <= 1)):
             raise ConfigurationError("actuator mask values must lie in [0, 1]")
 
     @staticmethod
@@ -138,13 +146,12 @@ class ActuatorSpec:
         return ActuatorSpec(np.ones(grid.shape))
 
 
-def actuator_apply(spec: ActuatorSpec, grid: Grid, u: Field) -> StateX:
-    if u.shape != grid.shape:
-        raise ContractViolation(f"control field shape {u.shape} does not match grid")
-    return StateX(spec.mask * u, grid.zeros())
+def actuator_apply(spec: ActuatorSpec, u: Field) -> Field:
+    """Voltage part of B u = (mask * u, 0); leading axes of u broadcast."""
+    return spec.mask * u
 
 
-def actuator_adjoint(spec: ActuatorSpec, grid: Grid, gamma: float, v: Field) -> Field:
+def actuator_adjoint(spec: ActuatorSpec, gamma: float, v: Field) -> Field:
     """B* in the weighted inner product: <B*X, u>_U = <X, Bu>_H.  B acts
     on the voltage only, so B* reads only the voltage part v of X."""
     return gamma * spec.mask * v
@@ -201,7 +208,7 @@ def step(
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    rv = X.v + dt * (f_apply(params, grid, X).v + spec.mask * u_t) + dW.v
+    rv = X.v + dt * (f_apply(params, grid, X.v) + actuator_apply(spec, u_t)) + dW.v
     rw = X.w + dW.w
     return implicit_solve(params, grid, dt, StateX(rv, rw))
 
@@ -211,7 +218,7 @@ def tangent_step(
 ) -> StateX:
     """Derivative of `step` at the pre-step state X along the state and
     control perturbations Z, d_t: Z+ = S(Z + dt*(DF(X) Z + B d_t))."""
-    rv = Z.v + dt * (df_apply(params, grid, X, Z).v + spec.mask * d_t)
+    rv = Z.v + dt * (df_apply(params, grid, X.v, Z.v) + actuator_apply(spec, d_t))
     return implicit_solve(params, grid, dt, StateX(rv, Z.w))
 
 
@@ -223,7 +230,7 @@ def transpose_step(
     pointwise on the voltage.  Callers apply S* themselves because they
     also need y alone (dt*B* y is the control part of the transpose).
     Leading axes broadcast."""
-    rv = source.v + y.v + dt * df_apply(params, grid, X, y).v
+    rv = source.v + y.v + dt * df_apply(params, grid, X.v, y.v)
     return StateX(rv, source.w + y.w)
 
 
@@ -247,8 +254,7 @@ def integrate(
     refinement studies do with sums of fine-level increments over one
     Brownian path.
     """
-    if control.values.shape[0] != timegrid.N + 1:
-        raise ContractViolation("control path does not match the time grid")
+    check_control_path(grid, timegrid, control.values, "control path")
     if x0.v.shape != grid.shape:
         raise ContractViolation("initial state does not live on the grid")
     N = timegrid.N

@@ -261,12 +261,9 @@ def neumann_eigenmode(grid: Grid, k: int) -> Field:
 
 
 def mode_eigenvalue(grid: Grid, k: int) -> float:
-    """Discrete Laplacian eigenvalue of global mode k (1-based)."""
-    combo = mode_frequencies(grid, k)[k - 1]
-    h = grid.h
-    return float(
-        sum(-(2.0 / h**2) * (1.0 - np.cos(kk * np.pi * h / grid.ell)) for kk in combo)
-    )
+    """Discrete Laplacian eigenvalue of global mode k (1-based): the entry
+    of the DCT-I symbol that `helmholtz_solve` divides by."""
+    return float(_dct_symbol(grid)[mode_frequencies(grid, k)[k - 1]])
 
 
 @lru_cache(maxsize=None)

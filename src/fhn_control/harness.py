@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .adjoint import (
     ADJOINT_SWEEP,
+    control_signal,
     duality_gap,
     solve_adjoint_deterministic,
     solve_adjoint_regression,
@@ -223,7 +224,7 @@ def gradient_check(
     rng = np.random.default_rng([seed, 2024])
     u = ControlPath(0.3 * rng.standard_normal((timegrid.N + 1,) + grid.shape))
     adj = solve_adjoint_regression(params, grid, timegrid, problem.paths(u, seed), cost)
-    grad = gradient(params, grid, problem.spec, timegrid, cost, u, adj)
+    grad = gradient(cost, u, control_signal(params, grid, problem.spec, timegrid, adj))
     errors = []
     for _ in range(n_directions):
         v = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
@@ -313,8 +314,8 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     for _ in range(20):
         X = StateX(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
         uf = rng.standard_normal(grid.shape)
-        lhs = inner_l2(grid, actuator_adjoint(spec, grid, params.gamma, X.v), uf)
-        rhs = inner_h(grid, params.gamma, X, actuator_apply(spec, grid, uf))
+        lhs = inner_l2(grid, actuator_adjoint(spec, params.gamma, X.v), uf)
+        rhs = inner_h(grid, params.gamma, X, StateX(actuator_apply(spec, uf), grid.zeros()))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("actuator_adjointness", worst <= 1.0e-12, f"defect={worst:.2e}")
     dt = timegrid.dt
@@ -326,6 +327,17 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         rhs = inner_h(grid, params.gamma, X, implicit_solve_star(params, grid, dt, Y))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("implicit_solver_adjointness", worst <= 1.0e-11, f"defect={worst:.2e}")
+    # S must invert the A checked above: the defect of (I - dt*A) S r = r is
+    # roundoff times the size of dt*Lap_h, whose spectral radius is dt*4d/h^2
+    bound = 64.0 * np.finfo(float).eps * (1.0 + dt * 4.0 * grid.d / grid.h**2)
+    solve_rng = np.random.default_rng([seed, 13])  # leaves the draws below as they were
+    worst = 0.0
+    for _ in range(20):
+        r = StateX(*solve_rng.standard_normal((2,) + grid.shape))
+        X = implicit_solve(params, grid, dt, r)
+        defect = X - dt * a_apply(params, grid, X) - r
+        worst = max(worst, float(np.max(np.abs([defect.v, defect.w])) / np.max(np.abs([r.v, r.w]))))
+    record("implicit_solver_inverts_operator", worst <= bound, f"defect={worst:.2e}, bound={bound:.2e}")
 
     # forward equilibrium + determinism
     params0 = FhnParams(params.a, params.b, params.gamma, params.delta, 0.0, params.linear)

@@ -97,7 +97,12 @@ class Scenario:
     @cached_property
     def problem(self) -> Problem:
         """The one validated build of this scenario, shared by every command
-        of a run; a bad field or mask spec fails here, before any output."""
+        of a run; a bad field or mask spec, or a NaN or infinity anywhere,
+        fails here, before any output."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ConfigurationError("noise amplitudes must be nonnegative")
         if self.mode not in ("deterministic", "stochastic"):
@@ -190,10 +195,10 @@ def _parse_field(grid: Grid, text: str, key: str) -> Field:
     kind, _, rest = text.partition(":")
     if kind == "constant":
         try:
-            return grid.constant(float(rest))
+            out = grid.constant(float(rest))
         except ValueError:
             raise ConfigurationError(f"{key}: bad constant value {rest!r}") from None
-    if kind == "modes":
+    elif kind == "modes":
         out = grid.zeros()
         for item in rest.split(","):
             if not item:
@@ -203,12 +208,15 @@ def _parse_field(grid: Grid, text: str, key: str) -> Field:
                 out = out + float(amp_str) * neumann_eigenmode(grid, int(k_str))
             except ValueError:
                 raise ConfigurationError(f"{key}: bad modal term {item!r}") from None
-        return out
-    if kind == "file":
-        return _load_array(grid, rest, key)
-    raise ConfigurationError(
-        f"{key}: unknown field spec kind {kind!r} (use constant:, modes:, file:)"
-    )
+    elif kind == "file":
+        out = _load_array(grid, rest, key)
+    else:
+        raise ConfigurationError(
+            f"{key}: unknown field spec kind {kind!r} (use constant:, modes:, file:)"
+        )
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError(f"{key}: {text!r} holds non-finite values")
+    return out
 
 
 def _load_array(grid: Grid, rest: str, key: str) -> Field:
@@ -278,9 +286,6 @@ def _coerce(section: str, key: str, raw: str):
         raise ConfigurationError(
             f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
         ) from None
-
-
-_FIELD_BY_KEY = {key: (section, key) for section, keys in _SCHEMA.items() for key in keys}
 
 
 def load_scenario(path: str) -> Scenario:

@@ -8,7 +8,7 @@ import pytest
 import fhn_control.control as control_module
 import fhn_control.forward as forward_module
 import fhn_control.grid as grid_module
-from fhn_control.adjoint import solve_adjoint_deterministic
+from fhn_control.adjoint import control_signal, solve_adjoint_deterministic
 from fhn_control.control import (
     CostSpec,
     Problem,
@@ -155,7 +155,7 @@ def test_gradient_matches_finite_differences():
     u = ControlPath(0.3 * rng.standard_normal((tg.N + 1,) + g.shape))
     traj = integrate(p, g, cov, spec, tg, x0, u, 0)
     adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    grad = gradient(p, g, spec, tg, cost, u, adj)
+    grad = gradient(cost, u, control_signal(p, g, spec, tg, adj))
     h = 1e-5
     for k in range(3):
         d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
@@ -173,10 +173,13 @@ def test_gradient_rejects_mismatched_paths():
         problem.grid, problem.params, problem.spec, problem.timegrid, problem.cost
     )
     traj = integrate(p, g, problem.cov, spec, tg, problem.x0, ControlPath.zero(tg, g), 0)
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    bad = ControlPath(np.zeros((tg.N + 2,) + g.shape))
-    with pytest.raises(ContractViolation):
-        gradient(p, g, spec, tg, cost, bad, adj)
+    q = control_signal(p, g, spec, tg, solve_adjoint_deterministic(p, g, tg, traj, cost))
+    for bad in (
+        ControlPath(np.zeros((tg.N + 2,) + g.shape)),
+        ControlPath(np.zeros((tg.N + 1,) + (g.n // 2,) * g.d)),
+    ):
+        with pytest.raises(ContractViolation):
+            gradient(cost, bad, q)
 
 
 def test_optimize_converges_and_certificate_small():

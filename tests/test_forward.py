@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fhn_control.adjoint import solve_adjoint_regression
+from fhn_control.adjoint import solve_adjoint_regression, solve_variational
 from fhn_control.control import CostSpec, psi_from_trajectories
-from fhn_control.dynamics import FhnParams, i_ion
+from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
 from fhn_control.forward import (
     ActuatorSpec,
@@ -24,6 +24,8 @@ from fhn_control.forward import (
     load_snapshot,
     save_snapshot,
     step,
+    tangent_step,
+    transpose_step,
     u_inner,
     u_norm,
 )
@@ -66,25 +68,24 @@ def test_control_path_mismatch_raises():
 
 def test_actuator_mask_validation_and_adjoint():
     g = Grid(1, 16)
-    with pytest.raises(ConfigurationError):
-        ActuatorSpec(np.full(g.shape, 2.0))
+    for bad in (2.0, np.nan):
+        with pytest.raises(ConfigurationError, match="mask"):
+            ActuatorSpec(np.full(g.shape, bad))
     spec = ActuatorSpec(np.linspace(0, 1, 16))
     gamma = 0.5
     rng = np.random.default_rng(0)
     for _ in range(5):
         X = StateX(rng.standard_normal(g.shape), rng.standard_normal(g.shape))
         u = rng.standard_normal(g.shape)
-        lhs = float(np.sum(g.weights() * actuator_adjoint(spec, g, gamma, X.v) * u))
-        rhs = inner_h(g, gamma, X, actuator_apply(spec, g, u))
+        lhs = float(np.sum(g.weights() * actuator_adjoint(spec, gamma, X.v) * u))
+        rhs = inner_h(g, gamma, X, StateX(actuator_apply(spec, u), g.zeros()))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_implicit_solve_inverts_operator():
+@pytest.mark.parametrize("g", [Grid(1, 24), Grid(2, 12)], ids=["d1", "d2"])
+def test_implicit_solve_inverts_operator(g):
     # (I - dt*A) applied to the solve output must reproduce the input
-    from fhn_control.dynamics import a_apply
-
     rng = np.random.default_rng(1)
-    g = Grid(1, 24)
     p = FhnParams()
     dt = 1e-2
     r = StateX(rng.standard_normal(g.shape), rng.standard_normal(g.shape))
@@ -105,6 +106,61 @@ def test_implicit_solve_star_is_weighted_adjoint():
         lhs = inner_h(g, p.gamma, implicit_solve(p, g, dt, X), Y)
         rhs = inner_h(g, p.gamma, X, implicit_solve_star(p, g, dt, Y))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+def test_step_kernels_compose_the_checked_operators(d):
+    # the kernels run the very S, F, DF and B that the invariant checks
+    # test, bit for bit: a left-half mask, field forcing and noise
+    g = Grid(d, 9)
+    rng = np.random.default_rng([d, 41])
+
+    def field():
+        return rng.standard_normal(g.shape)
+
+    def pair():
+        return StateX(field(), field())
+
+    half = (g.axis_coords() < g.ell / 2).astype(float)
+    spec = ActuatorSpec(half if d == 1 else np.multiply.outer(half, np.ones(g.n)))
+    p = FhnParams(f=0.1 * field())
+    dt = 1e-2
+    X, dW, Z, y, source = pair(), pair(), pair(), pair(), pair()
+    u, d_t = field(), field()
+
+    got = step(p, g, spec, X, u, dW, dt)
+    rv = X.v + dt * (f_apply(p, g, X.v) + actuator_apply(spec, u)) + dW.v
+    want = implicit_solve(p, g, dt, StateX(rv, X.w + dW.w))
+    np.testing.assert_array_equal(got.v, want.v)
+    np.testing.assert_array_equal(got.w, want.w)
+
+    got = tangent_step(p, g, spec, X, Z, d_t, dt)
+    rv = Z.v + dt * (df_apply(p, g, X.v, Z.v) + actuator_apply(spec, d_t))
+    want = implicit_solve(p, g, dt, StateX(rv, Z.w))
+    np.testing.assert_array_equal(got.v, want.v)
+    np.testing.assert_array_equal(got.w, want.w)
+
+    got = transpose_step(p, g, X, y, source, dt)
+    np.testing.assert_array_equal(got.v, source.v + y.v + dt * df_apply(p, g, X.v, y.v))
+    np.testing.assert_array_equal(got.w, source.w + y.w)
+
+
+def test_paths_reject_controls_off_the_grid():
+    # a control with one value per node, or one on a coarser grid, would
+    # broadcast or fail deep inside a step; the path boundary refuses it
+    g = Grid(1, 16)
+    p = FhnParams()
+    spec = ActuatorSpec.identity(g)
+    tg = TimeGrid(0.05, 10)
+    cov = SpectralCovariance.zero(1)
+    x0 = StateX(g.constant(0.1), g.zeros())
+    traj = integrate(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0)
+    for shape in ((tg.N + 1, 1), (tg.N + 1, g.n // 2), (tg.N, g.n)):
+        bad = ControlPath(np.zeros(shape))
+        with pytest.raises(ContractViolation, match="control path"):
+            integrate(p, g, cov, spec, tg, x0, bad, 0)
+        with pytest.raises(ContractViolation, match="direction"):
+            solve_variational(p, g, spec, tg, traj, bad)
 
 
 def test_step_preserves_equilibrium():

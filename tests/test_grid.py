@@ -211,6 +211,8 @@ def test_eigenmodes_orthonormal_and_eigen_identity():
             ek = neumann_eigenmode(g, k)
             resid = neumann_laplacian(g, ek) - mode_eigenvalue(g, k) * ek
             assert np.max(np.abs(resid)) <= 1e-10 * (1 + abs(mode_eigenvalue(g, k)))
+            # the identity holds for the symbol helmholtz_solve divides by
+            assert mode_eigenvalue(g, k) == _dct_symbol(g)[mode_frequencies(g, k)[k - 1]]
 
 
 def test_first_mode_is_constant():

@@ -257,6 +257,34 @@ def test_cli_reads_each_file_spec_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("time", "horizon", "nan"),
+        ("dynamics", "forcing", "inf"),
+        ("dynamics", "a", "nan"),
+        ("grid", "ell", "inf"),
+        ("cost", "alpha", "inf"),
+        ("run", "tol", "nan"),
+        ("noise", "sigma1", "nan"),
+        ("initial", "v0", "file:{nan}"),
+        ("actuator", "mask", "file:{nan}"),
+        ("cost", "x_ref", "constant:-inf"),
+    ],
+)
+def test_cli_non_finite_input_exits_2_before_output(tmp_path, capsys, section, key, value):
+    # a NaN or infinity would otherwise fail mid-run or pass unnoticed
+    nan = tmp_path / "nan.npz"
+    np.savez(nan, a=np.full(64, np.nan))
+    scenario_path = tmp_path / "bad.ini"
+    scenario_path.write_text(f"[{section}]\n{key} = {value.format(nan=nan)}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "section, key, spec",
     [
         ("initial", "w0", "constant:abc"),
