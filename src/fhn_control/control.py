@@ -58,9 +58,6 @@ class CostSpec:
     `x_ref` may be a constant state or a callable of the time-node index.
     g, g0 and h act on the trailing grid axes and broadcast leading ones
     (ensemble paths, time nodes): one value per field.
-    Anything exposing the same g/dg/g0/dg0/h/subdiff_inverse surface
-    (with Lipschitz gradients and a coercive convex control cost) can be
-    used in its place by the solvers.
     """
 
     grid: Grid

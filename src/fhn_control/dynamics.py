@@ -94,6 +94,11 @@ def a_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
 #: Standard deviation of the random states `one_sided_margin` samples.
 MARGIN_SAMPLE_AMPLITUDE = 2.0
 
+#: Batch bounds of `one_sided_margin`: at most 5,000 fields and 320,000
+#: node values, so each batch array holds at most ~2.6 MB whatever the grid.
+MARGIN_BATCH_FIELDS = 5000
+MARGIN_BATCH_VALUES = 320_000
+
 
 def one_sided_margin(
     params: FhnParams, grid: Grid, samples: int, stream: np.random.Generator
@@ -106,7 +111,7 @@ def one_sided_margin(
     if samples < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {samples}")
     worst = -np.inf
-    batch = min(samples, 5000)
+    batch = max(1, min(samples, MARGIN_BATCH_FIELDS, MARGIN_BATCH_VALUES // grid.num_nodes))
     done = 0
     while done < samples:
         m = min(batch, samples - done)

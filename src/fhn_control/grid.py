@@ -22,8 +22,9 @@ The same reflected Laplacian is diagonal on the full DCT-I basis, so
 `helmholtz_solve` inverts ``c*I - dt*Lap_h`` exactly by transforming,
 dividing by the symbol and transforming back.  Up to `DENSE_MAX_N` nodes
 per axis the transforms are cached read-only matrices built from numpy
-cosines; above it they are ``scipy.fft``'s, imported only in that branch,
-so a run on smaller grids never loads scipy.
+cosines; above it they are real FFTs of the even extension, from
+``numpy.fft``, which numpy loads only on that branch.  numpy is the only
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -294,23 +295,26 @@ def _dct_symbol(grid: Grid) -> np.ndarray:
 
 
 #: Nodes per axis up to which `helmholtz_solve` applies cached dense DCT-I
-#: matrices; above it, scipy's fast transform is cheaper.  Measured with one
-#: BLAS thread: at n = 64 the dense solve of one 1-D field takes 7 us against
-#: 46 us, and of one 2-D field 39 us against 330 us.  Just above the
-#: crossover, at n = 129, it still wins for one field (9 vs 35 us in 1-D,
-#: 460 vs 610 us in 2-D) but a 30- to 50-field 1-D batch takes 1.2x the
-#: transform, and the gap grows with n.  The choice depends on n alone,
-#: never on the batch size, so an ensemble path is solved by the same
-#: arithmetic whatever the ensemble it belongs to.
+#: matrices; above it, the FFT transform `_dct1_fft`.  Measured with one
+#: BLAS thread (best of 3 x 5 runs; dense / FFT): at n = 64 the dense solve
+#: takes 12 / 34 us for one 1-D field, 41 / 134 us for 50 of them and
+#: 63 / 205 us for one 2-D field.  At n = 129 it still wins for one field
+#: (12 / 29 us in 1-D), is about even for one 2-D field (521 / 480 us),
+#: and loses for a 50-field 1-D batch (167 / 128 us); at n = 257 a 50-field
+#: 1-D batch takes 552 / 237 us.  The FFT also slows down where 2(n-1) has
+#: a large prime factor: at n = 128 (2(n-1) = 2 * 127) a 50-field 1-D batch
+#: takes 198 / 1053 us.  The choice depends on n alone, never on the batch
+#: size, so an ensemble path is solved by the same arithmetic whatever the
+#: ensemble it belongs to.
 DENSE_MAX_N = 128
 
 #: Manifest tag of the solve arithmetic; bump it when artifact bytes move.
-HELMHOLTZ_SOLVER = "dense-dct1-v1"
+HELMHOLTZ_SOLVER = "dense-rfft-dct1-v2"
 
 
 @lru_cache(maxsize=None)
 def _dct1_matrix(grid: Grid) -> np.ndarray:
-    """Unnormalized DCT-I along one axis, as ``scipy.fft.dct(type=1)``:
+    """Unnormalized DCT-I along one axis (the type-1 DCT of FFTPACK):
     entry (k, j) is cos(pi k j / (n - 1)), doubled on interior columns.
     Applied twice it gives 2 (n - 1) times the identity."""
     n = grid.n
@@ -324,18 +328,32 @@ def _dct1_matrix(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _dense_solve_factor(grid: Grid, c: float, dt: float) -> np.ndarray:
-    """Cached factor of the dense solve of (c*I - dt*Lap_h).
-
-    In 1-D it is the folded n x n solve matrix D diag(s) D; in 2-D the
-    scaled inverse symbol s itself, applied between D (.) D^T transforms.
-    s = 1 / ((c - dt*mu) * (2(n-1))^d) holds the DCT-I normalization."""
+def _inverse_symbol(grid: Grid, c: float, dt: float) -> np.ndarray:
+    """Scaled inverse symbol s = 1 / ((c - dt*mu) * (2(n-1))^d) of
+    (c*I - dt*Lap_h): the spectral divide of the solve with the DCT-I
+    normalization folded in, shared by the dense and FFT transforms."""
     s = 1.0 / ((c - dt * _dct_symbol(grid)) * (2.0 * (grid.n - 1)) ** grid.d)
-    if grid.d == 1:
-        D = _dct1_matrix(grid)
-        s = (D * s) @ D
     s.flags.writeable = False
     return s
+
+
+@lru_cache(maxsize=32)
+def _dense_solve_1d(grid: Grid, c: float, dt: float) -> np.ndarray:
+    """Folded n x n solve matrix D diag(s) D of the 1-D dense solve."""
+    D = _dct1_matrix(grid)
+    A = (D * _inverse_symbol(grid, c, dt)) @ D
+    A.flags.writeable = False
+    return A
+
+
+def _dct1_fft(x: np.ndarray, d: int) -> np.ndarray:
+    """Unnormalized DCT-I over the trailing d axes, as `_dct1_matrix`
+    applied along each: the real FFT of the even extension, one axis at a
+    time.  Leading axes are a batch."""
+    for axis in range(x.ndim - d, x.ndim):
+        interior = (slice(None),) * axis + (slice(-2, 0, -1),)
+        x = np.fft.rfft(np.concatenate([x, x[interior]], axis=axis), axis=axis).real
+    return x
 
 
 def helmholtz_solve(grid: Grid, c: float, dt: float, rhs: Field) -> Field:
@@ -348,8 +366,9 @@ def helmholtz_solve(grid: Grid, c: float, dt: float, rhs: Field) -> Field:
     equals the one-field solve bit for bit.
 
     Up to `DENSE_MAX_N` nodes per axis the transforms are cached dense
-    matrices applied with stacked ``np.matmul``; above it they are
-    ``scipy.fft.dctn``/``idctn``, and only then is ``scipy`` imported.
+    matrices applied with stacked ``np.matmul``; above it they are real
+    FFTs of the even extension (`_dct1_fft`).  Both scale by the same
+    cached inverse symbol, and ``numpy.fft`` is loaded only above it.
     """
     _check_batch(grid, rhs)
     if c <= 0:
@@ -359,22 +378,17 @@ def helmholtz_solve(grid: Grid, c: float, dt: float, rhs: Field) -> Field:
     # constant solution (a dense product alone leaves ~1e-13 ripples)
     x0 = rhs[(...,) + (slice(0, 1),) * grid.d]
     r = rhs - x0
-    if grid.n <= DENSE_MAX_N:
-        factor = _dense_solve_factor(grid, c, dt)
-        if grid.d == 1:
-            y = np.matmul(factor, r[..., None])[..., 0]
-        else:
-            D = _dct1_matrix(grid)
-            y = D @ r @ D.T
-            y *= factor
-            y = D @ y @ D.T
+    if grid.n > DENSE_MAX_N:
+        y = _dct1_fft(r, grid.d)
+        y *= _inverse_symbol(grid, c, dt)
+        y = _dct1_fft(y, grid.d)
+    elif grid.d == 1:
+        y = np.matmul(_dense_solve_1d(grid, c, dt), r[..., None])[..., 0]
     else:
-        from scipy.fft import dctn, idctn
-
-        axes = tuple(range(rhs.ndim - grid.d, rhs.ndim))
-        y = dctn(r, type=1, axes=axes, overwrite_x=True)
-        y /= c - dt * _dct_symbol(grid)
-        y = idctn(y, type=1, axes=axes, overwrite_x=True)
+        D = _dct1_matrix(grid)
+        y = D @ r @ D.T
+        y *= _inverse_symbol(grid, c, dt)
+        y = D @ y @ D.T
     y += x0 / c
     if not np.isfinite(y).all():
         raise FloatingPointError("Helmholtz solve produced non-finite values")

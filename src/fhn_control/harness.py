@@ -11,7 +11,6 @@ which is enough to reproduce the directory bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import importlib.metadata
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -117,7 +116,6 @@ def _write_manifest(
         "versions": {
             "fhn_control": __version__,
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
         },
         "formats": {
             "history": HISTORY_CSV_FORMAT,
@@ -276,15 +274,16 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     E = eigenmode_matrix(grid, kmax)
     gram = E.T @ (grid.weights().ravel()[:, None] * E)
     record("eigenmode_orthonormal", np.max(np.abs(gram - np.eye(kmax))) <= 1.0e-10, f"defect={np.max(np.abs(gram - np.eye(kmax))):.2e}")
-    ok = True
+    # roundoff in Lap_h grows with its spectral radius 4d/h^2, so the
+    # Laplacian defects below are held to a multiple of eps times that
+    lap_bound = 64.0 * np.finfo(float).eps * (1.0 + 4.0 * grid.d / grid.h**2)
     worst = 0.0
     for k in range(1, kmax + 1):
         ek = neumann_eigenmode(grid, k)
         resid = neumann_laplacian(grid, ek) - mode_eigenvalue(grid, k) * ek
         defect = float(np.max(np.abs(resid))) / (1.0 + abs(mode_eigenvalue(grid, k)))
         worst = max(worst, defect)
-        ok = ok and defect <= 1.0e-11
-    record("eigen_identity", ok, f"defect={worst:.2e}")
+    record("eigen_identity", worst <= lap_bound, f"defect={worst:.2e}, bound={lap_bound:.2e}")
 
     # operator structure in the weighted inner product
     worst = 0.0
@@ -294,7 +293,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         expected = params.gamma * inner_l2(grid, neumann_laplacian(grid, X.v), X.v) - params.delta * norm_l2_sq(grid, X.w)
         defect = abs(inner_h(grid, params.gamma, ax, X) - expected) / (1.0 + norm_h_sq(grid, params.gamma, X))
         worst = max(worst, defect)
-    record("weighted_skew_cancellation", worst <= 1.0e-12, f"defect={worst:.2e}")
+    record("weighted_skew_cancellation", worst <= lap_bound, f"defect={worst:.2e}, bound={lap_bound:.2e}")
     ok = True
     for _ in range(100):
         X = StateX(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
@@ -302,7 +301,10 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         ok = ok and inner_h(grid, params.gamma, a_apply(params, grid, X), X) <= bound + 1.0e-10
     record("operator_dissipative", ok, "⟨AX,X⟩ ≤ -delta|w|^2")
 
-    margin = one_sided_margin(params, grid, 10000, np.random.default_rng([seed, 5]))
+    # F acts node by node, so the margin's power is in the node values
+    # sampled: 10,000 fields of up to 64 nodes, fewer fields on finer grids
+    margin_fields = max(100, min(10000, 640_000 // grid.num_nodes))
+    margin = one_sided_margin(params, grid, margin_fields, np.random.default_rng([seed, 5]))
     record(
         "one_sided_lipschitz",
         margin["sampled_margin"] <= margin["eta"] + 1.0e-9,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhn_control.dynamics import (
+    MARGIN_BATCH_VALUES,
     FhnParams,
     a_apply,
     df_apply,
@@ -133,6 +134,32 @@ def test_one_sided_margin_nearly_attained():
     dfv = -(i_ion(p, x.v) - i_ion(p, y.v))
     ratio = inner_l2(g, dfv, dv) / norm_l2_sq(g, dv)
     assert ratio == pytest.approx(p.eta, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "d, n, samples, fields",
+    [(1, 16, 12000, [5000, 5000, 2000]), (2, 130, 50, [18, 18, 14])],
+    ids=["d1-n16", "d2-n130"],
+)
+def test_one_sided_margin_batches_are_bounded(d, n, samples, fields):
+    # a batch holds at most 5,000 fields and MARGIN_BATCH_VALUES node values,
+    # so sampling a fine 2-D grid stays within a few MB per array
+    class Recording:
+        def __init__(self):
+            self.rng = np.random.default_rng(0)
+            self.shapes = []
+
+        def standard_normal(self, shape):
+            self.shapes.append(shape)
+            return self.rng.standard_normal(shape)
+
+    g = Grid(d, n)
+    stream = Recording()
+    out = one_sided_margin(FhnParams(), g, samples, stream)
+    assert out["sampled_margin"] <= out["eta"] + 1e-9
+    assert [shape[0] for shape in stream.shapes[::4]] == fields
+    assert all(shape[1:] == g.shape for shape in stream.shapes)
+    assert max(np.prod(shape) for shape in stream.shapes) <= MARGIN_BATCH_VALUES
 
 
 def test_one_sided_margin_rejects_bad_count():

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
 from fhn_control import grid as grid_module
 from fhn_control.errors import ConfigurationError, ContractViolation
@@ -13,7 +14,8 @@ from fhn_control.grid import (
     StateX,
     _dct1_matrix,
     _dct_symbol,
-    _dense_solve_factor,
+    _dense_solve_1d,
+    _inverse_symbol,
     eigenmode_matrix,
     grad_norm_sq,
     helmholtz_solve,
@@ -73,7 +75,7 @@ def test_cached_arrays_are_read_only():
     x_ref, x_T = problem.cost.x_ref, problem.cost.x_T
     for cached in (
         g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g), _dct1_matrix(g),
-        _dense_solve_factor(g, 1.3, 1e-3), _dense_solve_factor(g1, 1.3, 1e-3),
+        _inverse_symbol(g, 1.3, 1e-3), _dense_solve_1d(g1, 1.3, 1e-3),
         problem.x0.v, problem.x0.w, problem.spec.mask, x_ref.v, x_ref.w, x_T.v, x_T.w,
     ):
         with pytest.raises(ValueError):
@@ -282,6 +284,20 @@ def test_helmholtz_dense_solve_matches_transform(d, n, monkeypatch):
     monkeypatch.setattr(grid_module, "DENSE_MAX_N", 0)
     transform = helmholtz_solve(g, c, dt, rhs)
     assert np.max(np.abs(dense - transform)) <= 1e-13 * np.max(np.abs(transform))
+
+
+@pytest.mark.parametrize("d, n, M", [(1, DENSE_MAX_N + 1, 20), (1, 1024, 20), (2, DENSE_MAX_N + 1, 4), (2, 200, 2)])
+def test_helmholtz_fft_solve_matches_scipy(d, n, M):
+    # above the crossover the solve runs numpy's FFT; scipy's DCT-I is the
+    # oracle, held to roundoff so that a different pocketfft build shows up
+    rng = np.random.default_rng([19, d, n])
+    g = Grid(d, n)
+    rhs = rng.standard_normal((M,) + g.shape)
+    c, dt = 1.3, 2e-3
+    axes = tuple(range(1, 1 + d))
+    reference = idctn(dctn(rhs, type=1, axes=axes) / (c - dt * _dct_symbol(g)), type=1, axes=axes)
+    out = helmholtz_solve(g, c, dt, rhs)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_helmholtz_rejects_nonpositive_coefficient():
