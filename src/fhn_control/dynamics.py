@@ -73,8 +73,10 @@ def i_ion_prime(params: FhnParams, v):
 
 
 def f_apply(params: FhnParams, grid: Grid, v: Field) -> Field:
-    """Voltage part of the reaction operator: -I_ion(v) + f."""
-    return -i_ion(params, v) + params.forcing(grid)
+    """Voltage part of the reaction operator: -I_ion(v) + f, computed as
+    f - I_ion(v), which is the same IEEE result (signed zeros included)
+    with one ufunc fewer."""
+    return params.forcing(grid) - i_ion(params, v)
 
 
 def df_apply(params: FhnParams, grid: Grid, v: Field, z: Field) -> Field:

@@ -11,16 +11,23 @@ class ContractViolation(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """The state norm exceeded the blow-up threshold during integration.
+    """A path's state norm exceeded the blow-up threshold.
 
     The cubic reaction term is stabilizing, so this signals a
-    mis-configured run rather than genuine model behaviour.
+    mis-configured run rather than genuine model behaviour.  The guard
+    reads a whole path once its time loop is over: `step` is the first
+    time node whose H-energy |X|_H^2 exceeds the squared threshold or is
+    not finite, `norm` is |X|_H there, and `path` is the index of the
+    ensemble path.  A path that crosses the threshold without overflowing
+    runs to its last step first; one that overflows stops at the step
+    whose Helmholtz solve goes non-finite.
     """
 
-    def __init__(self, step: int, norm: float):
+    def __init__(self, step: int, norm: float, path: int = 0):
         self.step = step
         self.norm = norm
+        self.path = path
         super().__init__(
-            f"state blow-up at step {step}: |X|_H = {norm:.3e} "
+            f"state blow-up on path {path}, step {step}: |X|_H = {norm:.3e} "
             "(threshold 1e6); check dt and parameters"
         )

@@ -32,6 +32,11 @@ whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
 `ens[:, p]` is path p, whose noise `noise.sample_path` re-derives from
 (seed, p).
+
+The blow-up guard reads a path once its time loop is over, not after
+every step: one batched `norm_h_sq` over its nodes names the first node
+past `BLOWUP_THRESHOLD`, so a `BlowUpError` reports the same step and norm
+a per-step check would, after the steps that followed it.
 """
 
 from __future__ import annotations
@@ -253,6 +258,17 @@ def integrate(
     `increments` (a path of (N,) + grid.shape fields) supplies it, as coupled
     refinement studies do with sums of fine-level increments over one
     Brownian path.
+
+    The blow-up guard runs once per path, after the time loop: one batched
+    `norm_h_sq` over nodes 1..N, and a `BlowUpError` (carrying
+    `path_index`) at the first node whose energy exceeds
+    BLOWUP_THRESHOLD**2 or is not finite, with the step and norm a check
+    after every step would report.  A path that crosses the threshold
+    without overflowing therefore runs to its last step before it raises.
+    The loop runs with numpy's overflow and invalid-value warnings off; a
+    state that overflows fails the finiteness check of `helmholtz_solve`,
+    which ends the loop, and the guard then reads the nodes stepped so far.
+    If none of them fails, that `FloatingPointError` is raised.
     """
     check_control_path(grid, timegrid, control.values, "control path")
     if x0.v.shape != grid.shape:
@@ -270,14 +286,24 @@ def integrate(
     w = np.empty((N + 1,) + grid.shape)
     v[0], w[0] = x0.v, x0.w
     X = x0
-    for n in range(N):
-        if increments is not None:
-            dW = increments[n]
-        X = step(params, grid, spec, X, control.values[n], dW, dt)
-        energy = norm_h_sq(grid, params.gamma, X)
-        if not np.isfinite(energy) or energy > BLOWUP_THRESHOLD**2:
-            raise BlowUpError(n + 1, float(np.sqrt(max(energy, 0.0))))
-        v[n + 1], w[n + 1] = X.v, X.w
+    stepped, overflow = N, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            if increments is not None:
+                dW = increments[n]
+            try:
+                X = step(params, grid, spec, X, control.values[n], dW, dt)
+            except FloatingPointError as exc:
+                stepped, overflow = n, exc
+                break
+            v[n + 1], w[n + 1] = X.v, X.w
+        energy = norm_h_sq(grid, params.gamma, StateX(v[1 : stepped + 1], w[1 : stepped + 1]))
+    failed = np.flatnonzero(~(energy <= BLOWUP_THRESHOLD**2))
+    if failed.size:
+        first = int(failed[0])
+        raise BlowUpError(first + 1, float(np.sqrt(max(float(energy[first]), 0.0))), path_index)
+    if overflow is not None:
+        raise overflow
     return StateX(v, w)
 
 
@@ -308,17 +334,24 @@ def integrate_ensemble(
     return ens
 
 
+def sup_h_sq(grid: Grid, timegrid: TimeGrid, gamma: float, ens: StateX) -> list:
+    """Per path of the ensemble, the sup over time nodes of |X|_H^2,
+    reduced one path at a time."""
+    M = ensemble_size(timegrid, grid.shape, ens)
+    return [float(np.max(norm_h_sq(grid, gamma, ens[:, p]))) for p in range(M)]
+
+
 def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, ens: StateX) -> dict:
     """Discrete analogues of the a-priori energy functionals.
 
-    Per path: sup over time nodes of |X|_H^2, and the trapezoid
-    time-quadrature of |X|_V^2; plus their ensemble averages.  Paths are
-    reduced one at a time, which keeps the temporaries one path large.
+    Per path: sup over time nodes of |X|_H^2 (`sup_h_sq`), and the
+    trapezoid time-quadrature of |X|_V^2; plus their ensemble averages.
+    Paths are reduced one at a time, which keeps the temporaries one path
+    large.
     """
     tw = timegrid.u_weights()
-    paths = [ens[:, p] for p in range(ensemble_size(timegrid, grid.shape, ens))]
-    sup_h = [float(np.max(norm_h_sq(grid, gamma, X))) for X in paths]
-    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, X))) for X in paths]
+    sup_h = sup_h_sq(grid, timegrid, gamma, ens)
+    int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, ens[:, p]))) for p in range(len(sup_h))]
     return {
         "sup_h_sq": sup_h,
         "int_v_sq": int_v,

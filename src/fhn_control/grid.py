@@ -145,8 +145,10 @@ def _check_batch(grid: Grid, u: np.ndarray) -> None:
 
 def _sum_fields(grid: Grid, x: np.ndarray):
     """Sum over the trailing grid axes: a float for one field, else an
-    array over the leading axes, equal bit for bit to per-field sums."""
-    s = np.sum(x, axis=tuple(range(x.ndim - grid.d, x.ndim)))
+    array over the leading axes, equal bit for bit to per-field sums.
+    `np.add.reduce` is the reduction `np.sum` dispatches to, without its
+    Python wrapper."""
+    s = np.add.reduce(x, axis=tuple(range(x.ndim - grid.d, x.ndim)))
     return float(s) if s.ndim == 0 else s
 
 

@@ -11,6 +11,7 @@ from fhn_control.control import CostSpec, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
 from fhn_control.forward import (
+    BLOWUP_THRESHOLD,
     ActuatorSpec,
     ControlPath,
     TimeGrid,
@@ -320,10 +321,93 @@ def test_blow_up_detection():
     with pytest.raises(BlowUpError) as info:
         integrate(
             p, g, SpectralCovariance.zero(1), spec, tg,
-            StateX.zero(g), ControlPath.zero(tg, g), 0,
+            StateX.zero(g), ControlPath.zero(tg, g), 0, path_index=3,
         )
     assert info.value.step >= 1
     assert info.value.norm > 1e6
+    assert info.value.path == 3
+    assert f"path 3, step {info.value.step}:" in str(info.value)
+
+
+def _per_step_blow_up(p, g, spec, tg, x0, u):
+    """(step, norm) of the first node past the threshold, checked after
+    every step; None if every node passes."""
+    X = x0
+    for n in range(tg.N):
+        X = step(p, g, spec, X, u.values[n], StateX.zero(g), tg.dt)
+        energy = norm_h_sq(g, p.gamma, X)
+        if not energy <= BLOWUP_THRESHOLD**2:
+            return n + 1, float(np.sqrt(max(energy, 0.0)))
+    return None
+
+
+@pytest.mark.parametrize(
+    "d, n, T, N, v0, linear, f",
+    [
+        # crosses the threshold without overflowing, runs to its last step
+        (1, 8, 10.0, 10, 0.0, True, 1e9),
+        # the explicit cubic overshoots until it overflows
+        (1, 16, 1.0, 50, 30.0, False, 0.0),
+        (2, 8, 1.0, 20, 50.0, False, 0.0),
+        # fails at step 1
+        (1, 8, 1.0, 10, 2e6, False, 0.0),
+    ],
+    ids=["linear-forcing", "cubic-d1", "cubic-d2", "step-1"],
+)
+def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f):
+    g = Grid(d, n)
+    p = FhnParams(f=f, linear=linear)
+    spec = ActuatorSpec.identity(g)
+    tg = TimeGrid(T, N)
+    x0 = StateX(g.constant(v0), g.zeros())
+    u = ControlPath.zero(tg, g)
+    expected = _per_step_blow_up(p, g, spec, tg, x0, u)
+    assert expected is not None
+    with pytest.raises(BlowUpError) as info:
+        integrate(p, g, SpectralCovariance.zero(1), spec, tg, x0, u, 0)
+    assert (info.value.step, info.value.norm) == expected
+
+
+def test_non_finite_control_fails_the_solve():
+    # no stepped node crosses the threshold, so the solve's own error stands
+    g = Grid(1, 8)
+    p = FhnParams()
+    spec = ActuatorSpec.identity(g)
+    tg = TimeGrid(0.1, 10)
+    u = ControlPath.zero(tg, g)
+    u.values[4, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        integrate(
+            p, g, SpectralCovariance.zero(1), spec, tg,
+            StateX(g.constant(0.1), g.zeros()), u, 0,
+        )
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+def test_integrate_is_the_step_kernel_composed(d):
+    g = Grid(d, 8)
+    p = FhnParams()
+    mask = np.zeros(g.shape)
+    mask[: g.n // 2] = 1.0
+    spec = ActuatorSpec(mask)
+    tg = TimeGrid(0.05, 10)
+    cov = SpectralCovariance.power_spectrum(4)
+    rng = np.random.default_rng([d, 15])
+    u = ControlPath(0.5 * rng.standard_normal((tg.N + 1,) + g.shape))
+    x0 = StateX(g.constant(0.2), 0.1 * rng.standard_normal(g.shape))
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 11, 3)
+    for path in range(3):
+        dW = sample_path(cov, g, tg, 11, path)
+        X = x0
+        v, w = [x0.v], [x0.w]
+        for n in range(tg.N):
+            X = step(p, g, spec, X, u.values[n], dW[n], tg.dt)
+            v.append(X.v)
+            w.append(X.w)
+        traj = integrate(p, g, cov, spec, tg, x0, u, 11, path)
+        for got in (traj, ens[:, path]):
+            np.testing.assert_array_equal(got.v, np.stack(v))
+            np.testing.assert_array_equal(got.w, np.stack(w))
 
 
 def test_control_enters_voltage_linearly():
