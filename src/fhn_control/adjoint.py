@@ -23,19 +23,22 @@ gradients, each of which is the transpose sweep along its own path.  B*
 is linear, so the sweep keeps only the ensemble mean of the dual path:
 that is all the control signal reads.  With M = 1 it is the
 deterministic sweep.
+
+Every sweep reads one `control.Problem` for the dynamics, the grid, the
+actuator, the time grid and the cost, so the state, the dual path and the
+control gradient pair in one weighted inner product: the same gamma and
+the same quadrature the forward step and the cost use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import FhnParams
 from .forward import (
-    ActuatorSpec,
     ControlPath,
-    TimeGrid,
     actuator_adjoint,
     actuator_apply,
     check_control_path,
@@ -44,7 +47,10 @@ from .forward import (
     tangent_step,
     transpose_step,
 )
-from .grid import Grid, StateX, inner_h, inner_l2
+from .grid import StateX, inner_h, inner_l2
+
+if TYPE_CHECKING:
+    from .control import Problem
 
 #: Manifest tag of the backward sweep: the ensemble mean of the exact
 #: per-path transpose sweeps.
@@ -62,14 +68,7 @@ class AdjointPath:
     sp_v: np.ndarray  # (N,) + grid.shape
 
 
-def solve_variational(
-    params: FhnParams,
-    grid: Grid,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    traj: StateX,
-    direction: ControlPath,
-) -> StateX:
+def solve_variational(problem: Problem, traj: StateX, direction: ControlPath) -> StateX:
     """Forward sweep of the linearization along the frozen trajectory; the
     tangent path has (N+1,) + grid.shape fields and starts from zero.
 
@@ -77,60 +76,44 @@ def solve_variational(
     Jacobian is evaluated at the pre-step state, matching the explicit
     treatment of the reaction in the forward scheme.
     """
+    params, grid, timegrid = problem.params, problem.grid, problem.timegrid
     check_control_path(grid, timegrid, direction.values, "direction")
     N, dt = timegrid.N, timegrid.dt
     z = StateX(np.zeros((N + 1,) + grid.shape), np.zeros((N + 1,) + grid.shape))
     Z = StateX.zero(grid)
     for n in range(N):
-        Z = tangent_step(params, grid, spec, traj[n], Z, direction.values[n], dt)
+        Z = tangent_step(params, grid, problem.spec, traj[n], Z, direction.values[n], dt)
         if not np.all(np.isfinite(Z.v)):
             raise FloatingPointError(f"variational sweep blew up at step {n + 1}")
         z.v[n + 1], z.w[n + 1] = Z.v, Z.w
     return z
 
 
-def solve_adjoint_deterministic(
-    params: FhnParams,
-    grid: Grid,
-    timegrid: TimeGrid,
-    traj: StateX,
-    cost,
-) -> AdjointPath:
+def solve_adjoint_deterministic(problem: Problem, traj: StateX) -> AdjointPath:
     """Backward transpose sweep along one trajectory, fields (N+1,) +
     grid.shape: the one-path case of `solve_adjoint_regression`.
 
     Along a noisy path it gives the exact gradient of that path's cost.
     """
-    return solve_adjoint_regression(params, grid, timegrid, traj[:, None], cost)
+    return solve_adjoint_regression(problem, traj[:, None])
 
 
-def control_signal(
-    params: FhnParams,
-    grid: Grid,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    adj: AdjointPath,
-) -> ControlPath:
+def control_signal(problem: Problem, adj: AdjointPath) -> ControlPath:
     """Adjoint-to-control signal q with exact-gradient weights.
 
     q_n = (dt / w_n) B* S* p_{n+1} for n < N and q_N = 0, where w_n are
     the control-space trapezoid weights.  The discrete cost gradient is
     alpha*u - q, and the optimality fixed point is u = (dh)^{-1}(q).
     """
+    grid, timegrid = problem.grid, problem.timegrid
     N, dt = timegrid.N, timegrid.dt
     scale = (dt / timegrid.u_weights()[:N]).reshape((N,) + (1,) * grid.d)
     values = np.zeros((N + 1,) + grid.shape)
-    values[:N] = scale * actuator_adjoint(spec, params.gamma, adj.sp_v)
+    values[:N] = scale * actuator_adjoint(problem.spec, problem.params.gamma, adj.sp_v)
     return ControlPath(values)
 
 
-def solve_adjoint_regression(
-    params: FhnParams,
-    grid: Grid,
-    timegrid: TimeGrid,
-    ens: StateX,
-    cost,
-) -> AdjointPath:
+def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
     """The backward sweep: the exact transpose sweep along every path of an
     ensemble, whose fields have shape (N+1, M) + grid.shape, all paths at
     once.  Returns the ensemble-mean AdjointPath, which equals the sum of
@@ -140,6 +123,7 @@ def solve_adjoint_regression(
     `solve_adjoint_deterministic`, so renaming either changes the
     benchmark too.
     """
+    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     M = ensemble_size(timegrid, grid.shape, ens)
     N, dt = timegrid.N, timegrid.dt
     gw = timegrid.g_weights()
@@ -169,16 +153,7 @@ def solve_adjoint_regression(
     return AdjointPath(p_v, p_w, sp_v)
 
 
-def duality_gap(
-    params: FhnParams,
-    grid: Grid,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    traj: StateX,
-    adj: AdjointPath,
-    direction: ControlPath,
-    cost,
-) -> float:
+def duality_gap(problem: Problem, traj: StateX, adj: AdjointPath, direction: ControlPath) -> float:
     """Normalized defect of the variational/dual pairing identity.
 
     LHS pairs the cost linearization with the variational solution; RHS
@@ -188,8 +163,9 @@ def duality_gap(
     first order in dt and vanishes (to roundoff) when the running cost is
     off and the reaction is linear.
     """
-    var = solve_variational(params, grid, spec, timegrid, traj, direction)
-    N, dt, gamma = timegrid.N, timegrid.dt, params.gamma
+    var = solve_variational(problem, traj, direction)
+    grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
+    N, dt, gamma = timegrid.N, timegrid.dt, problem.params.gamma
     lhs = inner_h(grid, gamma, cost.dg0(traj[N]), var[N])
     # the cost gradient is evaluated node by node (the reference may depend
     # on n); each side's pairings over all nodes are one batched quadrature
@@ -198,6 +174,6 @@ def duality_gap(
     running = inner_h(grid, gamma, dg_path, var[:N])
     lhs += float(np.dot(timegrid.g_weights()[:N], running))
     # B d_n pairs with the voltage part of p_n only
-    bd_p = gamma * inner_l2(grid, actuator_apply(spec, direction.values[:N]), adj.p_v[:N])
+    bd_p = gamma * inner_l2(grid, actuator_apply(problem.spec, direction.values[:N]), adj.p_v[:N])
     rhs = -dt * float(np.sum(bd_p))
     return (lhs - rhs) / max(1.0, abs(rhs))

@@ -55,13 +55,14 @@ class CostSpec:
     g0(X) = (c0/2)  |X - x_T|_H^2       (terminal tracker)
     h(u)  = (alpha/2) |u|_U^2           (control cost)
 
-    `x_ref` may be a constant state or a callable of the time-node index.
-    g, g0 and h act on the trailing grid axes and broadcast leading ones
-    (ensemble paths, time nodes): one value per field.
+    `x_ref` may be a constant state or a callable of the time-node index;
+    None is the zero state.  g, g0 and h act on the trailing grid axes and
+    broadcast leading ones (ensemble paths, time nodes): one value per
+    field.  The cost holds no grid and no gamma: the values take both from
+    the `Problem` that holds the cost, so they are the grid and the gamma
+    the dynamics and the sweeps use.
     """
 
-    grid: Grid
-    gamma: float
     alpha: float
     c_g: float = 1.0
     c0: float = 0.0
@@ -74,38 +75,36 @@ class CostSpec:
         if self.c0 < 0 or self.c_g < 0:
             raise ConfigurationError("cost weights must be nonnegative")
 
-    def _ref(self, n: int) -> StateX:
-        if self.x_ref is None:
-            return StateX.zero(self.grid)
-        if callable(self.x_ref):
-            return self.x_ref(n)
-        return self.x_ref
+    def _from_ref(self, X: StateX, n: int) -> StateX:
+        # X - 0 is X bit for bit, signed zeros included
+        ref = self.x_ref(n) if callable(self.x_ref) else self.x_ref
+        return X if ref is None else X - ref
 
-    def _target(self) -> StateX:
-        return self.x_T if self.x_T is not None else StateX.zero(self.grid)
+    def _from_target(self, X: StateX) -> StateX:
+        return X if self.x_T is None else X - self.x_T
 
-    def g(self, X: StateX, n: int) -> float:
+    def g(self, grid: Grid, gamma: float, X: StateX, n: int) -> float:
         if self.c_g == 0.0:
             return 0.0
-        return 0.5 * self.c_g * norm_h_sq(self.grid, self.gamma, X - self._ref(n))
+        return 0.5 * self.c_g * norm_h_sq(grid, gamma, self._from_ref(X, n))
 
     def dg(self, X: StateX, n: int) -> StateX:
         if self.c_g == 0.0:
             return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
-        return self.c_g * (X - self._ref(n))
+        return self.c_g * self._from_ref(X, n)
 
-    def g0(self, X: StateX) -> float:
+    def g0(self, grid: Grid, gamma: float, X: StateX) -> float:
         if self.c0 == 0.0:
             return 0.0
-        return 0.5 * self.c0 * norm_h_sq(self.grid, self.gamma, X - self._target())
+        return 0.5 * self.c0 * norm_h_sq(grid, gamma, self._from_target(X))
 
     def dg0(self, X: StateX) -> StateX:
         if self.c0 == 0.0:
             return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
-        return self.c0 * (X - self._target())
+        return self.c0 * self._from_target(X)
 
-    def h(self, u):
-        return 0.5 * self.alpha * norm_l2_sq(self.grid, u)
+    def h(self, grid: Grid, u):
+        return 0.5 * self.alpha * norm_l2_sq(grid, u)
 
     def subdiff_inverse_field(self, q):
         return q / self.alpha
@@ -148,6 +147,13 @@ class Problem:
             self.params, self.grid, self.cov, self.spec, self.timegrid, self.x0, u, seed, self.n_paths
         )
 
+    def signal(self, ens: StateX) -> ControlPath:
+        """Control signal q of the backward sweep along the ensemble of some
+        control u, so that `gradient(cost, u, q)` is the exact gradient of
+        the sampled cost at u.  The optimizer and the gradient check both
+        read it here."""
+        return control_signal(self, solve_adjoint_regression(self, ens))
+
 
 def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
     """Inverse subdifferential of the control cost, applied nodewise."""
@@ -175,21 +181,24 @@ def psi_estimate(problem: Problem, u: ControlPath, seed: int = 0) -> tuple:
     Path streams depend only on (seed, path, step), so repeated calls
     with different candidate controls reuse common random numbers.
     """
-    return psi_from_trajectories(problem.timegrid, problem.cost, u, problem.paths(u, seed))
+    return psi_from_trajectories(problem, u, problem.paths(u, seed))
 
 
-def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, ens: StateX) -> tuple:
+def psi_from_trajectories(problem: Problem, u: ControlPath, ens: StateX) -> tuple:
     """Cost of u averaged over its already integrated ensemble, fields
-    (N+1, M) + grid.shape; (value, stderr).  Each node's cost is taken over
-    all paths at once; the sums over nodes stay sequential, so each path's
-    cost equals its per-path sum bit for bit."""
-    # the state lives on the grid the control does
-    n_paths = ensemble_size(timegrid, u.values.shape[1:], ens)
+    (N+1, M) + grid.shape; (value, stderr).  The cost's values read the
+    problem's grid and gamma.  Each node's cost is taken over all paths at
+    once; the sums over nodes stay sequential, so each path's cost equals
+    its per-path sum bit for bit."""
+    grid, gamma, timegrid, cost = problem.grid, problem.params.gamma, problem.timegrid, problem.cost
+    n_paths = ensemble_size(timegrid, grid.shape, ens)
     gw = timegrid.g_weights()
-    control_cost = float(sum(timegrid.u_weights() * cost.h(u.values)))
-    state_cost = cost.g0(ens[timegrid.N])
+    control_cost = float(sum(timegrid.u_weights() * cost.h(grid, u.values)))
+    state_cost = cost.g0(grid, gamma, ens[timegrid.N])
     if cost.c_g != 0.0:
-        state_cost = state_cost + sum(gw[n] * cost.g(ens[n], n) for n in range(timegrid.N))
+        state_cost = state_cost + sum(
+            gw[n] * cost.g(grid, gamma, ens[n], n) for n in range(timegrid.N)
+        )
     per_path = state_cost + np.full(n_paths, control_cost)
     value = float(np.mean(per_path))
     stderr = 0.0 if n_paths == 1 else float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
@@ -199,9 +208,9 @@ def psi_from_trajectories(timegrid: TimeGrid, cost: CostSpec, u: ControlPath, en
 def gradient(cost: CostSpec, u: ControlPath, q: ControlPath) -> ControlPath:
     """Exact control-space gradient of the discrete cost: alpha*u - q.
 
-    `q` is the `adjoint.control_signal` of the (ensemble-mean) adjoint path
-    computed along the trajectories of u; a signal on a different time
-    grid or grid is a contract violation.
+    `q` is `Problem.signal` of the ensemble of u: the control signal of
+    the ensemble-mean adjoint path along its trajectories.  A signal on a
+    different time grid or grid is a contract violation.
     """
     if u.values.shape != q.values.shape:
         raise ContractViolation(f"control shape {u.values.shape} != signal shape {q.values.shape}")
@@ -245,24 +254,20 @@ def optimize(
     Each distinct control is integrated once: the accepted trial's paths
     serve the next adjoint solve and the final certificate.
     """
-    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
 
     def evaluate(candidate):
         ens = problem.paths(candidate, seed)
-        return psi_from_trajectories(timegrid, cost, candidate, ens)[0], ens
-
-    def signal(ens):
-        adj = solve_adjoint_regression(params, grid, timegrid, ens, cost)
-        return control_signal(params, grid, problem.spec, timegrid, adj)
+        return psi_from_trajectories(problem, candidate, ens)[0], ens
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
     psi_u, ens = evaluate(u)
     # fixed-point residual of the current u; None once u has moved past it
     certificate = None
     for k in range(max_iters):
-        q = signal(ens)
+        q = problem.signal(ens)
         grad = gradient(cost, u, q)
         fixed_point = subdiff_inverse(cost, q)
         # the optimality residual is the gap to the plain fixed-point map;
@@ -279,7 +284,7 @@ def optimize(
             "eps": 0.0,
             "accepted": True,
             "tau": 0.0,
-            "mean_sup_h_sq": float(np.mean(sup_h_sq(grid, timegrid, params.gamma, ens))),
+            "mean_sup_h_sq": float(np.mean(sup_h_sq(grid, timegrid, problem.params.gamma, ens))),
         }
         report.iterations.append(record)
         if residual < tol:
@@ -332,7 +337,7 @@ def optimize(
         record.update(psi=psi_u, eps=eps, accepted=accepted, tau=tau if accepted else 0.0)
 
     if certificate is None:
-        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, signal(ens)) - u)
+        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, problem.signal(ens)) - u)
     report.certificate_residual = certificate
     report.u_star = u
     report.ensemble = ens

@@ -19,20 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import (
-    ADJOINT_SWEEP,
-    control_signal,
-    duality_gap,
-    solve_adjoint_deterministic,
-    solve_adjoint_regression,
-)
+from .adjoint import ADJOINT_SWEEP, duality_gap, solve_adjoint_deterministic
 from .control import (
     contraction_margin,
     gradient,
     optimize,
     psi_estimate,
 )
-from .dynamics import FhnParams, a_apply, one_sided_margin
+from .dynamics import a_apply, one_sided_margin
 from .errors import ConfigurationError
 from .forward import (
     CONTROL_FORMAT,
@@ -218,11 +212,10 @@ def gradient_check(
     noise streams, so on a stochastic scenario this checks the gradient of
     the mean cost over those paths."""
     problem = scenario.problem
-    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    grid, timegrid = problem.grid, problem.timegrid
     rng = np.random.default_rng([seed, 2024])
     u = ControlPath(0.3 * rng.standard_normal((timegrid.N + 1,) + grid.shape))
-    adj = solve_adjoint_regression(params, grid, timegrid, problem.paths(u, seed), cost)
-    grad = gradient(cost, u, control_signal(params, grid, problem.spec, timegrid, adj))
+    grad = gradient(problem.cost, u, problem.signal(problem.paths(u, seed)))
     errors = []
     for _ in range(n_directions):
         v = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
@@ -253,8 +246,9 @@ def _cmd_verify_gradient(scenario: Scenario, out: Path, seed: int) -> tuple:
 def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     """Fast cross-module invariant battery; returns (name, ok, detail)."""
     problem = scenario.problem
-    params, grid, spec, timegrid = problem.params, problem.grid, problem.spec, problem.timegrid
-    cost, x0 = problem.cost, problem.x0
+    params, grid, spec, timegrid, cost = (
+        problem.params, problem.grid, problem.spec, problem.timegrid, problem.cost
+    )
     rng = np.random.default_rng([seed, 99])
     checks = []
 
@@ -341,20 +335,25 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         worst = max(worst, float(np.max(np.abs([defect.v, defect.w])) / np.max(np.abs([r.v, r.w]))))
     record("implicit_solver_inverts_operator", worst <= bound, f"defect={worst:.2e}, bound={bound:.2e}")
 
-    # forward equilibrium + determinism
-    params0 = FhnParams(params.a, params.b, params.gamma, params.delta, 0.0, params.linear)
-    cov0 = SpectralCovariance.zero(1)
+    # forward equilibrium + determinism, over ten steps
+    noiseless = dataclasses.replace(problem, cov=SpectralCovariance.zero(1))
     short = TimeGrid(10 * dt, 10)
     u0 = ControlPath.zero(short, grid)
-    zero_traj = integrate(params0, grid, cov0, spec, short, StateX.zero(grid), u0, seed)
+    at_rest = dataclasses.replace(
+        noiseless, params=dataclasses.replace(params, f=0.0), timegrid=short, x0=StateX.zero(grid)
+    )
+    zero_traj = at_rest.paths(u0, seed)
     record(
         "equilibrium_preserved",
         float(np.max(np.abs(zero_traj.v)) + np.max(np.abs(zero_traj.w))) == 0.0,
         "zero state fixed by the step",
     )
-    cov_noisy = SpectralCovariance.power_spectrum(min(scenario.modes, 8), 0.1, 0.1)
-    t1 = integrate(params, grid, cov_noisy, spec, short, x0, u0, seed)
-    t2 = integrate(params, grid, cov_noisy, spec, short, x0, u0, seed)
+    noisy = dataclasses.replace(
+        problem, cov=SpectralCovariance.power_spectrum(min(scenario.modes, 8), 0.1, 0.1),
+        timegrid=short, ensemble=1,
+    )
+    t1 = noisy.paths(u0, seed)
+    t2 = noisy.paths(u0, seed)
     record(
         "integration_deterministic",
         np.array_equal(t1.v, t2.v) and np.array_equal(t1.w, t2.w),
@@ -367,20 +366,25 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
 
     # adjoint structure: cost scaling and linear-mode duality exactness
     u0_full = ControlPath.zero(timegrid, grid)
-    base_traj = integrate(params, grid, cov0, spec, timegrid, x0, u0_full, seed)
-    adj1 = solve_adjoint_deterministic(params, grid, timegrid, base_traj, cost)
-    cost_scaled = dataclasses.replace(cost, c_g=3.7 * cost.c_g, c0=3.7 * cost.c0)
-    adj2 = solve_adjoint_deterministic(params, grid, timegrid, base_traj, cost_scaled)
+    base_traj = noiseless.paths(u0_full, seed)[:, 0]
+    adj1 = solve_adjoint_deterministic(noiseless, base_traj)
+    scaled = dataclasses.replace(
+        noiseless, cost=dataclasses.replace(cost, c_g=3.7 * cost.c_g, c0=3.7 * cost.c0)
+    )
+    adj2 = solve_adjoint_deterministic(scaled, base_traj)
     num = float(np.max(np.abs(adj2.p_v - 3.7 * adj1.p_v)) + np.max(np.abs(adj2.p_w - 3.7 * adj1.p_w)))
     den = float(np.max(np.abs(adj2.p_v)) + np.max(np.abs(adj2.p_w)) + 1.0e-30)
     record("cost_scaling_equivariance", num / den <= 1.0e-10, f"relative deviation={num / den:.2e}")
 
-    lin_params = FhnParams(params.a, params.b, params.gamma, params.delta, 0.0, True)
-    lin_cost = dataclasses.replace(cost, c_g=0.0, c0=max(cost.c0, 0.1))
-    lin_traj = integrate(lin_params, grid, cov0, spec, timegrid, x0, u0_full, seed)
-    lin_adj = solve_adjoint_deterministic(lin_params, grid, timegrid, lin_traj, lin_cost)
+    linear = dataclasses.replace(
+        noiseless,
+        params=dataclasses.replace(params, f=0.0, linear=True),
+        cost=dataclasses.replace(cost, c_g=0.0, c0=max(cost.c0, 0.1)),
+    )
+    lin_traj = linear.paths(u0_full, seed)[:, 0]
+    lin_adj = solve_adjoint_deterministic(linear, lin_traj)
     direction = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
-    gap = duality_gap(lin_params, grid, spec, timegrid, lin_traj, lin_adj, direction, lin_cost)
+    gap = duality_gap(linear, lin_traj, lin_adj, direction)
     record("duality_exact_linear", abs(gap) <= 1.0e-8, f"gap={gap:.2e}")
 
     return checks
@@ -414,14 +418,13 @@ def self_convergence_rate(
     Stochastic runs share one Brownian path per sample across levels by
     aggregating fine-level increments.
     """
-    problem = scenario.problem
-    params, grid, spec, x0 = problem.params, problem.grid, problem.spec, problem.x0
-    T = scenario.horizon
-    finest = base_steps * 2 ** (levels - 1) * 2
-    errors = [0.0] * levels
     cov = SpectralCovariance.zero(1)
     if stochastic:
         cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
+    study = dataclasses.replace(scenario.problem, cov=cov)
+    params, grid, T = study.params, study.grid, study.timegrid.T
+    finest = base_steps * 2 ** (levels - 1) * 2
+    errors = [0.0] * levels
     for p in range(n_paths):
         if stochastic:
             fine = sample_path(cov, grid, TimeGrid(T, finest), seed, p)
@@ -437,7 +440,7 @@ def self_convergence_rate(
                     fine.v.reshape(steps, ratio, *grid.shape).sum(axis=1),
                     fine.w.reshape(steps, ratio, *grid.shape).sum(axis=1),
                 )
-            traj = integrate(params, grid, cov, spec, tg, x0, u, seed, p, increments=agg)
+            traj = integrate(params, grid, cov, study.spec, tg, study.x0, u, seed, p, increments=agg)
             finals.append(traj[tg.N])
         for lev in range(levels):
             diff = finals[lev] - finals[lev + 1]
@@ -457,18 +460,15 @@ def _smooth_direction(grid, tg: TimeGrid) -> ControlPath:
 
 def duality_slope(scenario: Scenario, dts: tuple = (4.0e-3, 2.0e-3, 1.0e-3), seed: int = 0) -> dict:
     """Log-log slope of the deterministic duality gap in dt."""
-    problem = scenario.problem
-    params, grid, spec, cost = problem.params, problem.grid, problem.spec, problem.cost
-    cov = SpectralCovariance.zero(1)
+    noiseless = dataclasses.replace(scenario.problem, cov=SpectralCovariance.zero(1))
+    grid = noiseless.grid
     gaps = []
     for dt in dts:
-        steps = int(round(scenario.horizon / dt))
-        tg = TimeGrid(scenario.horizon, steps)
-        u = ControlPath.zero(tg, grid)
-        traj = integrate(params, grid, cov, spec, tg, problem.x0, u, seed)
-        adj = solve_adjoint_deterministic(params, grid, tg, traj, cost)
-        direction = _smooth_direction(grid, tg)
-        gaps.append(abs(duality_gap(params, grid, spec, tg, traj, adj, direction, cost)))
+        tg = TimeGrid(scenario.horizon, int(round(scenario.horizon / dt)))
+        refined = dataclasses.replace(noiseless, timegrid=tg)
+        traj = refined.paths(ControlPath.zero(tg, grid), seed)[:, 0]
+        adj = solve_adjoint_deterministic(refined, traj)
+        gaps.append(abs(duality_gap(refined, traj, adj, _smooth_direction(grid, tg))))
     slope = float(np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(gaps)), 1)[0])
     return {"dts": list(dts), "gaps": gaps, "slope": slope}
 

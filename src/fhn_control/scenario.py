@@ -175,8 +175,6 @@ class Scenario:
     def build_cost(self) -> CostSpec:
         grid = self.build_grid()
         return CostSpec(
-            grid=grid,
-            gamma=self.gamma,
             alpha=self.alpha,
             c_g=self.running_weight,
             c0=self.terminal_weight,
@@ -289,10 +287,15 @@ def _coerce(section: str, key: str, raw: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file; unknown keys are hard errors."""
+    """Parse and validate a scenario file; unknown keys are hard errors, and
+    so is any file the INI parser rejects (a missing section header, or a
+    repeated section or key)."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigurationError(f"{path}: malformed scenario file: {exc}") from None
     values = {}
     for section in parser.sections():
         if section not in _SCHEMA:

@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from fhn_control.adjoint import duality_gap, solve_adjoint_deterministic, solve_adjoint_regression
-from fhn_control.control import CostSpec, optimize
+from fhn_control.control import CostSpec, Problem, optimize
 from fhn_control.dynamics import FhnParams, a_apply, i_ion, one_sided_margin
 from fhn_control.forward import (
     ActuatorSpec,
@@ -23,7 +23,6 @@ from fhn_control.forward import (
     TimeGrid,
     energy_report,
     integrate,
-    integrate_ensemble,
 )
 from fhn_control.grid import (
     Grid,
@@ -50,6 +49,15 @@ def _report(number, ok, detail):
     return ok
 
 
+def _noise_free(grid, params, timegrid, cost, x0):
+    """A noise-free problem actuated on the whole domain, and its one path
+    under the zero control."""
+    problem = Problem(
+        params, grid, SpectralCovariance.zero(1), ActuatorSpec.identity(grid), timegrid, cost, x0
+    )
+    return problem, problem.paths(ControlPath.zero(timegrid, grid), 0)[:, 0]
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -63,10 +71,21 @@ def _report(number, ok, detail):
         )
         for d, n in ((1, 16), (2, 8))
         for M in (2, 30)
+    ]
+    + [
+        Scenario(gamma=1.3, delta=0.6),
+        Scenario(
+            d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2", gamma=1.3, delta=0.6
+        ),
+        Scenario(
+            n=16, modes=8, horizon=0.2, steps=100, mode="stochastic", sigma1=1.0,
+            sigma2=1.0, ensemble=2, gamma=1.3, delta=0.6,
+        ),
     ],
     ids=[
         "d1", "d2",
         "d1-stochastic-M2", "d1-stochastic-M30", "d2-stochastic-M2", "d2-stochastic-M30",
+        "d1-gamma1.3", "d2-gamma1.3", "d1-stochastic-M2-gamma1.3",
     ],
 )
 def test_criterion_1_gradient_vs_finite_differences(scenario):
@@ -74,7 +93,9 @@ def test_criterion_1_gradient_vs_finite_differences(scenario):
     # 1-D scenario (n=64) and a masked 2-D one with a modal reference, which
     # guards the 2-D transpose of the step.  With noise on (sigma=1, T=0.2,
     # dt=2e-3) the gradient is that of the sampled cost over M paths at
-    # common random numbers, whatever M is
+    # common random numbers, whatever M is.  The gamma=1.3 cases differ from
+    # FhnParams' default gamma, so a gamma read from anywhere but the
+    # scenario's one problem would show
     errors = gradient_check(scenario, n_directions=5, h=1e-5, seed=0)
     worst = max(errors)
     ok = _report(
@@ -89,18 +110,15 @@ def test_criterion_2_duality_identity():
 
     # reaction disabled, pure terminal cost: the identity is exact
     g = Grid(1, 64)
-    p = FhnParams(linear=True)
-    spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.5, 5000)  # dt = 1e-4
-    cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=0.0, c0=0.1)
-    x0 = StateX(g.constant(0.3), g.zeros())
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
+    problem, traj = _noise_free(
+        g, FhnParams(linear=True), tg, CostSpec(alpha=2.0, c_g=0.0, c0=0.1),
+        StateX(g.constant(0.3), g.zeros()),
     )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
+    adj = solve_adjoint_deterministic(problem, traj)
     rng = np.random.default_rng(2)
     direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    gap = abs(duality_gap(p, g, spec, tg, traj, adj, direction, cost))
+    gap = abs(duality_gap(problem, traj, adj, direction))
     gap_ok = gap <= 1e-8
     ok = _report(
         2,
@@ -179,14 +197,10 @@ def test_criterion_6_adjoint_oracles():
     # homogeneous linear reduction: backward sweep against expm
     g = Grid(1, 3)
     p = FhnParams(linear=True)
-    spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.1, 50000)
-    cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=0.0, c0=0.3)
-    x0 = StateX(g.constant(0.4), g.constant(0.1))
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
+    cost = CostSpec(alpha=2.0, c_g=0.0, c0=0.3)
+    problem, traj = _noise_free(g, p, tg, cost, StateX(g.constant(0.4), g.constant(0.1)))
+    adj = solve_adjoint_deterministic(problem, traj)
     m_star = np.array([[0.0, 1.0], [-p.gamma, -p.delta]])
     terminal = cost.dg0(traj[tg.N])
     lam_T = np.array([terminal.v[0], terminal.w[0]])
@@ -200,19 +214,18 @@ def test_criterion_6_adjoint_oracles():
 
     # the ensemble-mean adjoint converges to the deterministic one as sigma -> 0
     g2 = Grid(1, 16)
-    p2 = FhnParams()
-    spec2 = ActuatorSpec.identity(g2)
-    tg2 = TimeGrid(0.2, 100)
-    cost2 = CostSpec(grid=g2, gamma=p2.gamma, alpha=2.0, c_g=1.0, c0=0.1)
-    x02 = StateX(g2.constant(0.3), g2.zeros())
-    u = ControlPath.zero(tg2, g2)
-    det_traj = integrate(p2, g2, SpectralCovariance.zero(1), spec2, tg2, x02, u, 0)
-    det = solve_adjoint_deterministic(p2, g2, tg2, det_traj, cost2)
+    problem2, det_traj = _noise_free(
+        g2, FhnParams(), TimeGrid(0.2, 100), CostSpec(alpha=2.0, c_g=1.0, c0=0.1),
+        StateX(g2.constant(0.3), g2.zeros()),
+    )
+    det = solve_adjoint_deterministic(problem2, det_traj)
     errs = []
     for sigma in (0.2, 0.1, 0.05):
-        cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
-        trajs = integrate_ensemble(p2, g2, cov, spec2, tg2, x02, u, 0, 100)
-        avg = solve_adjoint_regression(p2, g2, tg2, trajs, cost2)
+        noisy = dataclasses.replace(
+            problem2, cov=SpectralCovariance.power_spectrum(8, sigma, sigma), ensemble=100
+        )
+        trajs = noisy.paths(ControlPath.zero(noisy.timegrid, g2), 0)
+        avg = solve_adjoint_regression(noisy, trajs)
         errs.append(
             float(
                 np.max(np.abs(avg.p_v - det.p_v)) + np.max(np.abs(avg.p_w - det.p_w))
@@ -283,18 +296,14 @@ def test_criterion_8_energy_bound(short_horizon_report):
 
 def test_criterion_9_cost_scaling_equivariance():
     g = Grid(1, 64)
-    p = FhnParams()
-    spec = ActuatorSpec.identity(g)
-    tg = TimeGrid(0.5, 500)
-    x0 = StateX(g.constant(0.3), g.zeros())
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
+    problem, traj = _noise_free(
+        g, FhnParams(), TimeGrid(0.5, 500), CostSpec(alpha=2.0, c_g=1.0, c0=0.1),
+        StateX(g.constant(0.3), g.zeros()),
     )
-    cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=1.0, c0=0.1)
     c = 3.7
-    scaled = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=c * 1.0, c0=c * 0.1)
-    adj1 = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    adj2 = solve_adjoint_deterministic(p, g, tg, traj, scaled)
+    scaled = CostSpec(alpha=2.0, c_g=c * 1.0, c0=c * 0.1)
+    adj1 = solve_adjoint_deterministic(problem, traj)
+    adj2 = solve_adjoint_deterministic(dataclasses.replace(problem, cost=scaled), traj)
     num = float(np.max(np.abs(adj2.p_v - c * adj1.p_v)) + np.max(np.abs(adj2.p_w - c * adj1.p_w)))
     den = float(np.max(np.abs(adj2.p_v)) + np.max(np.abs(adj2.p_w)))
     rel = num / den

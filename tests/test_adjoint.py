@@ -1,5 +1,7 @@
 """Variational sweep, exact-transpose adjoint, ensemble-mean adjoint, duality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,7 +13,7 @@ from fhn_control.adjoint import (
     solve_adjoint_regression,
     solve_variational,
 )
-from fhn_control.control import CostSpec
+from fhn_control.control import CostSpec, Problem
 from fhn_control.dynamics import FhnParams
 from fhn_control.forward import (
     ActuatorSpec,
@@ -28,23 +30,39 @@ from fhn_control.noise import SpectralCovariance
 
 
 def _setup(n=16, N=50, T=0.1, linear=False, c_g=1.0, c0=0.1, v0=0.3):
+    """A noise-free 1-D problem on the whole domain."""
     g = Grid(1, n)
-    p = FhnParams(linear=linear)
-    spec = ActuatorSpec.identity(g)
-    tg = TimeGrid(T, N)
-    cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=c_g, c0=c0)
-    x0 = StateX(g.constant(v0), g.zeros())
-    return g, p, spec, tg, cost, x0
+    return Problem(
+        params=FhnParams(linear=linear),
+        grid=g,
+        cov=SpectralCovariance.zero(1),
+        spec=ActuatorSpec.identity(g),
+        timegrid=TimeGrid(T, N),
+        cost=CostSpec(alpha=2.0, c_g=c_g, c0=c0),
+        x0=StateX(g.constant(v0), g.zeros()),
+    )
+
+
+def _unpack(problem):
+    return (
+        problem.grid, problem.params, problem.spec, problem.timegrid, problem.cost, problem.x0
+    )
+
+
+def _uncontrolled(problem):
+    """The one noise-free path under the zero control."""
+    return problem.paths(ControlPath.zero(problem.timegrid, problem.grid), 0)[:, 0]
 
 
 def test_variational_matches_forward_difference():
-    g, p, spec, tg, cost, x0 = _setup()
+    problem = _setup()
+    g, p, spec, tg, cost, x0 = _unpack(problem)
     cov = SpectralCovariance.zero(1)
     rng = np.random.default_rng(0)
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
     direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
     traj = integrate(p, g, cov, spec, tg, x0, u, 0)
-    var = solve_variational(p, g, spec, tg, traj, direction)
+    var = solve_variational(problem, traj, direction)
     h = 1e-6
     plus = integrate(p, g, cov, spec, tg, x0, u + h * direction, 0)
     minus = integrate(p, g, cov, spec, tg, x0, u - h * direction, 0)
@@ -55,24 +73,21 @@ def test_variational_matches_forward_difference():
 
 
 def test_variational_linear_in_direction():
-    g, p, spec, tg, _, x0 = _setup(linear=True)
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
+    problem = _setup(linear=True)
+    g, tg = problem.grid, problem.timegrid
+    traj = _uncontrolled(problem)
     rng = np.random.default_rng(1)
     d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    v1 = solve_variational(p, g, spec, tg, traj, d)
-    v3 = solve_variational(p, g, spec, tg, traj, 3.0 * d)
+    v1 = solve_variational(problem, traj, d)
+    v3 = solve_variational(problem, traj, 3.0 * d)
     np.testing.assert_allclose(v3.v, 3.0 * v1.v, atol=1e-12)
 
 
 def test_adjoint_terminal_condition():
-    g, p, spec, tg, cost, x0 = _setup()
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    terminal = cost.dg0(traj[tg.N])
+    problem = _setup()
+    traj = _uncontrolled(problem)
+    adj = solve_adjoint_deterministic(problem, traj)
+    terminal = problem.cost.dg0(traj[problem.timegrid.N])
     np.testing.assert_allclose(adj.p_v[-1], -terminal.v, atol=1e-14)
     np.testing.assert_allclose(adj.p_w[-1], -terminal.w, atol=1e-14)
 
@@ -80,13 +95,10 @@ def test_adjoint_terminal_condition():
 def test_adjoint_matches_matrix_exponential_oracle():
     # homogeneous linear reduction with pure terminal cost: the multiplier
     # evolves by powers of the 2x2 resolvent, which converge to expm
-    g, p, spec, tg, cost, x0 = _setup(
-        n=5, N=5000, T=0.5, linear=True, c_g=0.0, c0=0.3, v0=0.4
-    )
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
+    problem = _setup(n=5, N=5000, T=0.5, linear=True, c_g=0.0, c0=0.3, v0=0.4)
+    _, p, _, tg, cost, _ = _unpack(problem)
+    traj = _uncontrolled(problem)
+    adj = solve_adjoint_deterministic(problem, traj)
     m_star = np.array([[0.0, 1.0], [-p.gamma, -p.delta]])
     lam_T = np.array([cost.dg0(traj[tg.N]).v[0], cost.dg0(traj[tg.N]).w[0]])
     for n in (0, tg.N // 2):
@@ -97,13 +109,10 @@ def test_adjoint_matches_matrix_exponential_oracle():
 
 
 def test_control_signal_vanishes_at_final_node():
-    g, p, spec, tg, cost, x0 = _setup()
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    q = control_signal(p, g, spec, tg, adj)
-    np.testing.assert_array_equal(q.values[-1], g.zeros())
+    problem = _setup()
+    adj = solve_adjoint_deterministic(problem, _uncontrolled(problem))
+    q = control_signal(problem, adj)
+    np.testing.assert_array_equal(q.values[-1], problem.grid.zeros())
     assert np.max(np.abs(q.values[:-1])) > 0
 
 
@@ -133,19 +142,17 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
 def test_regression_single_path_reduces_to_deterministic(overrides):
     # over one path the sweep is the reference transpose sweep, bit for bit
-    s = Scenario(**overrides, modes=6)
-    p, g, tg, cost = s.build_params(), s.build_grid(), s.build_timegrid(), s.build_cost()
+    problem = Scenario(**overrides, modes=6).problem
+    p, g, tg, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     rng = np.random.default_rng(2)
     u = ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape))
-    traj = integrate(
-        p, g, s.build_cov(), s.build_actuator(), tg, s.build_initial_state(), u, 0
-    )
+    traj = integrate(p, g, problem.cov, problem.spec, tg, problem.x0, u, 0)
     ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
-    adj = solve_adjoint_regression(p, g, tg, traj[:, None], cost)
+    adj = solve_adjoint_regression(problem, traj[:, None])
     np.testing.assert_array_equal(adj.p_v, ref_v)
     np.testing.assert_array_equal(adj.p_w, ref_w)
     np.testing.assert_array_equal(adj.sp_v, ref_sp)
-    det = solve_adjoint_deterministic(p, g, tg, traj, cost)
+    det = solve_adjoint_deterministic(problem, traj)
     np.testing.assert_array_equal(det.sp_v, ref_sp)
 
 
@@ -156,11 +163,11 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
     # exact gradient of the sampled cost is the mean of the pathwise ones:
     # the ensemble sweep is the sum of its one-path sweeps over M, bit for bit
     problem = Scenario(**overrides, modes=6, mode="stochastic", ensemble=M).problem
-    p, g, tg, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    g, tg = problem.grid, problem.timegrid
     rng = np.random.default_rng(3)
     ens = problem.paths(ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
-    adj = solve_adjoint_regression(p, g, tg, ens, cost)
-    parts = [solve_adjoint_regression(p, g, tg, ens[:, q : q + 1], cost) for q in range(M)]
+    adj = solve_adjoint_regression(problem, ens)
+    parts = [solve_adjoint_regression(problem, ens[:, q : q + 1]) for q in range(M)]
     for name in ("p_v", "p_w", "sp_v"):
         total = getattr(parts[0], name).copy()
         for part in parts[1:]:
@@ -169,15 +176,15 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
 
 
 def test_regression_error_shrinks_with_noise():
-    g, p, spec, tg, cost, x0 = _setup(N=40)
+    problem = _setup(N=40)
+    g, p, spec, tg, _, x0 = _unpack(problem)
     u = ControlPath.zero(tg, g)
-    det_traj = integrate(p, g, SpectralCovariance.zero(1), spec, tg, x0, u, 0)
-    det = solve_adjoint_deterministic(p, g, tg, det_traj, cost)
+    det = solve_adjoint_deterministic(problem, _uncontrolled(problem))
     errs = []
     for sigma in (0.2, 0.05):
         cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
         ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
-        avg = solve_adjoint_regression(p, g, tg, ens, cost)
+        avg = solve_adjoint_regression(problem, ens)
         errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
     assert errs[1] < errs[0]
 
@@ -187,13 +194,14 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     # a zero terminal (or running) weight must give ensemble-shaped zero
     # sources; the sweep is linear in them, so the two one-term costs
     # add up to the two-term cost
-    g, p, spec, tg, _, x0 = _setup(N=10)
+    problem = _setup(N=10)
+    g, p, spec, tg, _, x0 = _unpack(problem)
     cov = SpectralCovariance.power_spectrum(4)
     ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 12)
 
     def sweep(cg, c_0):
-        cost = CostSpec(grid=g, gamma=p.gamma, alpha=2.0, c_g=cg, c0=c_0)
-        return solve_adjoint_regression(p, g, tg, ens, cost)
+        cost = CostSpec(alpha=2.0, c_g=cg, c0=c_0)
+        return solve_adjoint_regression(dataclasses.replace(problem, cost=cost), ens)
 
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)
@@ -213,48 +221,40 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
 
 
 def test_duality_gap_exact_for_linear_terminal_cost():
-    g, p, spec, tg, cost, x0 = _setup(linear=True, c_g=0.0, c0=0.2)
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
+    problem = _setup(linear=True, c_g=0.0, c0=0.2)
+    g, tg = problem.grid, problem.timegrid
+    traj = _uncontrolled(problem)
+    adj = solve_adjoint_deterministic(problem, traj)
     rng = np.random.default_rng(4)
     d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    assert abs(duality_gap(p, g, spec, tg, traj, adj, d, cost)) <= 1e-12
+    assert abs(duality_gap(problem, traj, adj, d)) <= 1e-12
 
 
 def test_duality_gap_first_order_in_dt():
     gaps = []
     for N in (25, 50, 100):
-        g, p, spec, tg, cost, x0 = _setup(N=N, T=0.1)
-        traj = integrate(
-            p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-        )
-        adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-        d = ControlPath(np.ones((tg.N + 1,) + g.shape))
-        gaps.append(abs(duality_gap(p, g, spec, tg, traj, adj, d, cost)))
+        problem = _setup(N=N, T=0.1)
+        traj = _uncontrolled(problem)
+        adj = solve_adjoint_deterministic(problem, traj)
+        d = ControlPath(np.ones((N + 1,) + problem.grid.shape))
+        gaps.append(abs(duality_gap(problem, traj, adj, d)))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.2)
 
 
 def test_adjoint_scales_with_cost_weights():
-    g, p, spec, tg, cost, x0 = _setup()
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj1 = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    scaled = CostSpec(
-        grid=g, gamma=p.gamma, alpha=cost.alpha, c_g=3.0 * cost.c_g, c0=3.0 * cost.c0
-    )
-    adj3 = solve_adjoint_deterministic(p, g, tg, traj, scaled)
+    problem = _setup()
+    cost = problem.cost
+    traj = _uncontrolled(problem)
+    adj1 = solve_adjoint_deterministic(problem, traj)
+    scaled = CostSpec(alpha=cost.alpha, c_g=3.0 * cost.c_g, c0=3.0 * cost.c0)
+    adj3 = solve_adjoint_deterministic(dataclasses.replace(problem, cost=scaled), traj)
     np.testing.assert_allclose(adj3.p_v, 3.0 * adj1.p_v, atol=1e-13)
     np.testing.assert_allclose(adj3.p_w, 3.0 * adj1.p_w, atol=1e-13)
 
 
 def test_adjoint_nontrivial_energy():
-    g, p, spec, tg, cost, x0 = _setup()
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    assert norm_h_sq(g, p.gamma, StateX(adj.p_v[0], adj.p_w[0])) > 0.0
+    problem = _setup()
+    adj = solve_adjoint_deterministic(problem, _uncontrolled(problem))
+    gamma = problem.params.gamma
+    assert norm_h_sq(problem.grid, gamma, StateX(adj.p_v[0], adj.p_w[0])) > 0.0

@@ -16,6 +16,7 @@ from fhn_control.control import (
     gradient,
     optimize,
     psi_estimate,
+    psi_from_trajectories,
     subdiff_inverse,
 )
 from fhn_control.dynamics import FhnParams
@@ -24,12 +25,12 @@ from fhn_control.forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
-    integrate,
     u_inner,
     u_norm,
 )
-from fhn_control.grid import Grid, StateX
+from fhn_control.grid import Grid, StateX, norm_h_sq, norm_l2_sq
 from fhn_control.noise import SpectralCovariance
+from fhn_control.scenario import Scenario
 
 
 def _setup(n=16, N=50, T=0.1, alpha=2.0, c_g=1.0, c0=0.1, v0=0.3, linear=False):
@@ -42,7 +43,7 @@ def _setup(n=16, N=50, T=0.1, alpha=2.0, c_g=1.0, c0=0.1, v0=0.3, linear=False):
         cov=SpectralCovariance.zero(1),
         spec=ActuatorSpec.identity(g),
         timegrid=TimeGrid(T, N),
-        cost=CostSpec(grid=g, gamma=p.gamma, alpha=alpha, c_g=c_g, c0=c0),
+        cost=CostSpec(alpha=alpha, c_g=c_g, c0=c0),
         x0=StateX(g.constant(v0), g.zeros()),
     )
 
@@ -64,41 +65,72 @@ def test_problem_path_count_follows_noise():
 
 
 def test_cost_spec_validation():
-    g = Grid(1, 8)
     with pytest.raises(ConfigurationError):
-        CostSpec(grid=g, gamma=0.5, alpha=0.0)
+        CostSpec(alpha=0.0)
     with pytest.raises(ConfigurationError):
-        CostSpec(grid=g, gamma=0.5, alpha=1.0, c0=-1.0)
+        CostSpec(alpha=1.0, c0=-1.0)
 
 
 def test_quadratic_cost_values():
     g = Grid(1, 9, 1.0)
-    cost = CostSpec(grid=g, gamma=0.5, alpha=2.0, c_g=1.0, c0=0.4)
+    cost = CostSpec(alpha=2.0, c_g=1.0, c0=0.4)
     X = StateX(g.constant(1.0), g.constant(2.0))
     # g = 0.5 * (gamma*|v|^2 + |w|^2) = 0.5 * (0.5 + 4) over unit volume
-    assert cost.g(X, 0) == pytest.approx(0.5 * (0.5 + 4.0))
-    assert cost.g0(X) == pytest.approx(0.4 * 0.5 * (0.5 + 4.0))
-    assert cost.h(g.constant(3.0)) == pytest.approx(0.5 * 2.0 * 9.0)
+    assert cost.g(g, 0.5, X, 0) == pytest.approx(0.5 * (0.5 + 4.0))
+    assert cost.g0(g, 0.5, X) == pytest.approx(0.4 * 0.5 * (0.5 + 4.0))
+    assert cost.h(g, g.constant(3.0)) == pytest.approx(0.5 * 2.0 * 9.0)
 
 
 def test_reference_profiles_constant_and_time_varying():
     g = Grid(1, 9)
     ref = StateX(g.constant(1.0), g.zeros())
-    cost = CostSpec(grid=g, gamma=0.5, alpha=1.0, x_ref=ref)
+    cost = CostSpec(alpha=1.0, x_ref=ref)
     X = StateX(g.constant(1.0), g.zeros())
-    assert cost.g(X, 0) == pytest.approx(0.0)
-    moving = CostSpec(
-        grid=g, gamma=0.5, alpha=1.0,
-        x_ref=lambda n: StateX(g.constant(float(n)), g.zeros()),
-    )
-    assert moving.g(X, 1) == pytest.approx(0.0)
-    assert moving.g(X, 3) > 0.0
+    assert cost.g(g, 0.5, X, 0) == pytest.approx(0.0)
+    moving = CostSpec(alpha=1.0, x_ref=lambda n: StateX(g.constant(float(n)), g.zeros()))
+    assert moving.g(g, 0.5, X, 1) == pytest.approx(0.0)
+    assert moving.g(g, 0.5, X, 3) > 0.0
+
+
+def test_psi_reads_gamma_and_quadrature_from_the_problem():
+    # the cost keeps no grid and no gamma, so a cost at another gamma or on
+    # another grid than its dynamics cannot be built; Psi takes both from
+    # the problem that holds the cost
+    assert not {"grid", "gamma"} & {f.name for f in dataclasses.fields(CostSpec)}
+    with pytest.raises(TypeError):
+        CostSpec(grid=Grid(1, 16, 2.0), gamma=1.0, alpha=2.0)
+    problem = Scenario(
+        n=12, modes=4, steps=10, horizon=0.05, mode="stochastic", ensemble=3,
+        x_ref="modes:2:0.3,3:-0.2", x_target="constant:0.1|constant:-0.05",
+    ).problem
+    g, tg, cost = problem.grid, problem.timegrid, problem.cost
+    rng = np.random.default_rng(17)
+    u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
+    ens = problem.paths(u, 0)
+    moved = dataclasses.replace(problem, params=dataclasses.replace(problem.params, gamma=1.3))
+    value, stderr = psi_from_trajectories(moved, u, ens)
+
+    # reference at gamma = 1.3, one field at a time, sums in node order
+    uw, gw = tg.u_weights(), tg.g_weights()
+    control_cost = 0
+    for n in range(tg.N + 1):
+        control_cost += uw[n] * (0.5 * cost.alpha * norm_l2_sq(g, u.values[n]))
+    per_path = []
+    for path in range(3):
+        running = 0
+        for n in range(tg.N):
+            running += gw[n] * (0.5 * cost.c_g * norm_h_sq(g, 1.3, ens[n, path] - cost.x_ref))
+        terminal = 0.5 * cost.c0 * norm_h_sq(g, 1.3, ens[tg.N, path] - cost.x_T)
+        per_path.append(terminal + running + control_cost)
+    assert value == float(np.mean(per_path))
+    assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(3))
+    assert value != psi_from_trajectories(problem, u, ens)[0]
 
 
 def test_subdiff_inverse_is_inverse_of_dh():
     g = Grid(1, 8)
     tg = TimeGrid(0.1, 4)
-    cost = CostSpec(grid=g, gamma=0.5, alpha=2.5)
+    cost = CostSpec(alpha=2.5)
     rng = np.random.default_rng(0)
     q = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
     u = subdiff_inverse(cost, q)
@@ -107,8 +139,7 @@ def test_subdiff_inverse_is_inverse_of_dh():
 
 
 def test_contraction_margin_formula():
-    g = Grid(1, 8)
-    cost = CostSpec(grid=g, gamma=0.5, alpha=2.0, c0=0.1)
+    cost = CostSpec(alpha=2.0, c0=0.1)
     out = contraction_margin(cost, 0.5)
     assert out["L"] == pytest.approx(0.5)
     assert out["margin"] == pytest.approx(0.5 * 0.5 + 0.1)
@@ -147,15 +178,11 @@ def test_psi_estimate_stochastic_reports_stderr():
 
 def test_gradient_matches_finite_differences():
     problem = _setup()
-    g, p, cov, spec, tg, cost, x0 = (
-        problem.grid, problem.params, problem.cov, problem.spec, problem.timegrid,
-        problem.cost, problem.x0,
-    )
+    g, tg = problem.grid, problem.timegrid
     rng = np.random.default_rng(3)
     u = ControlPath(0.3 * rng.standard_normal((tg.N + 1,) + g.shape))
-    traj = integrate(p, g, cov, spec, tg, x0, u, 0)
-    adj = solve_adjoint_deterministic(p, g, tg, traj, cost)
-    grad = gradient(cost, u, control_signal(p, g, spec, tg, adj))
+    adj = solve_adjoint_deterministic(problem, problem.paths(u, 0)[:, 0])
+    grad = gradient(problem.cost, u, control_signal(problem, adj))
     h = 1e-5
     for k in range(3):
         d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
@@ -169,11 +196,8 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_rejects_mismatched_paths():
     problem = _setup()
-    g, p, spec, tg, cost = (
-        problem.grid, problem.params, problem.spec, problem.timegrid, problem.cost
-    )
-    traj = integrate(p, g, problem.cov, spec, tg, problem.x0, ControlPath.zero(tg, g), 0)
-    q = control_signal(p, g, spec, tg, solve_adjoint_deterministic(p, g, tg, traj, cost))
+    g, tg, cost = problem.grid, problem.timegrid, problem.cost
+    q = problem.signal(problem.paths(ControlPath.zero(tg, g), 0))
     for bad in (
         ControlPath(np.zeros((tg.N + 2,) + g.shape)),
         ControlPath(np.zeros((tg.N + 1,) + (g.n // 2,) * g.d)),

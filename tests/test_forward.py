@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fhn_control.adjoint import solve_adjoint_regression, solve_variational
-from fhn_control.control import CostSpec, psi_from_trajectories
+from fhn_control.control import CostSpec, Problem, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
 from fhn_control.forward import (
@@ -155,13 +155,14 @@ def test_paths_reject_controls_off_the_grid():
     tg = TimeGrid(0.05, 10)
     cov = SpectralCovariance.zero(1)
     x0 = StateX(g.constant(0.1), g.zeros())
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0)
     traj = integrate(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0)
     for shape in ((tg.N + 1, 1), (tg.N + 1, g.n // 2), (tg.N, g.n)):
         bad = ControlPath(np.zeros(shape))
         with pytest.raises(ContractViolation, match="control path"):
             integrate(p, g, cov, spec, tg, x0, bad, 0)
         with pytest.raises(ContractViolation, match="direction"):
-            solve_variational(p, g, spec, tg, traj, bad)
+            solve_variational(problem, traj, bad)
 
 
 def test_step_preserves_equilibrium():
@@ -301,15 +302,15 @@ def test_ensemble_consumers_check_the_layout():
     cov = SpectralCovariance.power_spectrum(4)
     x0 = StateX(g.constant(0.1), g.zeros())
     u = ControlPath.zero(tg, g)
-    cost = CostSpec(g, p.gamma, alpha=1.0, c0=0.1)
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0, c0=0.1), x0, ensemble=3)
     ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 3)
     for bad in (integrate(p, g, cov, spec, tg, x0, u, 0), ens[:1]):
         with pytest.raises(ContractViolation, match="ensemble"):
             energy_report(g, tg, p.gamma, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
-            psi_from_trajectories(tg, cost, u, bad)
+            psi_from_trajectories(problem, u, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
-            solve_adjoint_regression(p, g, tg, bad, cost)
+            solve_adjoint_regression(problem, bad)
 
 
 def test_blow_up_detection():
@@ -432,13 +433,11 @@ def test_path_functionals_match_per_node_reference(d):
     tg = TimeGrid(0.05, 10)
     rng = np.random.default_rng([d, 31])
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
-    ens = integrate_ensemble(
-        p, g, SpectralCovariance.power_spectrum(4), spec, tg,
-        StateX(g.constant(0.2), g.zeros()), u, 0, 3,
-    )
+    cov, x0 = SpectralCovariance.power_spectrum(4), StateX(g.constant(0.2), g.zeros())
+    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 3)
     profile = rng.standard_normal(g.shape)
     cost = CostSpec(
-        g, p.gamma, alpha=0.7, c_g=1.3, c0=0.4,
+        alpha=0.7, c_g=1.3, c0=0.4,
         x_ref=lambda n: StateX((0.1 * n) * profile, g.constant(-0.05 * n)),
         x_T=StateX(g.constant(0.3), g.zeros()),
     )
@@ -472,7 +471,7 @@ def test_path_functionals_match_per_node_reference(d):
     assert rep["int_v_sq"] == int_v
     assert rep["mean_sup_h_sq"] == float(np.mean(sup_h)) > 0
     assert rep["mean_int_v_sq"] == float(np.mean(int_v)) > 0
-    value, stderr = psi_from_trajectories(tg, cost, u, ens)
+    value, stderr = psi_from_trajectories(Problem(p, g, cov, spec, tg, cost, x0, 3), u, ens)
     assert value == float(np.mean(per_path))
     assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(ens.v.shape[1]))
 

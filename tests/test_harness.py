@@ -216,13 +216,25 @@ def test_cli_verify_gradient_exit_code(tmp_path):
     assert (tmp_path / "out" / "gradient_check.csv").exists()
 
 
-def test_cli_bad_scenario_exits_2(tmp_path):
-    scenario_path = tmp_path / "bad.ini"
-    scenario_path.write_text("[cost]\nalpha = -1.0\n")
-    code = main(
-        ["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
-    )
-    assert code == 2
+def test_cli_bad_scenario_exits_2(tmp_path, capsys):
+    # a value that fails validation, and files the INI parser rejects (no
+    # section header, a repeated key, a repeated section), are configuration
+    # errors; exit 1 is a failed check.  The parser's errors name the file
+    texts = [
+        "[cost]\nalpha = -1.0\n",
+        "n = 64\n",
+        "[grid]\nn = 16\nn = 32\n",
+        "[grid]\nn = 16\n[grid]\nd = 1\n",
+    ]
+    out = tmp_path / "out"
+    for i, text in enumerate(texts):
+        scenario_path = tmp_path / f"bad{i}.ini"
+        scenario_path.write_text(text)
+        code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
+        assert code == 2, text
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert i == 0 or str(scenario_path) in err, err
 
 
 def test_negative_seed_rejected_before_output(tmp_path):
