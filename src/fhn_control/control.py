@@ -28,6 +28,7 @@ from .forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
+    check_control_path,
     ensemble_size,
     integrate_ensemble,
     sup_h_sq,
@@ -106,17 +107,6 @@ class CostSpec:
     def h(self, grid: Grid, u):
         return 0.5 * self.alpha * norm_l2_sq(grid, u)
 
-    def subdiff_inverse_field(self, q):
-        return q / self.alpha
-
-    @property
-    def lip_dg0(self) -> float:
-        return self.c0
-
-    @property
-    def inverse_subdiff_lipschitz(self) -> float:
-        return 1.0 / self.alpha
-
 
 @dataclass(frozen=True, eq=False)
 class Problem:
@@ -141,12 +131,6 @@ class Problem:
         """Paths a run integrates: the ensemble, or one when the noise is off."""
         return 1 if self.cov.is_zero() else self.ensemble
 
-    def paths(self, u: ControlPath, seed: int) -> StateX:
-        """The `n_paths` paths under control u, as one read-only ensemble."""
-        return integrate_ensemble(
-            self.params, self.grid, self.cov, self.spec, self.timegrid, self.x0, u, seed, self.n_paths
-        )
-
     def signal(self, ens: StateX) -> ControlPath:
         """Control signal q of the backward sweep along the ensemble of some
         control u, so that `gradient(cost, u, q)` is the exact gradient of
@@ -156,18 +140,20 @@ class Problem:
 
 
 def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
-    """Inverse subdifferential of the control cost, applied nodewise."""
-    return ControlPath(cost.subdiff_inverse_field(q.values))
+    """Inverse subdifferential of the control cost h = (alpha/2)|u|^2,
+    applied nodewise: q / alpha."""
+    return ControlPath(q.values / cost.alpha)
 
 
 def contraction_margin(cost: CostSpec, T: float) -> dict:
     """Uniqueness margin L*T + Lip(Dg0) against the calibrated
-    `DEFAULT_MARGIN_THRESHOLD`."""
-    L = cost.inverse_subdiff_lipschitz
-    margin = L * T + cost.lip_dg0
+    `DEFAULT_MARGIN_THRESHOLD`: L = 1/alpha is the Lipschitz constant of
+    the inverse subdifferential, and Lip(Dg0) = c0."""
+    L = 1.0 / cost.alpha
+    margin = L * T + cost.c0
     return {
         "L": L,
-        "lip_dg0": cost.lip_dg0,
+        "lip_dg0": cost.c0,
         "margin": margin,
         "threshold": DEFAULT_MARGIN_THRESHOLD,
         "within": margin < DEFAULT_MARGIN_THRESHOLD,
@@ -181,7 +167,7 @@ def psi_estimate(problem: Problem, u: ControlPath, seed: int = 0) -> tuple:
     Path streams depend only on (seed, path, step), so repeated calls
     with different candidate controls reuse common random numbers.
     """
-    return psi_from_trajectories(problem, u, problem.paths(u, seed))
+    return psi_from_trajectories(problem, u, integrate_ensemble(problem, u, seed))
 
 
 def psi_from_trajectories(problem: Problem, u: ControlPath, ens: StateX) -> tuple:
@@ -191,6 +177,7 @@ def psi_from_trajectories(problem: Problem, u: ControlPath, ens: StateX) -> tupl
     once; the sums over nodes stay sequential, so each path's cost equals
     its per-path sum bit for bit."""
     grid, gamma, timegrid, cost = problem.grid, problem.params.gamma, problem.timegrid, problem.cost
+    check_control_path(grid, timegrid, u.values, "control path")
     n_paths = ensemble_size(timegrid, grid.shape, ens)
     gw = timegrid.g_weights()
     control_cost = float(sum(timegrid.u_weights() * cost.h(grid, u.values)))
@@ -259,7 +246,7 @@ def optimize(
     theta = None
 
     def evaluate(candidate):
-        ens = problem.paths(candidate, seed)
+        ens = integrate_ensemble(problem, candidate, seed)
         return psi_from_trajectories(problem, candidate, ens)[0], ens
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))

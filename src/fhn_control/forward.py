@@ -30,8 +30,9 @@ A path is a `StateX` whose fields carry a leading time axis, shape
 (N+1,) + grid.shape: `X[n]` is the state at node n, and the norms reduce a
 whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
-`ens[:, p]` is path p, whose noise `noise.sample_path` re-derives from
-(seed, p).
+`ens[:, p]` is path p.  `integrate` steps the noise increments it is
+handed; `integrate_ensemble` is the one place that draws them, path p's
+from (seed, p) by `noise.sample_path`.
 
 The blow-up guard reads a path once its time loop is over, not after
 every step: one batched `norm_h_sq` over its nodes names the first node
@@ -43,13 +44,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BlowUpError, ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
-from .noise import SpectralCovariance, sample_path
+from .noise import sample_path
+
+if TYPE_CHECKING:
+    from .control import Problem
 
 BLOWUP_THRESHOLD = 1.0e6
 
@@ -242,22 +247,19 @@ def transpose_step(
 def integrate(
     params: FhnParams,
     grid: Grid,
-    cov: SpectralCovariance,
     spec: ActuatorSpec,
     timegrid: TimeGrid,
     x0: StateX,
     control: ControlPath,
-    seed: int,
+    increments: StateX | None,
     path_index: int = 0,
-    increments: StateX | None = None,
 ) -> StateX:
-    """Run N steps from x0; the path has (N+1,) + grid.shape fields.
+    """Run N steps from x0 on the noise increments it is handed; the path
+    has (N+1,) + grid.shape fields.
 
-    Deterministic given (seed, path_index): the noise is
-    `sample_path(cov, grid, timegrid, seed, path_index)`, unless
-    `increments` (a path of (N,) + grid.shape fields) supplies it, as coupled
-    refinement studies do with sums of fine-level increments over one
-    Brownian path.
+    `increments` is a path of (N,) + grid.shape fields, such as
+    `noise.sample_path` draws or the aggregated fine-level increments of a
+    coupled refinement study; None runs noise-free.
 
     The blow-up guard runs once per path, after the time loop: one batched
     `norm_h_sq` over nodes 1..N, and a `BlowUpError` (carrying
@@ -275,11 +277,8 @@ def integrate(
         raise ContractViolation("initial state does not live on the grid")
     N = timegrid.N
     dt = timegrid.dt
-    if increments is not None:
-        if increments.v.shape != (N,) + grid.shape:
-            raise ContractViolation("increment arrays do not match the time grid")
-    elif not cov.is_zero():
-        increments = sample_path(cov, grid, timegrid, seed, path_index)
+    if increments is not None and increments.v.shape != (N,) + grid.shape:
+        raise ContractViolation("increment arrays do not match the time grid")
     # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
     dW = StateX.zero(grid)
     v = np.empty((N + 1,) + grid.shape)
@@ -307,26 +306,24 @@ def integrate(
     return StateX(v, w)
 
 
-def integrate_ensemble(
-    params: FhnParams,
-    grid: Grid,
-    cov: SpectralCovariance,
-    spec: ActuatorSpec,
-    timegrid: TimeGrid,
-    x0: StateX,
-    control: ControlPath,
-    seed: int,
-    n_paths: int,
-) -> StateX:
-    """Independent paths under a common control, as one read-only ensemble
-    of shape (N+1, M) + grid.shape.  Path p uses stream (seed, p, .) and is
-    `integrate(..., seed, p)` bit for bit."""
-    if n_paths < 1:
-        raise ConfigurationError(f"ensemble size must be >= 1, got {n_paths}")
-    shape = (timegrid.N + 1, n_paths) + grid.shape
+def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
+    """The problem's `n_paths` paths under a common control, as one
+    read-only ensemble of shape (N+1, M) + grid.shape.
+
+    This is where a path's noise is drawn: path p steps
+    `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
+    off, so it depends on (seed, p) alone, whatever M is, and every control
+    sees the same noise."""
+    grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
+    noisy = not cov.is_zero()
+    shape = (timegrid.N + 1, problem.n_paths) + grid.shape
     ens = StateX(np.empty(shape), np.empty(shape))
-    for p in range(n_paths):
-        path = integrate(params, grid, cov, spec, timegrid, x0, control, seed, p)
+    for p in range(problem.n_paths):
+        # drawn inline, so one path's increments are alive at a time
+        path = integrate(
+            problem.params, grid, problem.spec, timegrid, problem.x0, control,
+            sample_path(cov, grid, timegrid, seed, p) if noisy else None, p,
+        )
         ens.v[:, p], ens.w[:, p] = path.v, path.w
     # the cost, the backward sweep, energy_report and the optimizer's
     # report all share these arrays

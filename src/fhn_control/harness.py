@@ -39,6 +39,7 @@ from .forward import (
     implicit_solve,
     implicit_solve_star,
     integrate,
+    integrate_ensemble,
     save_control,
     save_snapshot,
     u_inner,
@@ -136,7 +137,7 @@ def _write_manifest(
 def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
     problem = scenario.problem
     grid, timegrid, n_paths = problem.grid, problem.timegrid, problem.n_paths
-    ens = problem.paths(ControlPath.zero(timegrid, grid), seed)
+    ens = integrate_ensemble(problem, ControlPath.zero(timegrid, grid), seed)
     artifacts = []
     snap = out / "trajectory_path0.npz"
     save_snapshot(snap, ens[:, 0], seed, 0)
@@ -215,7 +216,7 @@ def gradient_check(
     grid, timegrid = problem.grid, problem.timegrid
     rng = np.random.default_rng([seed, 2024])
     u = ControlPath(0.3 * rng.standard_normal((timegrid.N + 1,) + grid.shape))
-    grad = gradient(problem.cost, u, problem.signal(problem.paths(u, seed)))
+    grad = gradient(problem.cost, u, problem.signal(integrate_ensemble(problem, u, seed)))
     errors = []
     for _ in range(n_directions):
         v = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
@@ -342,7 +343,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
     at_rest = dataclasses.replace(
         noiseless, params=dataclasses.replace(params, f=0.0), timegrid=short, x0=StateX.zero(grid)
     )
-    zero_traj = at_rest.paths(u0, seed)
+    zero_traj = integrate_ensemble(at_rest, u0, seed)
     record(
         "equilibrium_preserved",
         float(np.max(np.abs(zero_traj.v)) + np.max(np.abs(zero_traj.w))) == 0.0,
@@ -352,8 +353,8 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         problem, cov=SpectralCovariance.power_spectrum(min(scenario.modes, 8), 0.1, 0.1),
         timegrid=short, ensemble=1,
     )
-    t1 = noisy.paths(u0, seed)
-    t2 = noisy.paths(u0, seed)
+    t1 = integrate_ensemble(noisy, u0, seed)
+    t2 = integrate_ensemble(noisy, u0, seed)
     record(
         "integration_deterministic",
         np.array_equal(t1.v, t2.v) and np.array_equal(t1.w, t2.w),
@@ -366,7 +367,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
 
     # adjoint structure: cost scaling and linear-mode duality exactness
     u0_full = ControlPath.zero(timegrid, grid)
-    base_traj = noiseless.paths(u0_full, seed)[:, 0]
+    base_traj = integrate_ensemble(noiseless, u0_full, seed)[:, 0]
     adj1 = solve_adjoint_deterministic(noiseless, base_traj)
     scaled = dataclasses.replace(
         noiseless, cost=dataclasses.replace(cost, c_g=3.7 * cost.c_g, c0=3.7 * cost.c0)
@@ -381,7 +382,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         params=dataclasses.replace(params, f=0.0, linear=True),
         cost=dataclasses.replace(cost, c_g=0.0, c0=max(cost.c0, 0.1)),
     )
-    lin_traj = linear.paths(u0_full, seed)[:, 0]
+    lin_traj = integrate_ensemble(linear, u0_full, seed)[:, 0]
     lin_adj = solve_adjoint_deterministic(linear, lin_traj)
     direction = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
     gap = duality_gap(linear, lin_traj, lin_adj, direction)
@@ -418,11 +419,9 @@ def self_convergence_rate(
     Stochastic runs share one Brownian path per sample across levels by
     aggregating fine-level increments.
     """
-    cov = SpectralCovariance.zero(1)
-    if stochastic:
-        cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
-    study = dataclasses.replace(scenario.problem, cov=cov)
-    params, grid, T = study.params, study.grid, study.timegrid.T
+    problem = scenario.problem
+    params, grid, T = problem.params, problem.grid, problem.timegrid.T
+    cov = SpectralCovariance.power_spectrum(scenario.modes, scenario.sigma1, scenario.sigma2)
     finest = base_steps * 2 ** (levels - 1) * 2
     errors = [0.0] * levels
     for p in range(n_paths):
@@ -440,7 +439,7 @@ def self_convergence_rate(
                     fine.v.reshape(steps, ratio, *grid.shape).sum(axis=1),
                     fine.w.reshape(steps, ratio, *grid.shape).sum(axis=1),
                 )
-            traj = integrate(params, grid, cov, study.spec, tg, study.x0, u, seed, p, increments=agg)
+            traj = integrate(params, grid, problem.spec, tg, problem.x0, u, agg, p)
             finals.append(traj[tg.N])
         for lev in range(levels):
             diff = finals[lev] - finals[lev + 1]
@@ -466,7 +465,7 @@ def duality_slope(scenario: Scenario, dts: tuple = (4.0e-3, 2.0e-3, 1.0e-3), see
     for dt in dts:
         tg = TimeGrid(scenario.horizon, int(round(scenario.horizon / dt)))
         refined = dataclasses.replace(noiseless, timegrid=tg)
-        traj = refined.paths(ControlPath.zero(tg, grid), seed)[:, 0]
+        traj = integrate_ensemble(refined, ControlPath.zero(tg, grid), seed)[:, 0]
         adj = solve_adjoint_deterministic(refined, traj)
         gaps.append(abs(duality_gap(refined, traj, adj, _smooth_direction(grid, tg))))
     slope = float(np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(gaps)), 1)[0])

@@ -113,6 +113,8 @@ class Scenario:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.eps0 < 0:
             raise ConfigurationError("eps0 must be nonnegative")
         # the constructors enforce their own invariants: CostSpec checks alpha

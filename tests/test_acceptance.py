@@ -23,6 +23,7 @@ from fhn_control.forward import (
     TimeGrid,
     energy_report,
     integrate,
+    integrate_ensemble,
 )
 from fhn_control.grid import (
     Grid,
@@ -55,7 +56,7 @@ def _noise_free(grid, params, timegrid, cost, x0):
     problem = Problem(
         params, grid, SpectralCovariance.zero(1), ActuatorSpec.identity(grid), timegrid, cost, x0
     )
-    return problem, problem.paths(ControlPath.zero(timegrid, grid), 0)[:, 0]
+    return problem, integrate_ensemble(problem, ControlPath.zero(timegrid, grid), 0)[:, 0]
 
 
 @pytest.mark.parametrize(
@@ -163,9 +164,7 @@ def test_criterion_5_forward_solver_fidelity():
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(1.0, 400000)
     x0 = StateX(g.constant(0.3), g.constant(0.1))
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
+    traj = integrate(p, g, spec, tg, x0, ControlPath.zero(tg, g), None)
 
     def rhs(_, y):
         v, w = y
@@ -224,7 +223,7 @@ def test_criterion_6_adjoint_oracles():
         noisy = dataclasses.replace(
             problem2, cov=SpectralCovariance.power_spectrum(8, sigma, sigma), ensemble=100
         )
-        trajs = noisy.paths(ControlPath.zero(noisy.timegrid, g2), 0)
+        trajs = integrate_ensemble(noisy, ControlPath.zero(noisy.timegrid, g2), 0)
         avg = solve_adjoint_regression(noisy, trajs)
         errs.append(
             float(
@@ -249,7 +248,7 @@ def short_horizon_report():
     problem = dataclasses.replace(Scenario(), mode="stochastic", ensemble=30).problem
     params, grid, tg, x0 = problem.params, problem.grid, problem.timegrid, problem.x0
     report = optimize(problem, seed=0, tol=1e-6, max_iters=20)
-    baseline = problem.paths(ControlPath.zero(tg, grid), 0)
+    baseline = integrate_ensemble(problem, ControlPath.zero(tg, grid), 0)
     base_energy = energy_report(grid, tg, params.gamma, baseline)
     x0_sq = norm_h_sq(grid, params.gamma, x0)
     return report, base_energy, x0_sq

@@ -51,21 +51,20 @@ def _unpack(problem):
 
 def _uncontrolled(problem):
     """The one noise-free path under the zero control."""
-    return problem.paths(ControlPath.zero(problem.timegrid, problem.grid), 0)[:, 0]
+    return integrate_ensemble(problem, ControlPath.zero(problem.timegrid, problem.grid), 0)[:, 0]
 
 
 def test_variational_matches_forward_difference():
     problem = _setup()
     g, p, spec, tg, cost, x0 = _unpack(problem)
-    cov = SpectralCovariance.zero(1)
     rng = np.random.default_rng(0)
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
     direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    traj = integrate(p, g, cov, spec, tg, x0, u, 0)
+    traj = integrate(p, g, spec, tg, x0, u, None)
     var = solve_variational(problem, traj, direction)
     h = 1e-6
-    plus = integrate(p, g, cov, spec, tg, x0, u + h * direction, 0)
-    minus = integrate(p, g, cov, spec, tg, x0, u - h * direction, 0)
+    plus = integrate(p, g, spec, tg, x0, u + h * direction, None)
+    minus = integrate(p, g, spec, tg, x0, u - h * direction, None)
     fd_v = (plus.v - minus.v) / (2 * h)
     fd_w = (plus.w - minus.w) / (2 * h)
     np.testing.assert_allclose(var.v, fd_v, atol=1e-7)
@@ -146,7 +145,7 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
     p, g, tg, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     rng = np.random.default_rng(2)
     u = ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape))
-    traj = integrate(p, g, problem.cov, problem.spec, tg, problem.x0, u, 0)
+    traj = integrate(p, g, problem.spec, tg, problem.x0, u, None)
     ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
     adj = solve_adjoint_regression(problem, traj[:, None])
     np.testing.assert_array_equal(adj.p_v, ref_v)
@@ -165,7 +164,7 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
     problem = Scenario(**overrides, modes=6, mode="stochastic", ensemble=M).problem
     g, tg = problem.grid, problem.timegrid
     rng = np.random.default_rng(3)
-    ens = problem.paths(ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
+    ens = integrate_ensemble(problem, ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
     adj = solve_adjoint_regression(problem, ens)
     parts = [solve_adjoint_regression(problem, ens[:, q : q + 1]) for q in range(M)]
     for name in ("p_v", "p_w", "sp_v"):
@@ -177,13 +176,13 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
 
 def test_regression_error_shrinks_with_noise():
     problem = _setup(N=40)
-    g, p, spec, tg, _, x0 = _unpack(problem)
+    g, tg = problem.grid, problem.timegrid
     u = ControlPath.zero(tg, g)
     det = solve_adjoint_deterministic(problem, _uncontrolled(problem))
     errs = []
     for sigma in (0.2, 0.05):
         cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
-        ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 40)
+        ens = integrate_ensemble(dataclasses.replace(problem, cov=cov, ensemble=40), u, 0)
         avg = solve_adjoint_regression(problem, ens)
         errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
     assert errs[1] < errs[0]
@@ -195,9 +194,9 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     # sources; the sweep is linear in them, so the two one-term costs
     # add up to the two-term cost
     problem = _setup(N=10)
-    g, p, spec, tg, _, x0 = _unpack(problem)
-    cov = SpectralCovariance.power_spectrum(4)
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0, 12)
+    g, tg = problem.grid, problem.timegrid
+    noisy = dataclasses.replace(problem, cov=SpectralCovariance.power_spectrum(4), ensemble=12)
+    ens = integrate_ensemble(noisy, ControlPath.zero(tg, g), 0)
 
     def sweep(cg, c_0):
         cost = CostSpec(alpha=2.0, c_g=cg, c0=c_0)

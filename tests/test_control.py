@@ -25,6 +25,7 @@ from fhn_control.forward import (
     ActuatorSpec,
     ControlPath,
     TimeGrid,
+    integrate_ensemble,
     u_inner,
     u_norm,
 )
@@ -106,7 +107,7 @@ def test_psi_reads_gamma_and_quadrature_from_the_problem():
     g, tg, cost = problem.grid, problem.timegrid, problem.cost
     rng = np.random.default_rng(17)
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
-    ens = problem.paths(u, 0)
+    ens = integrate_ensemble(problem, u, 0)
     moved = dataclasses.replace(problem, params=dataclasses.replace(problem.params, gamma=1.3))
     value, stderr = psi_from_trajectories(moved, u, ens)
 
@@ -181,7 +182,7 @@ def test_gradient_matches_finite_differences():
     g, tg = problem.grid, problem.timegrid
     rng = np.random.default_rng(3)
     u = ControlPath(0.3 * rng.standard_normal((tg.N + 1,) + g.shape))
-    adj = solve_adjoint_deterministic(problem, problem.paths(u, 0)[:, 0])
+    adj = solve_adjoint_deterministic(problem, integrate_ensemble(problem, u, 0)[:, 0])
     grad = gradient(problem.cost, u, control_signal(problem, adj))
     h = 1e-5
     for k in range(3):
@@ -197,7 +198,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_rejects_mismatched_paths():
     problem = _setup()
     g, tg, cost = problem.grid, problem.timegrid, problem.cost
-    q = problem.signal(problem.paths(ControlPath.zero(tg, g), 0))
+    q = problem.signal(integrate_ensemble(problem, ControlPath.zero(tg, g), 0))
     for bad in (
         ControlPath(np.zeros((tg.N + 2,) + g.shape)),
         ControlPath(np.zeros((tg.N + 1,) + (g.n // 2,) * g.d)),
@@ -268,9 +269,9 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
     real_signal = control_module.control_signal
     real_solve = grid_module.helmholtz_solve
 
-    def recording_integrate(params, grid, cov, spec, timegrid, x0, control, *rest):
+    def recording_integrate(problem, control, seed):
         integrated.append(control.values.tobytes())
-        return real_integrate(params, grid, cov, spec, timegrid, x0, control, *rest)
+        return real_integrate(problem, control, seed)
 
     def tracking_signal(*args):
         signal_depth.append(1)

@@ -1,5 +1,6 @@
 """Time grids, control paths, the semi-implicit step, and integration."""
 
+import dataclasses
 import zipfile
 
 import numpy as np
@@ -156,11 +157,16 @@ def test_paths_reject_controls_off_the_grid():
     cov = SpectralCovariance.zero(1)
     x0 = StateX(g.constant(0.1), g.zeros())
     problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0)
-    traj = integrate(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0)
-    for shape in ((tg.N + 1, 1), (tg.N + 1, g.n // 2), (tg.N, g.n)):
+    ens = integrate_ensemble(problem, ControlPath.zero(tg, g), 0)
+    traj = ens[:, 0]
+    for shape in ((tg.N + 1, 1), (tg.N + 1, g.n // 2), (tg.N, g.n), (tg.N + 2, g.n)):
         bad = ControlPath(np.zeros(shape))
         with pytest.raises(ContractViolation, match="control path"):
-            integrate(p, g, cov, spec, tg, x0, bad, 0)
+            integrate(p, g, spec, tg, x0, bad, None)
+        with pytest.raises(ContractViolation, match="control path"):
+            integrate_ensemble(problem, bad, 0)
+        with pytest.raises(ContractViolation, match="control path"):
+            psi_from_trajectories(problem, bad, ens)
         with pytest.raises(ContractViolation, match="direction"):
             solve_variational(problem, traj, bad)
 
@@ -181,9 +187,7 @@ def test_integrate_matches_ode_oracle_on_homogeneous_reduction():
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(1.0, 20000)
     x0 = StateX(g.constant(0.3), g.constant(0.1))
-    traj = integrate(
-        p, g, SpectralCovariance.zero(1), spec, tg, x0, ControlPath.zero(tg, g), 0
-    )
+    traj = integrate(p, g, spec, tg, x0, ControlPath.zero(tg, g), None)
 
     def rhs(_, y):
         v, w = y
@@ -205,16 +209,16 @@ def test_integrate_deterministic_replay():
     cov = SpectralCovariance.power_spectrum(8)
     x0 = StateX(g.constant(0.3), g.zeros())
     u = ControlPath.zero(tg, g)
-    t1 = integrate(p, g, cov, spec, tg, x0, u, 7)
-    t2 = integrate(p, g, cov, spec, tg, x0, u, 7)
-    np.testing.assert_array_equal(t1.v, t2.v)
-    np.testing.assert_array_equal(t1.w, t2.w)
-    # both paths came from (seed 7, path 0), which re-derives the same noise
+    # (seed 7, path 0) re-derives the same noise, and the same noise the same path
     dW1 = sample_path(cov, g, tg, 7, 0)
     dW2 = sample_path(cov, g, tg, 7, 0)
     np.testing.assert_array_equal(dW1.v, dW2.v)
     np.testing.assert_array_equal(dW1.w, dW2.w)
-    t3 = integrate(p, g, cov, spec, tg, x0, u, 8)
+    t1 = integrate(p, g, spec, tg, x0, u, dW1)
+    t2 = integrate(p, g, spec, tg, x0, u, dW2)
+    np.testing.assert_array_equal(t1.v, t2.v)
+    np.testing.assert_array_equal(t1.w, t2.w)
+    t3 = integrate(p, g, spec, tg, x0, u, sample_path(cov, g, tg, 8, 0))
     assert not np.array_equal(t1.v, t3.v)
 
 
@@ -226,15 +230,16 @@ def test_integrate_replays_supplied_increments():
     cov = SpectralCovariance.power_spectrum(8)
     x0 = StateX(g.constant(0.3), g.zeros())
     u = ControlPath.zero(tg, g)
-    traj = integrate(p, g, cov, spec, tg, x0, u, 3)
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0)
+    traj = integrate_ensemble(problem, u, 3)[:, 0]
     derived = sample_path(cov, g, tg, seed=3, path=0)
-    # the supplied increments replace the (seed, path) streams entirely
-    replay = integrate(p, g, cov, spec, tg, x0, u, 99, increments=derived)
+    # path 0 of seed 3 is the path that steps the (seed 3, path 0) increments
+    replay = integrate(p, g, spec, tg, x0, u, derived)
     np.testing.assert_array_equal(replay.v, traj.v)
     np.testing.assert_array_equal(replay.w, traj.w)
     short = derived[1:]
-    with pytest.raises(ContractViolation):
-        integrate(p, g, cov, spec, tg, x0, u, 3, increments=short)
+    with pytest.raises(ContractViolation, match="increment"):
+        integrate(p, g, spec, tg, x0, u, short)
 
 
 def test_integrate_ensemble_paths_differ_and_order_is_stable():
@@ -245,10 +250,11 @@ def test_integrate_ensemble_paths_differ_and_order_is_stable():
     cov = SpectralCovariance.power_spectrum(4)
     x0 = StateX.zero(g)
     u = ControlPath.zero(tg, g)
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0, ensemble=4)
+    ens = integrate_ensemble(problem, u, 0)
     assert ens.v.shape[1] == 4
     assert not np.array_equal(ens.v[:, 0], ens.v[:, 1])
-    again = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 4)
+    again = integrate_ensemble(problem, u, 0)
     for path in range(4):
         np.testing.assert_array_equal(ens.v[:, path], again.v[:, path])
 
@@ -257,10 +263,11 @@ def test_integrate_ensemble_is_read_only():
     # the cost, the sweep, energy_report and the optimizer's report share it
     g = Grid(1, 8)
     tg = TimeGrid(0.05, 10)
-    ens = integrate_ensemble(
+    problem = Problem(
         FhnParams(), g, SpectralCovariance.power_spectrum(4), ActuatorSpec.identity(g),
-        tg, StateX.zero(g), ControlPath.zero(tg, g), 0, 3,
+        tg, CostSpec(alpha=1.0), StateX.zero(g), ensemble=3,
     )
+    ens = integrate_ensemble(problem, ControlPath.zero(tg, g), 0)
     for field in (ens.v, ens.w, ens[5].v, ens[:, 0].w):
         with pytest.raises(ValueError):
             field[0, 0] = 1.0
@@ -276,7 +283,10 @@ def test_integrate_ensemble_paths_invariant_to_ensemble_size(grid):
     x0 = StateX(grid.constant(0.3), grid.zeros())
     u = ControlPath(0.1 * np.ones((tg.N + 1,) + grid.shape))
     spec = ActuatorSpec.identity(grid)
-    runs = {M: integrate_ensemble(p, grid, cov, spec, tg, x0, u, 5, M) for M in (1, 7, 50)}
+    problem = Problem(p, grid, cov, spec, tg, CostSpec(alpha=1.0), x0)
+    runs = {
+        M: integrate_ensemble(dataclasses.replace(problem, ensemble=M), u, 5) for M in (1, 7, 50)
+    }
     largest = runs[50]
     assert not np.array_equal(largest.v[:, 0], largest.v[:, 1])
     for M, ens in runs.items():
@@ -285,9 +295,9 @@ def test_integrate_ensemble_paths_invariant_to_ensemble_size(grid):
         for path in range(M):
             np.testing.assert_array_equal(ens.v[:, path], largest.v[:, path])
             np.testing.assert_array_equal(ens.w[:, path], largest.w[:, path])
-    # path p is the one path that integrate draws from stream (seed, p)
+    # path p is the one path that integrate steps on the increments of (seed, p)
     for path in range(50):
-        X = integrate(p, grid, cov, spec, tg, x0, u, 5, path)
+        X = integrate(p, grid, spec, tg, x0, u, sample_path(cov, grid, tg, 5, path), path)
         np.testing.assert_array_equal(largest.v[:, path], X.v)
         np.testing.assert_array_equal(largest.w[:, path], X.w)
 
@@ -303,8 +313,8 @@ def test_ensemble_consumers_check_the_layout():
     x0 = StateX(g.constant(0.1), g.zeros())
     u = ControlPath.zero(tg, g)
     problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0, c0=0.1), x0, ensemble=3)
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 3)
-    for bad in (integrate(p, g, cov, spec, tg, x0, u, 0), ens[:1]):
+    ens = integrate_ensemble(problem, u, 0)
+    for bad in (integrate(p, g, spec, tg, x0, u, sample_path(cov, g, tg, 0, 0)), ens[:1]):
         with pytest.raises(ContractViolation, match="ensemble"):
             energy_report(g, tg, p.gamma, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
@@ -320,10 +330,7 @@ def test_blow_up_detection():
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(10.0, 10)
     with pytest.raises(BlowUpError) as info:
-        integrate(
-            p, g, SpectralCovariance.zero(1), spec, tg,
-            StateX.zero(g), ControlPath.zero(tg, g), 0, path_index=3,
-        )
+        integrate(p, g, spec, tg, StateX.zero(g), ControlPath.zero(tg, g), None, path_index=3)
     assert info.value.step >= 1
     assert info.value.norm > 1e6
     assert info.value.path == 3
@@ -365,7 +372,7 @@ def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f):
     expected = _per_step_blow_up(p, g, spec, tg, x0, u)
     assert expected is not None
     with pytest.raises(BlowUpError) as info:
-        integrate(p, g, SpectralCovariance.zero(1), spec, tg, x0, u, 0)
+        integrate(p, g, spec, tg, x0, u, None)
     assert (info.value.step, info.value.norm) == expected
 
 
@@ -378,10 +385,7 @@ def test_non_finite_control_fails_the_solve():
     u = ControlPath.zero(tg, g)
     u.values[4, 2] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite"):
-        integrate(
-            p, g, SpectralCovariance.zero(1), spec, tg,
-            StateX(g.constant(0.1), g.zeros()), u, 0,
-        )
+        integrate(p, g, spec, tg, StateX(g.constant(0.1), g.zeros()), u, None)
 
 
 @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
@@ -396,7 +400,7 @@ def test_integrate_is_the_step_kernel_composed(d):
     rng = np.random.default_rng([d, 15])
     u = ControlPath(0.5 * rng.standard_normal((tg.N + 1,) + g.shape))
     x0 = StateX(g.constant(0.2), 0.1 * rng.standard_normal(g.shape))
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 11, 3)
+    ens = integrate_ensemble(Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0, 3), u, 11)
     for path in range(3):
         dW = sample_path(cov, g, tg, 11, path)
         X = x0
@@ -405,7 +409,7 @@ def test_integrate_is_the_step_kernel_composed(d):
             X = step(p, g, spec, X, u.values[n], dW[n], tg.dt)
             v.append(X.v)
             w.append(X.w)
-        traj = integrate(p, g, cov, spec, tg, x0, u, 11, path)
+        traj = integrate(p, g, spec, tg, x0, u, dW, path)
         for got in (traj, ens[:, path]):
             np.testing.assert_array_equal(got.v, np.stack(v))
             np.testing.assert_array_equal(got.w, np.stack(w))
@@ -416,12 +420,11 @@ def test_control_enters_voltage_linearly():
     p = FhnParams(linear=True)
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.1, 20)
-    cov = SpectralCovariance.zero(1)
     x0 = StateX.zero(g)
     u1 = ControlPath(np.ones((tg.N + 1,) + g.shape))
-    t0 = integrate(p, g, cov, spec, tg, x0, ControlPath.zero(tg, g), 0)
-    t1 = integrate(p, g, cov, spec, tg, x0, u1, 0)
-    t2 = integrate(p, g, cov, spec, tg, x0, 2.0 * u1, 0)
+    t0 = integrate(p, g, spec, tg, x0, ControlPath.zero(tg, g), None)
+    t1 = integrate(p, g, spec, tg, x0, u1, None)
+    t2 = integrate(p, g, spec, tg, x0, 2.0 * u1, None)
     np.testing.assert_allclose(t2.v - t0.v, 2.0 * (t1.v - t0.v), atol=1e-12)
 
 
@@ -434,7 +437,7 @@ def test_path_functionals_match_per_node_reference(d):
     rng = np.random.default_rng([d, 31])
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
     cov, x0 = SpectralCovariance.power_spectrum(4), StateX(g.constant(0.2), g.zeros())
-    ens = integrate_ensemble(p, g, cov, spec, tg, x0, u, 0, 3)
+    ens = integrate_ensemble(Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0, 3), u, 0)
     profile = rng.standard_normal(g.shape)
     cost = CostSpec(
         alpha=0.7, c_g=1.3, c0=0.4,
@@ -482,8 +485,8 @@ def test_snapshot_roundtrip(tmp_path):
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(0.05, 10)
     traj = integrate(
-        p, g, SpectralCovariance.power_spectrum(4), spec, tg,
-        StateX(g.constant(0.1), g.zeros()), ControlPath.zero(tg, g), 5,
+        p, g, spec, tg, StateX(g.constant(0.1), g.zeros()), ControlPath.zero(tg, g),
+        sample_path(SpectralCovariance.power_spectrum(4), g, tg, 5, 0),
     )
     path = tmp_path / "snap.npz"
     save_snapshot(path, traj, 5, 0)

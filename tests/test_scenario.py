@@ -86,6 +86,10 @@ def test_validation_errors():
         Scenario(n=8, modes=100).validate()
     with pytest.raises(ConfigurationError, match="seed"):
         Scenario(seed=-1).validate()
+    # no iteration would run, and the optimizer would report an empty history
+    for bad in (0, -3):
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            Scenario(max_iters=bad).validate()
     # dt = 0.1 and I_ion'(10) = 275.25: the explicit cubic step is unstable
     with pytest.raises(ConfigurationError, match=r"dt=0\.1 .* = 27\.5"):
         Scenario(steps=5, v0="constant:10").validate()
