@@ -74,7 +74,8 @@ def solve_variational(problem: Problem, traj: StateX, direction: ControlPath) ->
 
     This is the exact derivative of the forward step map: the reaction
     Jacobian is evaluated at the pre-step state, matching the explicit
-    treatment of the reaction in the forward scheme.
+    treatment of the reaction in the forward scheme.  A non-finite tangent
+    fails the next step's Helmholtz solve with a `FloatingPointError`.
     """
     params, grid, timegrid = problem.params, problem.grid, problem.timegrid
     check_control_path(grid, timegrid, direction.values, "direction")
@@ -83,8 +84,6 @@ def solve_variational(problem: Problem, traj: StateX, direction: ControlPath) ->
     Z = StateX.zero(grid)
     for n in range(N):
         Z = tangent_step(params, grid, problem.spec, traj[n], Z, direction.values[n], dt)
-        if not np.all(np.isfinite(Z.v)):
-            raise FloatingPointError(f"variational sweep blew up at step {n + 1}")
         z.v[n + 1], z.w[n + 1] = Z.v, Z.w
     return z
 

@@ -1,8 +1,9 @@
 """Command line entry point.
 
-Each subcommand maps one-to-one onto a harness command; artifacts and a
-manifest land in the output directory.  Verification subcommands exit
-nonzero when a check fails, configuration problems exit with status 2.
+The subcommands are `harness.COMMANDS`, in order, each with its command's
+docstring as help; artifacts and a manifest land in the output directory.
+Verification subcommands exit nonzero when a check fails, configuration
+problems exit with status 2.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "integrate the state equation and write trajectories",
-        "optimize": "run the regularized fixed-point control solver",
-        "verify-gradient": "check the adjoint gradient against finite differences",
-        "verify-invariants": "run the cross-module invariant battery",
-        "convergence-study": "time-step refinement, duality slope, margin sweep",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument(
             "--scenario",
             default=None,

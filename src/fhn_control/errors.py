@@ -10,6 +10,10 @@ class ContractViolation(ValueError):
     (mismatched grids, inconsistent time grids, ...)."""
 
 
+#: |X|_H above which a path counts as blown up.
+BLOWUP_THRESHOLD = 1.0e6
+
+
 class BlowUpError(RuntimeError):
     """A path's state norm exceeded the blow-up threshold.
 
@@ -29,5 +33,5 @@ class BlowUpError(RuntimeError):
         self.path = path
         super().__init__(
             f"state blow-up on path {path}, step {step}: |X|_H = {norm:.3e} "
-            "(threshold 1e6); check dt and parameters"
+            f"(threshold {BLOWUP_THRESHOLD:g}); check dt and parameters"
         )

@@ -49,14 +49,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import FhnParams, df_apply, f_apply
-from .errors import BlowUpError, ConfigurationError, ContractViolation
+from .errors import BLOWUP_THRESHOLD, BlowUpError, ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
 from .noise import sample_path
 
 if TYPE_CHECKING:
     from .control import Problem
-
-BLOWUP_THRESHOLD = 1.0e6
 
 SNAPSHOT_FORMAT = "fhn-snapshot-v2"
 CONTROL_FORMAT = "fhn-control-npz-v1"

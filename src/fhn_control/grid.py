@@ -230,20 +230,14 @@ def mode_frequencies(grid: Grid, K: int) -> list:
             f"for n={grid.n}, d={grid.d}"
         )
 
-    def with_total(s: int, axes: int) -> list:
-        # combinations over `axes` axes with frequency total s, lexicographic
-        if axes == 1:
-            return [(s,)] if s <= kmax else []
-        return [
-            (k,) + t for k in range(min(s, kmax) + 1) for t in with_total(s - k, axes - 1)
-        ]
-
-    # generate totals in increasing order and stop after K modes, instead of
-    # sorting all (kmax + 1)**d combinations for every mode looked up
-    combos = itertools.chain.from_iterable(
-        with_total(s, grid.d) for s in range(grid.d * kmax + 1)
+    if grid.d == 1:
+        return [(k,) for k in range(K)]
+    # generate totals s in increasing order and stop after K modes, instead
+    # of sorting all (kmax + 1)**2 pairs for every mode looked up
+    pairs = (
+        (k, s - k) for s in range(2 * kmax + 1) for k in range(max(0, s - kmax), min(s, kmax) + 1)
     )
-    return list(itertools.islice(combos, K))
+    return list(itertools.islice(pairs, K))
 
 
 def _axis_mode(grid: Grid, k: int) -> np.ndarray:

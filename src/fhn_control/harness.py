@@ -1,5 +1,7 @@
 """Run orchestration: commands, artifacts, manifests, verification suites.
 
+`COMMANDS` is the one command table: `run` dispatches on it and the CLI
+builds its subcommands from it, with each command's docstring as its help.
 Every command reads the validated scenario's one built `problem`, writes
 its artifacts plus a JSON manifest into its output directory, and returns
 a RunRecord.  Tables are CSV; field paths over space and time are binary
@@ -59,14 +61,6 @@ from .grid import (
 )
 from .noise import SpectralCovariance, sample_path, trace_q
 from .scenario import Scenario, emit_scenario
-
-COMMANDS = (
-    "simulate",
-    "optimize",
-    "verify-gradient",
-    "verify-invariants",
-    "convergence-study",
-)
 
 HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v1"
 ENERGY_CSV_FORMAT = "fhn-energy-csv-v1"
@@ -135,6 +129,7 @@ def _write_manifest(
 
 
 def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
+    """integrate the state equation and write trajectories"""
     problem = scenario.problem
     grid, timegrid, n_paths = problem.grid, problem.timegrid, problem.n_paths
     ens = integrate_ensemble(problem, ControlPath.zero(timegrid, grid), seed)
@@ -162,6 +157,7 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
 
 
 def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
+    """run the regularized fixed-point control solver"""
     problem = scenario.problem
     report = optimize(
         problem, seed=seed, tol=scenario.tol, max_iters=scenario.max_iters,
@@ -230,6 +226,7 @@ def gradient_check(
 
 
 def _cmd_verify_gradient(scenario: Scenario, out: Path, seed: int) -> tuple:
+    """check the adjoint gradient against finite differences"""
     errors = gradient_check(scenario, seed=seed)
     passed = max(errors) <= 1.0e-4
     report_csv = out / "gradient_check.csv"
@@ -392,6 +389,7 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
 
 
 def _cmd_verify_invariants(scenario: Scenario, out: Path, seed: int) -> tuple:
+    """run the cross-module invariant battery"""
     checks = invariant_checks(scenario, seed)
     report_csv = out / "invariants.csv"
     _write_csv(
@@ -507,6 +505,7 @@ def margin_sweep(
 
 
 def _cmd_convergence_study(scenario: Scenario, out: Path, seed: int) -> tuple:
+    """time-step refinement, duality slope, margin sweep"""
     det = self_convergence_rate(scenario, base_steps=32, seed=seed)
     sto = self_convergence_rate(
         scenario, base_steps=16, seed=seed, stochastic=True, n_paths=24
@@ -551,7 +550,7 @@ def _cmd_convergence_study(scenario: Scenario, out: Path, seed: int) -> tuple:
     return artifacts, summary, passed
 
 
-_DISPATCH = {
+COMMANDS = {
     "simulate": _cmd_simulate,
     "optimize": _cmd_optimize,
     "verify-gradient": _cmd_verify_gradient,
@@ -562,8 +561,8 @@ _DISPATCH = {
 
 def run(scenario: Scenario, command: str, out_dir: str, seed: int | None = None) -> RunRecord:
     """Execute one command; artifacts land in out_dir, manifest included."""
-    if command not in _DISPATCH:
-        raise ConfigurationError(f"unknown command {command!r}; valid: {COMMANDS}")
+    if command not in COMMANDS:
+        raise ConfigurationError(f"unknown command {command!r}; valid: {tuple(COMMANDS)}")
     scenario.validate()
     if seed is not None and seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
@@ -571,7 +570,7 @@ def run(scenario: Scenario, command: str, out_dir: str, seed: int | None = None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    artifacts, summary, passed = _DISPATCH[command](scenario, out, effective_seed)
+    artifacts, summary, passed = COMMANDS[command](scenario, out, effective_seed)
     wall = time.perf_counter() - start
     manifest = _write_manifest(out, scenario, command, effective_seed, artifacts, summary)
     return RunRecord(

@@ -33,15 +33,12 @@ if TYPE_CHECKING:
 class SpectralCovariance:
     """Truncated eigenvalue sequences of (Q1, Q2) on the cosine basis."""
 
-    K: int
     lam1: tuple
     lam2: tuple
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError(f"truncation K must be >= 1, got {self.K}")
-        if len(self.lam1) != self.K or len(self.lam2) != self.K:
-            raise ConfigurationError("eigenvalue sequences must have length K")
+        if len(self.lam1) == 0 or len(self.lam1) != len(self.lam2):
+            raise ConfigurationError("eigenvalue sequences must be nonempty, of one length")
         if any(l < 0 for l in self.lam1) or any(l < 0 for l in self.lam2):
             raise ConfigurationError("covariance eigenvalues must be nonnegative")
 
@@ -49,15 +46,16 @@ class SpectralCovariance:
     def power_spectrum(K: int = 32, sigma1: float = 0.1, sigma2: float = 0.1) -> "SpectralCovariance":
         """Default summable spectrum lam_k = sigma^2 * k^-2."""
         k = np.arange(1, K + 1, dtype=float)
-        return SpectralCovariance(
-            K=K,
-            lam1=tuple(sigma1**2 / k**2),
-            lam2=tuple(sigma2**2 / k**2),
-        )
+        return SpectralCovariance(tuple(sigma1**2 / k**2), tuple(sigma2**2 / k**2))
 
     @staticmethod
     def zero(K: int = 1) -> "SpectralCovariance":
-        return SpectralCovariance(K=K, lam1=(0.0,) * K, lam2=(0.0,) * K)
+        return SpectralCovariance(lam1=(0.0,) * K, lam2=(0.0,) * K)
+
+    @property
+    def K(self) -> int:
+        """The truncation: the number of retained modes."""
+        return len(self.lam1)
 
     def is_zero(self) -> bool:
         return all(l == 0.0 for l in self.lam1) and all(l == 0.0 for l in self.lam2)

@@ -1,10 +1,13 @@
 """Scenario configuration: INI-style files, the built problem, and digests.
 
 A scenario file is plain key/value text with sections; every key has a
-default, so the empty file is a valid scenario.  A frozen `Scenario` builds
-its `control.Problem` once, checking every invariant and reading every field
-spec; loading builds it and rejects unknown keys outright.  The canonical
-digest is stable under key reordering and is what run manifests record.
+default, so the empty file is a valid scenario.  `Scenario`'s fields are the
+schema: `_SECTIONS` places each in its section, a key parses as the type of
+its field's default, and values are read literally, without `%` interpolation.
+A frozen `Scenario` builds its `control.Problem` once, checking every
+invariant and reading every field spec; loading builds it and rejects
+unknown keys outright.  The canonical digest is stable under key
+reordering and is what run manifests record.
 """
 
 from __future__ import annotations
@@ -26,36 +29,17 @@ from .forward import ActuatorSpec, TimeGrid
 from .grid import Field, Grid, StateX, neumann_eigenmode
 from .noise import SpectralCovariance
 
-_SCHEMA = {
-    "grid": {"d": int, "n": int, "ell": float},
-    "dynamics": {
-        "a": float,
-        "b": float,
-        "gamma": float,
-        "delta": float,
-        "forcing": float,
-        "linear": bool,
-    },
-    "noise": {"sigma1": float, "sigma2": float, "modes": int},
-    "time": {"horizon": float, "steps": int},
-    "actuator": {"mask": str},
-    "cost": {
-        "alpha": float,
-        "running_weight": float,
-        "terminal_weight": float,
-        "x_ref": str,
-        "x_target": str,
-    },
-    "initial": {"v0": str, "w0": str},
-    "run": {
-        "seed": int,
-        "ensemble": int,
-        "mode": str,
-        "tol": float,
-        "max_iters": int,
-        "eps0": float,
-        "use_theta": bool,
-    },
+#: The INI section of each `Scenario` field; a key's type is the type of its
+#: field's default.
+_SECTIONS = {
+    "grid": ("d", "n", "ell"),
+    "dynamics": ("a", "b", "gamma", "delta", "forcing", "linear"),
+    "noise": ("sigma1", "sigma2", "modes"),
+    "time": ("horizon", "steps"),
+    "actuator": ("mask",),
+    "cost": ("alpha", "running_weight", "terminal_weight", "x_ref", "x_target"),
+    "initial": ("v0", "w0"),
+    "run": ("seed", "ensemble", "mode", "tol", "max_iters", "eps0", "use_theta"),
 }
 
 
@@ -271,46 +255,39 @@ def _parse_mask(grid: Grid, text: str) -> Field:
     )
 
 
-def _coerce(section: str, key: str, raw: str):
-    typ = _SCHEMA[section][key]
-    try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
-        ) from None
-
-
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; unknown keys are hard errors, and
     so is any file the INI parser rejects (a missing section header, or a
-    repeated section or key)."""
-    parser = configparser.ConfigParser()
+    repeated section or key).  Values are read literally: `%` is not
+    interpolated."""
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigurationError(f"{path}: malformed scenario file: {exc}") from None
+    getters = {
+        bool: parser.getboolean, int: parser.getint, float: parser.getfloat, str: parser.get
+    }
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigurationError(
-                f"unknown section [{section}]; valid sections: {sorted(_SCHEMA)}"
+                f"unknown section [{section}]; valid sections: {sorted(_SECTIONS)}"
             )
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{section}]; "
-                    f"valid keys: {sorted(_SCHEMA[section])}"
+                    f"valid keys: {sorted(_SECTIONS[section])}"
                 )
-            values[key] = _coerce(section, key, raw)
+            typ = type(getattr(Scenario, key))  # the class attribute is the default
+            try:
+                values[key] = getters[typ](section, key)
+            except ValueError:
+                raise ConfigurationError(
+                    f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
+                ) from None
     scenario = Scenario(**values)
     scenario.validate()
     return scenario
@@ -318,12 +295,11 @@ def load_scenario(path: str) -> Scenario:
 
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize every field (defaults included) back to INI text."""
-    parser = configparser.ConfigParser()
-    by_name = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
-    for section, keys in _SCHEMA.items():
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SECTIONS.items():
         parser[section] = {}
         for key in keys:
-            value = by_name[key]
+            value = getattr(scenario, key)
             if isinstance(value, bool):
                 parser[section][key] = "true" if value else "false"
             elif isinstance(value, float):

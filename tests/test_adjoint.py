@@ -82,6 +82,15 @@ def test_variational_linear_in_direction():
     np.testing.assert_allclose(v3.v, 3.0 * v1.v, atol=1e-12)
 
 
+def test_non_finite_direction_fails_the_sweep():
+    problem = _setup(n=8, N=10)
+    traj = _uncontrolled(problem)
+    direction = ControlPath.zero(problem.timegrid, problem.grid)
+    direction.values[4, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve_variational(problem, traj, direction)
+
+
 def test_adjoint_terminal_condition():
     problem = _setup()
     traj = _uncontrolled(problem)

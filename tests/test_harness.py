@@ -1,5 +1,6 @@
 """Harness commands, manifests, artifact reproducibility, and the CLI."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,12 +13,12 @@ import pytest
 import fhn_control
 from fhn_control import harness
 from fhn_control.adjoint import ADJOINT_SWEEP
-from fhn_control.cli import main
+from fhn_control.cli import build_parser, main
 from fhn_control.errors import ConfigurationError
 from fhn_control.forward import CONTROL_FORMAT, SNAPSHOT_FORMAT, load_snapshot
 from fhn_control.grid import DENSE_MAX_N, HELMHOLTZ_SOLVER
 from fhn_control.harness import COMMANDS, gradient_check, invariant_checks, run
-from fhn_control.scenario import Scenario, save_scenario
+from fhn_control.scenario import Scenario, load_scenario, save_scenario
 
 SMALL = dict(n=12, steps=30, horizon=0.1, modes=6, ensemble=4)
 
@@ -367,3 +368,25 @@ def test_cli_bad_field_spec_exits_2_before_output(tmp_path, capsys, section, key
     if spec.startswith("file:"):
         assert spec.split(":")[1] in err  # the path
     assert not out.exists()
+
+
+def test_cli_subcommands_are_the_command_table():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(helps) == list(COMMANDS)
+    assert all(helps[name] for name in COMMANDS)
+
+
+def test_percent_in_a_file_spec_is_read_literally(tmp_path):
+    # an INI value holding % is a path, not an interpolation
+    path = tmp_path / "v0_100%.npz"
+    np.savez(path, v=np.linspace(0.0, 0.3, SMALL["n"]))
+    s = Scenario(**SMALL, v0=f"file:{path}")
+    scenario_path = tmp_path / "scn.ini"
+    save_scenario(s, scenario_path)
+    assert load_scenario(scenario_path) == s
+    run(s, "simulate", tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert f"v0 = file:{path}" in manifest["scenario_text"]

@@ -32,11 +32,11 @@ def test_trace_monotone_in_truncation():
 
 def test_covariance_validation():
     with pytest.raises(ConfigurationError):
-        SpectralCovariance(0, (), ())
+        SpectralCovariance((), ())
     with pytest.raises(ConfigurationError):
-        SpectralCovariance(2, (1.0,), (1.0, 1.0))
+        SpectralCovariance((1.0,), (1.0, 1.0))
     with pytest.raises(ConfigurationError):
-        SpectralCovariance(1, (-1.0,), (0.0,))
+        SpectralCovariance((-1.0,), (0.0,))
     with pytest.raises(ConfigurationError):
         trace_q(SpectralCovariance.zero(2), 3)
 

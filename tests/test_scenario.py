@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fhn_control import scenario
 from fhn_control.errors import ConfigurationError
 from fhn_control.scenario import (
     Scenario,
@@ -154,3 +155,42 @@ def test_emit_contains_all_sections():
     text = emit_scenario(Scenario())
     for section in ("[grid]", "[dynamics]", "[noise]", "[time]", "[cost]", "[run]"):
         assert section in text
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("true", True), ("YES", True), ("1", True), ("On", True),
+     ("False", False), ("nO", False), ("0", False), ("OFF", False)],
+)
+def test_boolean_words(tmp_path, word, value):
+    path = tmp_path / "scn.ini"
+    path.write_text(f"[dynamics]\nlinear = {word}\n[run]\nuse_theta = {word}\n")
+    s = load_scenario(path)
+    assert s.linear is value and s.use_theta is value
+
+
+def test_boolean_rejects_other_words(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[run]\nuse_theta = maybe\n")
+    with pytest.raises(ConfigurationError, match="cannot parse"):
+        load_scenario(path)
+
+
+def test_every_field_round_trips(tmp_path):
+    s = Scenario(
+        d=2, n=12, ell=2.0, a=0.3, b=0.9, gamma=0.6, delta=0.7, forcing=0.1,
+        linear=True, sigma1=0.2, sigma2=0.05, modes=10, horizon=0.2, steps=40,
+        mask="left_half", alpha=1.5, running_weight=0.5, terminal_weight=0.2,
+        x_ref="constant:0.1", x_target="constant:0.05|constant:0.02",
+        v0="constant:0.2", w0="modes:2:0.1", seed=3, ensemble=7,
+        mode="stochastic", tol=1.0e-5, max_iters=12, eps0=2.0e-3, use_theta=False,
+    )
+    assert all(getattr(s, f.name) != f.default for f in dataclasses.fields(s))
+    path = tmp_path / "scn.ini"
+    save_scenario(s, path)
+    assert load_scenario(path) == s
+
+
+def test_section_table_names_every_field_once():
+    keys = [key for section in scenario._SECTIONS.values() for key in section]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Scenario))
