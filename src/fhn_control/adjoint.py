@@ -14,14 +14,15 @@ from this path is the exact gradient of the discrete cost functional.
 The sweeps also keep the transported values S* p_{n+1}, from which the
 control signal is read off without further solves.
 
-There is one backward sweep, and it runs every path of an ensemble at
-once.  The control is one deterministic open-loop path shared by all
-paths, and a run evaluates every candidate control on the same noise
-streams (common random numbers).  So the exact gradient of the sampled
-cost Psi_M = (1/M) sum_p J(u, omega_p) is the mean of the M pathwise
+Every sweep reads the ensemble that `integrate_ensemble` returns, fields
+(N+1, M) + grid.shape checked by `ensemble_size`, all paths at once.  The
+control is one deterministic open-loop path shared by all paths, and a
+run evaluates every candidate control on the same noise streams (common
+random numbers).  So the exact gradient of the sampled cost
+Psi_M = (1/M) sum_p J(u, omega_p) is the mean of the M pathwise
 gradients, each of which is the transpose sweep along its own path.  B*
-is linear, so the sweep keeps only the ensemble mean of the dual path:
-that is all the control signal reads.  With M = 1 it is the
+is linear, so the backward sweep keeps only the ensemble mean of the dual
+path: that is all the control signal reads.  With M = 1 it is the
 deterministic sweep.
 
 Every sweep reads one `control.Problem` for the dynamics, the grid, the
@@ -68,9 +69,9 @@ class AdjointPath:
     sp_v: np.ndarray  # (N,) + grid.shape
 
 
-def solve_variational(problem: Problem, traj: StateX, direction: ControlPath) -> StateX:
-    """Forward sweep of the linearization along the frozen trajectory; the
-    tangent path has (N+1,) + grid.shape fields and starts from zero.
+def solve_variational(problem: Problem, ens: StateX, direction: ControlPath) -> StateX:
+    """Forward sweep of the linearization along every path of a frozen
+    ensemble at once; the tangent ensemble has its layout and starts at 0.
 
     This is the exact derivative of the forward step map: the reaction
     Jacobian is evaluated at the pre-step state, matching the explicit
@@ -78,22 +79,20 @@ def solve_variational(problem: Problem, traj: StateX, direction: ControlPath) ->
     fails the next step's Helmholtz solve with a `FloatingPointError`.
     """
     params, grid, timegrid = problem.params, problem.grid, problem.timegrid
+    M = ensemble_size(timegrid, grid.shape, ens)
     check_control_path(grid, timegrid, direction.values, "direction")
     N, dt = timegrid.N, timegrid.dt
-    z = StateX(np.zeros((N + 1,) + grid.shape), np.zeros((N + 1,) + grid.shape))
-    Z = StateX.zero(grid)
+    z = StateX(*np.zeros((2, N + 1, M) + grid.shape))
+    Z = z[0]
     for n in range(N):
-        Z = tangent_step(params, grid, problem.spec, traj[n], Z, direction.values[n], dt)
+        Z = tangent_step(params, grid, problem.spec, ens[n], Z, direction.values[n], dt)
         z.v[n + 1], z.w[n + 1] = Z.v, Z.w
     return z
 
 
 def solve_adjoint_deterministic(problem: Problem, traj: StateX) -> AdjointPath:
-    """Backward transpose sweep along one trajectory, fields (N+1,) +
-    grid.shape: the one-path case of `solve_adjoint_regression`.
-
-    Along a noisy path it gives the exact gradient of that path's cost.
-    """
+    """The one-path case of `solve_adjoint_regression`, fields (N+1,) +
+    grid.shape; no package function calls it, but the benchmark traces it."""
     return solve_adjoint_regression(problem, traj[:, None])
 
 
@@ -118,9 +117,9 @@ def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
     once.  Returns the ensemble-mean AdjointPath, which equals the sum of
     the M one-path sweeps divided by M, bit for bit.
 
-    The benchmark's tracer resolves both sweep names, this one and
-    `solve_adjoint_deterministic`, so renaming either changes the
-    benchmark too.
+    Every backward sweep in the package calls it.  The benchmark's tracer
+    resolves it and `solve_adjoint_deterministic`, so renaming either
+    changes the benchmark too.
     """
     params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
     M = ensemble_size(timegrid, grid.shape, ens)
@@ -152,26 +151,28 @@ def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
     return AdjointPath(p_v, p_w, sp_v)
 
 
-def duality_gap(problem: Problem, traj: StateX, adj: AdjointPath, direction: ControlPath) -> float:
-    """Normalized defect of the variational/dual pairing identity.
+def duality_gap(problem: Problem, ens: StateX, direction: ControlPath) -> float:
+    """Normalized defect of the variational/dual pairing identity along an
+    ensemble; runs the tangent and the backward sweep itself.
 
-    LHS pairs the cost linearization with the variational solution; RHS
-    pairs the control direction with the nodal dual path.  Both sides use
-    the left-rectangle time quadrature of the running cost, so the defect
-    measures only the node-versus-transport sampling mismatch: it is
-    first order in dt and vanishes (to roundoff) when the running cost is
-    off and the reaction is linear.
+    LHS is the ensemble mean of each path's cost linearization paired with
+    its tangent; RHS pairs the control direction with the mean dual path.
+    Both sides use the left-rectangle time quadrature of the running cost,
+    so the defect measures only the node-versus-transport sampling
+    mismatch: it is first order in dt and vanishes (to roundoff) when the
+    running cost is off and the reaction is linear, on any ensemble.
     """
-    var = solve_variational(problem, traj, direction)
+    var = solve_variational(problem, ens, direction)
+    adj = solve_adjoint_regression(problem, ens)
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
     N, dt, gamma = timegrid.N, timegrid.dt, problem.params.gamma
-    lhs = inner_h(grid, gamma, cost.dg0(traj[N]), var[N])
     # the cost gradient is evaluated node by node (the reference may depend
-    # on n); each side's pairings over all nodes are one batched quadrature
-    dg = [cost.dg(traj[n], n) for n in range(N)]
+    # on n); each path's pairings over all nodes are one batched quadrature
+    dg = [cost.dg(ens[n], n) for n in range(N)]
     dg_path = StateX(np.stack([d.v for d in dg]), np.stack([d.w for d in dg]))
     running = inner_h(grid, gamma, dg_path, var[:N])
-    lhs += float(np.dot(timegrid.g_weights()[:N], running))
+    terminal = inner_h(grid, gamma, cost.dg0(ens[N]), var[N])
+    lhs = float(np.mean(terminal + np.dot(timegrid.g_weights()[:N], running)))
     # B d_n pairs with the voltage part of p_n only
     bd_p = gamma * inner_l2(grid, actuator_apply(problem.spec, direction.values[:N]), adj.p_v[:N])
     rhs = -dt * float(np.sum(bd_p))

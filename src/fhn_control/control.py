@@ -238,8 +238,8 @@ def optimize(
 
     Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise streams.
-    Each distinct control is integrated once: the accepted trial's paths
-    serve the next adjoint solve and the final certificate.
+    Each distinct control is integrated and swept once: an accepted trial's
+    paths and signal serve the next iteration and the final certificate.
     """
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
@@ -251,17 +251,14 @@ def optimize(
 
     report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
     psi_u, ens = evaluate(u)
-    # fixed-point residual of the current u; None once u has moved past it
-    certificate = None
+    q = problem.signal(ens)
     for k in range(max_iters):
-        q = problem.signal(ens)
         grad = gradient(cost, u, q)
         fixed_point = subdiff_inverse(cost, q)
         # the optimality residual is the gap to the plain fixed-point map;
         # step sizes are not a convergence measure (a blocked line search
         # would otherwise masquerade as convergence)
         residual = u_norm(grid, timegrid, fixed_point - u)
-        certificate = residual
         # one record per iteration, read off the current paths; a step
         # taken below fills in its outcome
         record = {
@@ -297,8 +294,6 @@ def optimize(
 
         accepted = False
         tau = 1.0
-        psi_c = psi_u
-        dist = 0.0
         for _ in range(MAX_BACKTRACKS):
             trial = u + tau * direction
             dist = u_norm(grid, timegrid, trial - u)
@@ -311,21 +306,17 @@ def optimize(
             tau *= 0.5
 
         if accepted:
-            step_path = tau * direction
             if dist > 0:
-                theta = ControlPath(step_path.values / dist)
-            # u + tau*direction is the trial bit for bit, so its paths are u's
-            u = u + step_path
+                theta = ControlPath((tau * direction).values / dist)
+            u = trial
             psi_u = psi_c
             ens = trial_ens
-            certificate = None
+            q = problem.signal(ens)
         else:
             theta = None
         record.update(psi=psi_u, eps=eps, accepted=accepted, tau=tau if accepted else 0.0)
 
-    if certificate is None:
-        certificate = u_norm(grid, timegrid, subdiff_inverse(cost, problem.signal(ens)) - u)
-    report.certificate_residual = certificate
+    report.certificate_residual = u_norm(grid, timegrid, subdiff_inverse(cost, q) - u)
     report.u_star = u
     report.ensemble = ens
     report.psi_final = psi_u

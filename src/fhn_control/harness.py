@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import ADJOINT_SWEEP, duality_gap, solve_adjoint_deterministic
+from .adjoint import ADJOINT_SWEEP, duality_gap, solve_adjoint_regression
 from .control import (
     contraction_margin,
     gradient,
@@ -364,12 +364,12 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
 
     # adjoint structure: cost scaling and linear-mode duality exactness
     u0_full = ControlPath.zero(timegrid, grid)
-    base_traj = integrate_ensemble(noiseless, u0_full, seed)[:, 0]
-    adj1 = solve_adjoint_deterministic(noiseless, base_traj)
+    base = integrate_ensemble(noiseless, u0_full, seed)
+    adj1 = solve_adjoint_regression(noiseless, base)
     scaled = dataclasses.replace(
         noiseless, cost=dataclasses.replace(cost, c_g=3.7 * cost.c_g, c0=3.7 * cost.c0)
     )
-    adj2 = solve_adjoint_deterministic(scaled, base_traj)
+    adj2 = solve_adjoint_regression(scaled, base)
     num = float(np.max(np.abs(adj2.p_v - 3.7 * adj1.p_v)) + np.max(np.abs(adj2.p_w - 3.7 * adj1.p_w)))
     den = float(np.max(np.abs(adj2.p_v)) + np.max(np.abs(adj2.p_w)) + 1.0e-30)
     record("cost_scaling_equivariance", num / den <= 1.0e-10, f"relative deviation={num / den:.2e}")
@@ -379,10 +379,8 @@ def invariant_checks(scenario: Scenario, seed: int = 0) -> list:
         params=dataclasses.replace(params, f=0.0, linear=True),
         cost=dataclasses.replace(cost, c_g=0.0, c0=max(cost.c0, 0.1)),
     )
-    lin_traj = integrate_ensemble(linear, u0_full, seed)[:, 0]
-    lin_adj = solve_adjoint_deterministic(linear, lin_traj)
     direction = ControlPath(rng.standard_normal((timegrid.N + 1,) + grid.shape))
-    gap = duality_gap(linear, lin_traj, lin_adj, direction)
+    gap = duality_gap(linear, integrate_ensemble(linear, u0_full, seed), direction)
     record("duality_exact_linear", abs(gap) <= 1.0e-8, f"gap={gap:.2e}")
 
     return checks
@@ -463,9 +461,8 @@ def duality_slope(scenario: Scenario, dts: tuple = (4.0e-3, 2.0e-3, 1.0e-3), see
     for dt in dts:
         tg = TimeGrid(scenario.horizon, int(round(scenario.horizon / dt)))
         refined = dataclasses.replace(noiseless, timegrid=tg)
-        traj = integrate_ensemble(refined, ControlPath.zero(tg, grid), seed)[:, 0]
-        adj = solve_adjoint_deterministic(refined, traj)
-        gaps.append(abs(duality_gap(refined, traj, adj, _smooth_direction(grid, tg))))
+        ens = integrate_ensemble(refined, ControlPath.zero(tg, grid), seed)
+        gaps.append(abs(duality_gap(refined, ens, _smooth_direction(grid, tg))))
     slope = float(np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(gaps)), 1)[0])
     return {"dts": list(dts), "gaps": gaps, "slope": slope}
 

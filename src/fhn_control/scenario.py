@@ -259,8 +259,9 @@ def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; unknown keys are hard errors, and
     so is any file the INI parser rejects (a missing section header, or a
     repeated section or key).  Values are read literally: `%` is not
-    interpolated."""
-    parser = configparser.ConfigParser(interpolation=None)
+    interpolated.  `[DEFAULT]` is unknown like any other section."""
+    # no header line can name the default section "\n", so no keys merge
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     with open(path) as fh:
         try:
             parser.read_file(fh)

@@ -116,10 +116,10 @@ def test_criterion_2_duality_identity():
         g, FhnParams(linear=True), tg, CostSpec(alpha=2.0, c_g=0.0, c0=0.1),
         StateX(g.constant(0.3), g.zeros()),
     )
-    adj = solve_adjoint_deterministic(problem, traj)
     rng = np.random.default_rng(2)
     direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    gap = abs(duality_gap(problem, traj, adj, direction))
+    # the gap reads an ensemble: here the one path with its path axis
+    gap = abs(duality_gap(problem, traj[:, None], direction))
     gap_ok = gap <= 1e-8
     ok = _report(
         2,

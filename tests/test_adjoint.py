@@ -22,6 +22,7 @@ from fhn_control.forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
+    tangent_step,
     transpose_step,
 )
 from fhn_control.scenario import Scenario
@@ -49,9 +50,14 @@ def _unpack(problem):
     )
 
 
+def _uncontrolled_ensemble(problem):
+    """The problem's paths under the zero control: one when noise-free."""
+    return integrate_ensemble(problem, ControlPath.zero(problem.timegrid, problem.grid), 0)
+
+
 def _uncontrolled(problem):
     """The one noise-free path under the zero control."""
-    return integrate_ensemble(problem, ControlPath.zero(problem.timegrid, problem.grid), 0)[:, 0]
+    return _uncontrolled_ensemble(problem)[:, 0]
 
 
 def test_variational_matches_forward_difference():
@@ -60,8 +66,7 @@ def test_variational_matches_forward_difference():
     rng = np.random.default_rng(0)
     u = ControlPath(0.2 * rng.standard_normal((tg.N + 1,) + g.shape))
     direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    traj = integrate(p, g, spec, tg, x0, u, None)
-    var = solve_variational(problem, traj, direction)
+    var = solve_variational(problem, integrate_ensemble(problem, u, 0), direction)[:, 0]
     h = 1e-6
     plus = integrate(p, g, spec, tg, x0, u + h * direction, None)
     minus = integrate(p, g, spec, tg, x0, u - h * direction, None)
@@ -74,21 +79,21 @@ def test_variational_matches_forward_difference():
 def test_variational_linear_in_direction():
     problem = _setup(linear=True)
     g, tg = problem.grid, problem.timegrid
-    traj = _uncontrolled(problem)
+    ens = _uncontrolled_ensemble(problem)
     rng = np.random.default_rng(1)
     d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    v1 = solve_variational(problem, traj, d)
-    v3 = solve_variational(problem, traj, 3.0 * d)
+    v1 = solve_variational(problem, ens, d)
+    v3 = solve_variational(problem, ens, 3.0 * d)
     np.testing.assert_allclose(v3.v, 3.0 * v1.v, atol=1e-12)
 
 
 def test_non_finite_direction_fails_the_sweep():
     problem = _setup(n=8, N=10)
-    traj = _uncontrolled(problem)
+    ens = _uncontrolled_ensemble(problem)
     direction = ControlPath.zero(problem.timegrid, problem.grid)
     direction.values[4, 2] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite"):
-        solve_variational(problem, traj, direction)
+        solve_variational(problem, ens, direction)
 
 
 def test_adjoint_terminal_condition():
@@ -183,6 +188,42 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
         np.testing.assert_array_equal(getattr(adj, name), total / M)
 
 
+def _tangent_sweep(problem, traj, direction):
+    """Reference tangent sweep along one unbatched trajectory."""
+    p, g, tg = problem.params, problem.grid, problem.timegrid
+    z_v = np.zeros((tg.N + 1,) + g.shape)
+    z_w = np.zeros((tg.N + 1,) + g.shape)
+    Z = StateX.zero(g)
+    for n in range(tg.N):
+        Z = tangent_step(p, g, problem.spec, traj[n], Z, direction.values[n], tg.dt)
+        z_v[n + 1], z_w[n + 1] = Z.v, Z.w
+    return z_v, z_w
+
+
+@pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
+def test_tangent_ensemble_paths_equal_one_path_sweeps(overrides):
+    # the tangent sweep runs every path at once; path p of the tangent
+    # ensemble is the one-path tangent sweep along path p, bit for bit
+    overrides = {**overrides, "mask": "left_half"}
+    for M in (1, 7):
+        problem = Scenario(
+            **overrides, modes=6, mode="stochastic", ensemble=M, sigma1=1.0, sigma2=1.0
+        ).problem
+        g, tg = problem.grid, problem.timegrid
+        rng = np.random.default_rng(5)
+        u = ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape))
+        direction = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
+        ens = integrate_ensemble(problem, u, 0)
+        var = solve_variational(problem, ens, direction)
+        assert var.v.shape == var.w.shape == ens.v.shape
+        # the reaction Jacobian differs along paths, and so do the tangents
+        assert M == 1 or not np.array_equal(var.v[:, 0], var.v[:, 1])
+        for path in range(M):
+            ref_v, ref_w = _tangent_sweep(problem, ens[:, path], direction)
+            np.testing.assert_array_equal(var.v[:, path], ref_v)
+            np.testing.assert_array_equal(var.w[:, path], ref_w)
+
+
 def test_regression_error_shrinks_with_noise():
     problem = _setup(N=40)
     g, tg = problem.grid, problem.timegrid
@@ -231,21 +272,35 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
 def test_duality_gap_exact_for_linear_terminal_cost():
     problem = _setup(linear=True, c_g=0.0, c0=0.2)
     g, tg = problem.grid, problem.timegrid
-    traj = _uncontrolled(problem)
-    adj = solve_adjoint_deterministic(problem, traj)
     rng = np.random.default_rng(4)
     d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
-    assert abs(duality_gap(problem, traj, adj, d)) <= 1e-12
+    assert abs(duality_gap(problem, _uncontrolled_ensemble(problem), d)) <= 1e-12
+
+
+@pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
+def test_duality_gap_exact_for_linear_terminal_cost_on_an_ensemble(overrides):
+    # the mean of the pathwise linearizations pairs exactly with the mean
+    # dual path when the reaction is linear and only the terminal cost is on
+    problem = Scenario(
+        **overrides, modes=6, mode="stochastic", ensemble=7, sigma1=1.0, sigma2=1.0,
+        linear=True, running_weight=0.0, terminal_weight=0.2,
+    ).problem
+    g, tg = problem.grid, problem.timegrid
+    rng = np.random.default_rng(6)
+    ens = integrate_ensemble(problem, ControlPath.zero(tg, g), 0)
+    assert ens.v.shape[1] == 7
+    d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
+    gap = duality_gap(problem, ens, d)
+    assert type(gap) is float
+    assert abs(gap) <= 1e-12
 
 
 def test_duality_gap_first_order_in_dt():
     gaps = []
     for N in (25, 50, 100):
         problem = _setup(N=N, T=0.1)
-        traj = _uncontrolled(problem)
-        adj = solve_adjoint_deterministic(problem, traj)
         d = ControlPath(np.ones((N + 1,) + problem.grid.shape))
-        gaps.append(abs(duality_gap(problem, traj, adj, d)))
+        gaps.append(abs(duality_gap(problem, _uncontrolled_ensemble(problem), d)))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.2)
 

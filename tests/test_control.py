@@ -302,3 +302,26 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
         assert rep.iterations[-1]["accepted"]
         assert 0.0 < rep.certificate_residual < rep.iterations[-1]["residual"]
     assert rep.converged == (max_iters > 2)
+
+
+def test_optimize_sweeps_once_per_distinct_control(monkeypatch):
+    # with no backtracks every step is rejected, so u and its paths never
+    # move: one backward sweep serves every iteration and the certificate
+    problem = _setup(n=16, N=40)
+    sweeps = []
+    real_sweep = control_module.solve_adjoint_regression
+
+    def counting_sweep(*args):
+        sweeps.append(1)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(control_module, "MAX_BACKTRACKS", 0)
+    monkeypatch.setattr(control_module, "solve_adjoint_regression", counting_sweep)
+    rep = optimize(problem, tol=1e-12, max_iters=5)
+
+    assert len(sweeps) == 1
+    assert len(rep.iterations) == 5
+    assert not any(it["accepted"] for it in rep.iterations)
+    assert {it["residual"] for it in rep.iterations} == {rep.certificate_residual}
+    assert rep.certificate_residual > 0.0
+    np.testing.assert_array_equal(rep.u_star.values, 0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fhn_control.adjoint import solve_adjoint_regression, solve_variational
+from fhn_control.adjoint import duality_gap, solve_adjoint_regression, solve_variational
 from fhn_control.control import CostSpec, Problem, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
 from fhn_control.errors import BlowUpError, ConfigurationError, ContractViolation
@@ -158,7 +158,6 @@ def test_paths_reject_controls_off_the_grid():
     x0 = StateX(g.constant(0.1), g.zeros())
     problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), x0)
     ens = integrate_ensemble(problem, ControlPath.zero(tg, g), 0)
-    traj = ens[:, 0]
     for shape in ((tg.N + 1, 1), (tg.N + 1, g.n // 2), (tg.N, g.n), (tg.N + 2, g.n)):
         bad = ControlPath(np.zeros(shape))
         with pytest.raises(ContractViolation, match="control path"):
@@ -168,7 +167,9 @@ def test_paths_reject_controls_off_the_grid():
         with pytest.raises(ContractViolation, match="control path"):
             psi_from_trajectories(problem, bad, ens)
         with pytest.raises(ContractViolation, match="direction"):
-            solve_variational(problem, traj, bad)
+            solve_variational(problem, ens, bad)
+        with pytest.raises(ContractViolation, match="direction"):
+            duality_gap(problem, ens, bad)
 
 
 def test_step_preserves_equilibrium():
@@ -321,6 +322,10 @@ def test_ensemble_consumers_check_the_layout():
             psi_from_trajectories(problem, u, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
             solve_adjoint_regression(problem, bad)
+        with pytest.raises(ContractViolation, match="ensemble"):
+            solve_variational(problem, bad, u)
+        with pytest.raises(ContractViolation, match="ensemble"):
+            duality_gap(problem, bad, u)
 
 
 def test_blow_up_detection():

@@ -220,12 +220,17 @@ def test_cli_verify_gradient_exit_code(tmp_path):
 def test_cli_bad_scenario_exits_2(tmp_path, capsys):
     # a value that fails validation, and files the INI parser rejects (no
     # section header, a repeated key, a repeated section), are configuration
-    # errors; exit 1 is a failed check.  The parser's errors name the file
+    # errors; exit 1 is a failed check.  The parser's errors name the file.
+    # [DEFAULT] is an unknown section, not keys merged into every other one
     texts = [
         "[cost]\nalpha = -1.0\n",
         "n = 64\n",
         "[grid]\nn = 16\nn = 32\n",
         "[grid]\nn = 16\n[grid]\nd = 1\n",
+        "[DEFAULT]\nn = 5\n",
+        "[DEFAULT]\nn = 5\n[grid]\nd = 1\n",
+        "[DEFAULT]\nn = 5\n[time]\nsteps = 10\n",
+        "[DEFAULT]\n",
     ]
     out = tmp_path / "out"
     for i, text in enumerate(texts):
@@ -235,7 +240,10 @@ def test_cli_bad_scenario_exits_2(tmp_path, capsys):
         assert code == 2, text
         assert not out.exists()
         err = capsys.readouterr().err
-        assert i == 0 or str(scenario_path) in err, err
+        if text.startswith("[DEFAULT]"):
+            assert "[DEFAULT]" in err, err
+        else:
+            assert i == 0 or str(scenario_path) in err, err
 
 
 def test_negative_seed_rejected_before_output(tmp_path):
