@@ -268,7 +268,7 @@ def optimize(
             "eps": 0.0,
             "accepted": True,
             "tau": 0.0,
-            "mean_sup_h_sq": float(np.mean(sup_h_sq(grid, timegrid, problem.params.gamma, ens))),
+            "mean_sup_h_sq": float(np.mean(sup_h_sq(problem, ens))),
         }
         report.iterations.append(record)
         if residual < tol:

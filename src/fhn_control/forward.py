@@ -329,23 +329,26 @@ def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> Sta
     return ens
 
 
-def sup_h_sq(grid: Grid, timegrid: TimeGrid, gamma: float, ens: StateX) -> list:
-    """Per path of the ensemble, the sup over time nodes of |X|_H^2,
-    reduced one path at a time."""
-    M = ensemble_size(timegrid, grid.shape, ens)
+def sup_h_sq(problem: Problem, ens: StateX) -> list:
+    """Per path of an ensemble of `problem`, the sup over time nodes of
+    |X|_H^2 under the problem's gamma, reduced one path at a time."""
+    grid, gamma = problem.grid, problem.params.gamma
+    M = ensemble_size(problem.timegrid, grid.shape, ens)
     return [float(np.max(norm_h_sq(grid, gamma, ens[:, p]))) for p in range(M)]
 
 
-def energy_report(grid: Grid, timegrid: TimeGrid, gamma: float, ens: StateX) -> dict:
-    """Discrete analogues of the a-priori energy functionals.
+def energy_report(problem: Problem, ens: StateX) -> dict:
+    """Discrete analogues of the a-priori energy functionals of an
+    ensemble of `problem`, under its grid, time grid and gamma.
 
     Per path: sup over time nodes of |X|_H^2 (`sup_h_sq`), and the
     trapezoid time-quadrature of |X|_V^2; plus their ensemble averages.
     Paths are reduced one at a time, which keeps the temporaries one path
     large.
     """
-    tw = timegrid.u_weights()
-    sup_h = sup_h_sq(grid, timegrid, gamma, ens)
+    grid, gamma = problem.grid, problem.params.gamma
+    tw = problem.timegrid.u_weights()
+    sup_h = sup_h_sq(problem, ens)
     int_v = [float(np.dot(tw, norm_v_sq(grid, gamma, ens[:, p]))) for p in range(len(sup_h))]
     return {
         "sup_h_sq": sup_h,

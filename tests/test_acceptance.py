@@ -30,6 +30,7 @@ from fhn_control.grid import (
     StateX,
     inner_h,
     inner_l2,
+    neumann_eigenmode,
     neumann_laplacian,
     norm_h_sq,
     norm_l2_sq,
@@ -59,54 +60,81 @@ def _noise_free(grid, params, timegrid, cost, x0):
     return problem, integrate_ensemble(problem, ControlPath.zero(timegrid, grid), 0)[:, 0]
 
 
+def _callable_ref_problem(d, n):
+    """A problem built in code, with no scenario behind it: sigma = 1 on
+    eight modes, M = 7 paths, the left-half mask and a reference that moves
+    in time, which no scenario field can express."""
+    g = Grid(d, n)
+    tg = TimeGrid(0.2, 100)
+    half = (g.axis_coords() < g.ell / 2.0).astype(float)
+    mask = half if d == 1 else np.multiply.outer(half, np.ones(n))
+    profile = neumann_eigenmode(g, 2)
+
+    def x_ref(k):
+        return StateX(0.3 * np.cos(2.0 * np.pi * k / tg.N) * profile, g.zeros())
+
+    return Problem(
+        FhnParams(), g, SpectralCovariance.power_spectrum(8, 1.0, 1.0), ActuatorSpec(mask), tg,
+        CostSpec(alpha=2.0, c_g=1.0, c0=0.1, x_ref=x_ref), StateX(g.constant(0.3), g.zeros()),
+        ensemble=7,
+    )
+
+
 @pytest.mark.parametrize(
-    "scenario",
+    "problem",
     [
-        Scenario(),
-        Scenario(d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
+        scenario.problem
+        for scenario in [
+            Scenario(),
+            Scenario(d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2"),
+        ]
+        + [
+            Scenario(
+                d=d, n=n, modes=8, horizon=0.2, steps=100, mode="stochastic",
+                sigma1=1.0, sigma2=1.0, ensemble=M,
+            )
+            for d, n in ((1, 16), (2, 8))
+            for M in (2, 30)
+        ]
+        + [
+            Scenario(gamma=1.3, delta=0.6),
+            Scenario(
+                d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2", gamma=1.3, delta=0.6
+            ),
+            Scenario(
+                n=16, modes=8, horizon=0.2, steps=100, mode="stochastic", sigma1=1.0,
+                sigma2=1.0, ensemble=2, gamma=1.3, delta=0.6,
+            ),
+        ]
     ]
-    + [
-        Scenario(
-            d=d, n=n, modes=8, horizon=0.2, steps=100, mode="stochastic",
-            sigma1=1.0, sigma2=1.0, ensemble=M,
-        )
-        for d, n in ((1, 16), (2, 8))
-        for M in (2, 30)
-    ]
-    + [
-        Scenario(gamma=1.3, delta=0.6),
-        Scenario(
-            d=2, n=12, mask="left_half", x_ref="modes:2:0.3,3:-0.2", gamma=1.3, delta=0.6
-        ),
-        Scenario(
-            n=16, modes=8, horizon=0.2, steps=100, mode="stochastic", sigma1=1.0,
-            sigma2=1.0, ensemble=2, gamma=1.3, delta=0.6,
-        ),
-    ],
+    + [_callable_ref_problem(1, 16), _callable_ref_problem(2, 8)],
     ids=[
         "d1", "d2",
         "d1-stochastic-M2", "d1-stochastic-M30", "d2-stochastic-M2", "d2-stochastic-M30",
         "d1-gamma1.3", "d2-gamma1.3", "d1-stochastic-M2-gamma1.3",
+        "d1-callable-ref", "d2-callable-ref",
     ],
 )
-def test_criterion_1_gradient_vs_finite_differences(scenario):
+def test_criterion_1_gradient_vs_finite_differences(problem):
     # deterministic mode, T=0.5, dt=1e-3, five random directions: the default
     # 1-D scenario (n=64) and a masked 2-D one with a modal reference, which
     # guards the 2-D transpose of the step.  With noise on (sigma=1, T=0.2,
     # dt=2e-3) the gradient is that of the sampled cost over M paths at
     # common random numbers, whatever M is.  The gamma=1.3 cases differ from
     # FhnParams' default gamma, so a gamma read from anywhere but the
-    # scenario's one problem would show
-    errors = gradient_check(scenario, n_directions=5, h=1e-5, seed=0)
+    # scenario's one problem would show.  The callable-ref cases are built in
+    # code (sigma=1, M=7, left-half mask) and track a reference that moves
+    # in time
+    errors = gradient_check(problem, seed=0)
     worst = max(errors)
     ok = _report(
-        1, worst <= 1e-4, f"d={scenario.d}: max relative gradient error {worst:.3e} (tol 1e-4)"
+        1, worst <= 1e-4, f"d={problem.grid.d}: max relative gradient error {worst:.3e} (tol 1e-4)"
     )
     assert ok
 
 
 def test_criterion_2_duality_identity():
-    slope = duality_slope(Scenario(), dts=(4e-3, 2e-3, 1e-3), seed=0)
+    slope = duality_slope(Scenario().problem)
     slope_ok = abs(slope["slope"] - 1.0) <= 0.3
 
     # reaction disabled, pure terminal cost: the identity is exact
@@ -180,7 +208,8 @@ def test_criterion_5_forward_solver_fidelity():
         Scenario(), n=16, modes=8, sigma1=0.1, sigma2=0.1, horizon=0.5
     )
     conv = self_convergence_rate(
-        scenario, base_steps=16, levels=3, seed=0, stochastic=True, n_paths=200
+        dataclasses.replace(scenario, mode="stochastic", ensemble=200).problem,
+        base_steps=16, seed=0,
     )
     rate_ok = conv["rate"] >= 0.4
     ok = _report(
@@ -249,7 +278,7 @@ def short_horizon_report():
     params, grid, tg, x0 = problem.params, problem.grid, problem.timegrid, problem.x0
     report = optimize(problem, seed=0, tol=1e-6, max_iters=20)
     baseline = integrate_ensemble(problem, ControlPath.zero(tg, grid), 0)
-    base_energy = energy_report(grid, tg, params.gamma, baseline)
+    base_energy = energy_report(problem, baseline)
     x0_sq = norm_h_sq(grid, params.gamma, x0)
     return report, base_energy, x0_sq
 
@@ -264,7 +293,8 @@ def test_criterion_7_optimizer_certificate(short_horizon_report):
     psi = report.psi_history
     psi_ok = all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(psi, psi[1:]))
 
-    sweep = margin_sweep(Scenario(), horizons=(0.25, 0.5, 1.0, 2.0, 4.0), seed=0)
+    scenario = Scenario()
+    sweep = margin_sweep(scenario.problem, scenario.eps0, scenario.use_theta)
     boundary = next((row["T"] for row in sweep if not row["geometric_decay"]), None)
     t4 = sweep[-1]
     ok = _report(

@@ -317,7 +317,7 @@ def test_ensemble_consumers_check_the_layout():
     ens = integrate_ensemble(problem, u, 0)
     for bad in (integrate(p, g, spec, tg, x0, u, sample_path(cov, g, tg, 0, 0)), ens[:1]):
         with pytest.raises(ContractViolation, match="ensemble"):
-            energy_report(g, tg, p.gamma, bad)
+            energy_report(problem, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
             psi_from_trajectories(problem, u, bad)
         with pytest.raises(ContractViolation, match="ensemble"):
@@ -474,12 +474,13 @@ def test_path_functionals_match_per_node_reference(d):
         terminal = 0.5 * cost.c0 * norm_h_sq(g, p.gamma, traj[tg.N] - cost.x_T)
         per_path.append(terminal + running + control_cost)
 
-    rep = energy_report(g, tg, p.gamma, ens)
+    problem = Problem(p, g, cov, spec, tg, cost, x0, 3)
+    rep = energy_report(problem, ens)
     assert rep["sup_h_sq"] == sup_h
     assert rep["int_v_sq"] == int_v
     assert rep["mean_sup_h_sq"] == float(np.mean(sup_h)) > 0
     assert rep["mean_int_v_sq"] == float(np.mean(int_v)) > 0
-    value, stderr = psi_from_trajectories(Problem(p, g, cov, spec, tg, cost, x0, 3), u, ens)
+    value, stderr = psi_from_trajectories(problem, u, ens)
     assert value == float(np.mean(per_path))
     assert stderr == float(np.std(per_path, ddof=1) / np.sqrt(ens.v.shape[1]))
 

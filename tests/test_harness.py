@@ -14,13 +14,39 @@ import fhn_control
 from fhn_control import harness
 from fhn_control.adjoint import ADJOINT_SWEEP
 from fhn_control.cli import build_parser, main
+from fhn_control.control import CostSpec, Problem
+from fhn_control.dynamics import FhnParams
 from fhn_control.errors import ConfigurationError
-from fhn_control.forward import CONTROL_FORMAT, SNAPSHOT_FORMAT, load_snapshot
-from fhn_control.grid import DENSE_MAX_N, HELMHOLTZ_SOLVER
+from fhn_control.forward import (
+    CONTROL_FORMAT,
+    SNAPSHOT_FORMAT,
+    ActuatorSpec,
+    TimeGrid,
+    load_snapshot,
+)
+from fhn_control.grid import DENSE_MAX_N, HELMHOLTZ_SOLVER, Grid, StateX, neumann_eigenmode
 from fhn_control.harness import COMMANDS, gradient_check, invariant_checks, run
+from fhn_control.noise import SpectralCovariance
 from fhn_control.scenario import Scenario, load_scenario, save_scenario
 
 SMALL = dict(n=12, steps=30, horizon=0.1, modes=6, ensemble=4)
+
+#: Linear reaction and no running cost: the duality gap is roundoff.
+EXACT_DUALITY = dict(n=16, modes=8, linear=True, running_weight=0.0)
+
+
+def _callable_ref_problem():
+    """A problem built in code, with no scenario behind it: noise on, the
+    left-half mask and a reference that moves in time."""
+    g = Grid(1, SMALL["n"])
+    tg = TimeGrid(SMALL["horizon"], SMALL["steps"])
+    profile = neumann_eigenmode(g, 2)
+    return Problem(
+        FhnParams(), g, SpectralCovariance.power_spectrum(6, 1.0, 1.0),
+        ActuatorSpec((g.axis_coords() < g.ell / 2.0).astype(float)), tg,
+        CostSpec(alpha=2.0, c0=0.1, x_ref=lambda k: StateX((0.3 * k / tg.N) * profile, g.zeros())),
+        StateX(g.constant(0.3), g.zeros()), ensemble=4,
+    )
 
 
 def assert_runs_identical(a: Path, b: Path) -> None:
@@ -174,15 +200,17 @@ def test_seed_override_changes_stochastic_output(tmp_path):
 
 
 def test_gradient_check_small_errors():
-    errors = gradient_check(Scenario(**SMALL), n_directions=2, seed=0)
+    errors = gradient_check(Scenario(**SMALL).problem, seed=0)
     assert max(errors) <= 1e-6
 
 
 def test_invariant_battery_all_pass():
-    checks = invariant_checks(Scenario(**SMALL), seed=0)
-    failed = [name for name, ok, _ in checks if not ok]
-    assert failed == []
-    assert len(checks) >= 12
+    # a scenario's problem, and one built in code with a moving reference
+    for problem in (Scenario(**SMALL).problem, _callable_ref_problem()):
+        checks = invariant_checks(problem, seed=0)
+        failed = [name for name, ok, _ in checks if not ok]
+        assert failed == []
+        assert len(checks) >= 12
 
 
 @pytest.mark.parametrize("d, n", [(1, 200), (2, 130)], ids=["d1-n200", "d2-n130"])
@@ -191,8 +219,72 @@ def test_invariant_battery_passes_on_fine_grids(d, n):
     # failed correct code on fine grids; both grids are above the dense-solve
     # crossover, so the solver checks also run the FFT transform
     assert n > DENSE_MAX_N
-    checks = invariant_checks(Scenario(d=d, n=n, steps=10, horizon=0.01, modes=8), seed=0)
+    checks = invariant_checks(Scenario(d=d, n=n, steps=10, horizon=0.01, modes=8).problem, seed=0)
     assert [(name, detail) for name, ok, detail in checks if not ok] == []
+
+
+def test_self_convergence_rate_runs_the_problems_paths(monkeypatch):
+    # one integration per path and level, over four levels: with the noise
+    # off the 24-member ensemble is one path, with it on each member runs
+    calls = []
+    real = harness.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].N)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate", counting)
+    harness.self_convergence_rate(Scenario(**dict(SMALL, ensemble=24)).problem, base_steps=8)
+    assert calls == [8, 16, 32, 64]
+    calls.clear()
+    noisy = Scenario(**dict(SMALL, ensemble=3), mode="stochastic", sigma1=1.0, sigma2=1.0)
+    harness.self_convergence_rate(noisy.problem, base_steps=8)
+    assert calls == [8, 16, 32, 64] * 3
+
+
+def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
+    # linear reaction, no running cost: every gap is roundoff, so their
+    # log-log slope means nothing and their size decides
+    record = run(Scenario(**EXACT_DUALITY), "convergence-study", tmp_path)
+    lines = (tmp_path / "duality_gap.csv").read_text().strip().split("\n")[1:]
+    assert max(float(line.split(",")[1]) for line in lines) <= 1e-12
+    assert record.passed, record.summary
+
+
+def test_convergence_study_needs_first_order_gaps_above_roundoff(tmp_path, monkeypatch):
+    def first_order_failure(problem):
+        return {"dts": [4e-3, 2e-3, 1e-3], "gaps": [1e-6] * 3, "slope": 0.0}
+
+    monkeypatch.setattr(harness, "duality_slope", first_order_failure)
+    record = run(Scenario(**EXACT_DUALITY), "convergence-study", tmp_path)
+    assert record.summary["deterministic_rate"] >= 0.9
+    assert record.summary["stochastic_rate"] >= 0.4
+    assert not record.passed
+
+
+def test_duality_slope_reports_the_steps_that_ran(monkeypatch):
+    # T = 0.35 is no whole number of 4e-3 steps; the fit and the table take
+    # the step each run took, T/N
+    T, ran = 0.35, []
+    real = harness.integrate_ensemble
+
+    def recording(problem, control, seed):
+        ran.append(problem.timegrid.N)
+        return real(problem, control, seed)
+
+    monkeypatch.setattr(harness, "integrate_ensemble", recording)
+    slope = harness.duality_slope(Scenario(n=16, modes=8, horizon=T).problem)
+    assert ran == [round(T / dt) for dt in (4e-3, 2e-3, 1e-3)]
+    assert slope["dts"] == [T / N for N in ran]
+    assert slope["dts"][0] != 4e-3
+
+
+def test_cli_convergence_study_horizon_too_short_exits_2(tmp_path, capsys):
+    scenario_path = tmp_path / "short.ini"
+    scenario_path.write_text("[time]\nhorizon = 0.001\n")
+    code = main(["convergence-study", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "horizon" in capsys.readouterr().err
 
 
 def test_verify_invariants_command(tmp_path):
