@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import control_signal, solve_adjoint_regression
-from .dynamics import FhnParams
-from .errors import ConfigurationError, ContractViolation
+from .dynamics import FhnParams, i_ion_prime
+from .errors import BlowUpError, ConfigurationError, ContractViolation
 from .forward import (
     ActuatorSpec,
     ControlPath,
@@ -111,7 +111,12 @@ class CostSpec:
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One optimal control problem: dynamics on a grid, noise covariances,
-    actuator, time grid, tracking cost, initial state and ensemble size."""
+    actuator, time grid, tracking cost, initial state and ensemble size.
+
+    However it is built (in code, from a scenario, or by `dataclasses.replace`
+    in a study), construction checks that every field lives on the grid, the
+    noise truncation is exact on it and the explicit cubic is stable at x0,
+    then freezes the mask, x0 and the constant references it shares."""
 
     params: FhnParams
     grid: Grid
@@ -125,6 +130,28 @@ class Problem:
     def __post_init__(self):
         if self.ensemble < 1:
             raise ConfigurationError(f"ensemble size must be >= 1, got {self.ensemble}")
+        grid, cost = self.grid, self.cost
+        self.params.forcing(grid)  # raises for a forcing field off the grid
+        # a field off the grid would broadcast silently; a reference may be a callable
+        states = [("initial state", self.x0), ("x_ref", cost.x_ref), ("x_T", cost.x_T)]
+        states = [(name, x) for name, x in states if isinstance(x, StateX)]
+        for name, arr in [("actuator mask", self.spec.mask)] + [(name, x.v) for name, x in states]:
+            if np.shape(arr) != grid.shape:
+                raise ContractViolation(f"{name} has shape {np.shape(arr)}, grid is {grid.shape}")
+        if self.cov.K > (top := (grid.max_mode_freq() + 1) ** grid.d):
+            raise ConfigurationError(f"modes={self.cov.K} above the grid's exact truncation {top}")
+        # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 (never in
+        # linear mode) the step amplifies the voltage, and the run blows up
+        dt = self.timegrid.dt
+        growth = dt * float(np.max(i_ion_prime(self.params, self.x0.v)))
+        if growth >= 2.0:
+            raise ConfigurationError(
+                f"step size dt={dt:g} is unstable at the initial voltage: "
+                f"dt*max I_ion'(v0) = {growth:.4g} >= 2; take more time steps"
+            )
+        self.spec.mask.flags.writeable = False
+        for _, x in states:
+            x.v.flags.writeable = x.w.flags.writeable = False
 
     @property
     def n_paths(self) -> int:
@@ -240,6 +267,16 @@ def optimize(
     controls are always evaluated on the same per-path noise streams.
     Each distinct control is integrated and swept once: an accepted trial's
     paths and signal serve the next iteration and the final certificate.
+
+    A line-search trial whose state blows up is rejected like one that
+    does not decrease the cost, and the step halves; only a blow-up of the
+    starting control (`u0`, or zero) raises `BlowUpError`.
+
+    The acceptance test compares costs with a slack of 1e-12*(1 + |psi|),
+    so there is a value floor: a step whose gain, about alpha*r^2 at
+    residual r, falls below that slack cannot be told from roundoff, and
+    the residual may stall or cycle near r ~ 1e-6*sqrt((1 + |psi|)/alpha).
+    At a small alpha that floor lies above the default `tol`.
     """
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
@@ -297,7 +334,11 @@ def optimize(
         for _ in range(MAX_BACKTRACKS):
             trial = u + tau * direction
             dist = u_norm(grid, timegrid, trial - u)
-            psi_c, trial_ens = evaluate(trial)
+            try:
+                psi_c, trial_ens = evaluate(trial)
+            except BlowUpError:
+                # a step too long for the explicit cubic: reject it
+                psi_c, trial_ens = math.inf, None
             if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
                 accepted = True
                 break

@@ -4,10 +4,10 @@ A scenario file is plain key/value text with sections; every key has a
 default, so the empty file is a valid scenario.  `Scenario`'s fields are the
 schema: `_SECTIONS` places each in its section, a key parses as the type of
 its field's default, and values are read literally, without `%` interpolation.
-A frozen `Scenario` builds its `control.Problem` once, checking every
-invariant and reading every field spec; loading builds it and rejects
-unknown keys outright.  The canonical digest is stable under key
-reordering and is what run manifests record.
+A frozen `Scenario` builds its `control.Problem` once, checking its own
+fields and reading every field spec (the problem checks itself); loading
+builds it and rejects unknown keys outright.  The canonical digest is
+stable under key reordering and is what run manifests record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .control import CostSpec, Problem
-from .dynamics import FhnParams, i_ion_prime
+from .dynamics import FhnParams
 from .errors import ConfigurationError
 from .forward import ActuatorSpec, TimeGrid
 from .grid import Field, Grid, StateX, neumann_eigenmode
@@ -82,7 +82,8 @@ class Scenario:
     def problem(self) -> Problem:
         """The one validated build of this scenario, shared by every command
         of a run; a bad field or mask spec, or a NaN or infinity anywhere,
-        fails here, before any output."""
+        fails here, before any output.  Only the scenario's own fields are
+        checked here: `Problem` checks the problem it is built into."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -101,35 +102,12 @@ class Scenario:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.eps0 < 0:
             raise ConfigurationError("eps0 must be nonnegative")
-        # the constructors enforce their own invariants: CostSpec checks alpha
-        # and the cost weights, Problem the ensemble size
-        grid = self.build_grid()
-        params = self.build_params()
-        timegrid = self.build_timegrid()
-        if self.modes < 1 or self.modes > (grid.max_mode_freq() + 1) ** grid.d:
-            raise ConfigurationError(
-                f"modes={self.modes} outside the grid's exact truncation range"
-            )
-        problem = Problem(
-            params, grid, self.build_cov(), self.build_actuator(), timegrid,
-            self.build_cost(), self.build_initial_state(), self.ensemble,
+        # each part checks its own values, and Problem checks the whole
+        return Problem(
+            grid=self.build_grid(), params=self.build_params(), timegrid=self.build_timegrid(),
+            cov=self.build_cov(), spec=self.build_actuator(), cost=self.build_cost(),
+            x0=self.build_initial_state(), ensemble=self.ensemble,
         )
-        # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 the step
-        # amplifies the voltage instead of damping it, and the run blows up
-        # a few steps later (I_ion' is zero in linear mode)
-        dt = timegrid.dt
-        growth = dt * float(np.max(i_ion_prime(params, problem.x0.v)))
-        if growth >= 2.0:
-            raise ConfigurationError(
-                f"step size dt={dt:g} is unstable at the initial voltage: "
-                f"dt*max I_ion'(v0) = {growth:.4g} >= 2; increase steps"
-            )
-        # every caller shares these arrays
-        problem.spec.mask.flags.writeable = False
-        for x in (problem.x0, problem.cost.x_ref, problem.cost.x_T):
-            if isinstance(x, StateX):
-                x.v.flags.writeable = x.w.flags.writeable = False
-        return problem
 
     def validate(self) -> Problem:
         return self.problem

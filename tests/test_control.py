@@ -65,6 +65,60 @@ def test_problem_path_count_follows_noise():
         problem.ensemble = 5
 
 
+def _parts(g, **change):
+    """The parts of a noise-free problem on grid g, some of them replaced."""
+    parts = dict(
+        params=FhnParams(), grid=g, cov=SpectralCovariance.zero(1),
+        spec=ActuatorSpec.identity(g), timegrid=TimeGrid(0.1, 10), cost=CostSpec(alpha=2.0),
+        x0=StateX(g.constant(0.3), g.zeros()),
+    )
+    return {**parts, **change}
+
+
+_ROW = np.ones(8)  # one axis of Grid(2, 8): it would broadcast along the last
+
+
+@pytest.mark.parametrize(
+    "grid, change, error, match",
+    [
+        (Grid(2, 8), lambda g: {"spec": ActuatorSpec(_ROW)}, ContractViolation, "actuator mask"),
+        (Grid(2, 8), lambda g: {"x0": StateX(_ROW, _ROW)}, ContractViolation, "initial state"),
+        (
+            Grid(2, 8), lambda g: {"cost": CostSpec(alpha=2.0, x_ref=StateX(_ROW, _ROW))},
+            ContractViolation, "x_ref",
+        ),
+        (
+            Grid(2, 8), lambda g: {"cost": CostSpec(alpha=2.0, c0=0.1, x_T=StateX(_ROW, _ROW))},
+            ContractViolation, "x_T",
+        ),
+        (Grid(2, 8), lambda g: {"params": FhnParams(f=_ROW)}, ContractViolation, "forcing"),
+        # n = 12 holds 11 exactly orthogonal modes
+        (
+            Grid(1, 12), lambda g: {"cov": SpectralCovariance.power_spectrum(40)},
+            ConfigurationError, "modes=40",
+        ),
+        # dt = 0.1 and I_ion'(30) = 2625.25: the explicit cubic step is unstable
+        (
+            Grid(1, 16),
+            lambda g: {"timegrid": TimeGrid(1.0, 10), "x0": StateX(g.constant(30.0), g.zeros())},
+            ConfigurationError, r"dt=0\.1 .* >= 2",
+        ),
+    ],
+    ids=["mask", "x0", "x_ref", "x_T", "forcing", "truncation", "step-size"],
+)
+def test_problem_built_in_code_is_checked(grid, change, error, match):
+    with pytest.raises(error, match=match):
+        Problem(**_parts(grid, **change(grid)))
+
+
+def test_derived_problem_is_checked():
+    # dataclasses.replace runs the same checks, so a study's refined or
+    # coarsened problem is checked like the one it came from
+    problem = _setup(N=200, T=0.1, v0=30.0)  # dt = 5e-4: dt*I_ion'(30) = 1.3
+    with pytest.raises(ConfigurationError, match=r"dt=0\.1 .* >= 2"):
+        dataclasses.replace(problem, timegrid=TimeGrid(1.0, 10))
+
+
 def test_cost_spec_validation():
     with pytest.raises(ConfigurationError):
         CostSpec(alpha=0.0)
@@ -325,3 +379,16 @@ def test_optimize_sweeps_once_per_distinct_control(monkeypatch):
     assert {it["residual"] for it in rep.iterations} == {rep.certificate_residual}
     assert rep.certificate_residual > 0.0
     np.testing.assert_array_equal(rep.u_star.values, 0.0)
+
+
+def test_optimize_rejects_a_trial_that_blows_up():
+    # the first trial, the fixed-point candidate q/alpha, reaches max |u| ~
+    # 700 and blows up at step 4; the line search halves the step instead
+    # of ending the run, while the current iterate is fine
+    problem = Scenario(
+        n=12, steps=40, horizon=1.0, modes=8, alpha=0.01, running_weight=10.0,
+        x_ref="constant:1.0",
+    ).problem
+    rep = optimize(problem, max_iters=3)
+    assert np.isfinite(rep.psi_final)
+    assert all(it["accepted"] and it["tau"] < 1.0 for it in rep.iterations)

@@ -7,7 +7,10 @@ import pytest
 from scipy.fft import dctn, idctn
 
 from fhn_control import grid as grid_module
+from fhn_control.control import CostSpec, Problem
+from fhn_control.dynamics import FhnParams
 from fhn_control.errors import ConfigurationError, ContractViolation
+from fhn_control.forward import ActuatorSpec, TimeGrid
 from fhn_control.grid import (
     DENSE_MAX_N,
     Grid,
@@ -30,6 +33,7 @@ from fhn_control.grid import (
     norm_l2_sq,
     norm_v_sq,
 )
+from fhn_control.noise import SpectralCovariance
 from fhn_control.scenario import Scenario
 
 
@@ -73,10 +77,18 @@ def test_cached_arrays_are_read_only():
         x_target="modes:3:0.1",
     ).problem
     x_ref, x_T = problem.cost.x_ref, problem.cost.x_T
+    # so is a problem built in code: its arrays are frozen in place
+    mask, x0 = np.ones(g.shape), StateX(g.constant(0.3), g.zeros())
+    ref, target = StateX(g.constant(0.2), g.zeros()), StateX(g.zeros(), g.constant(0.1))
+    Problem(
+        FhnParams(), g, SpectralCovariance.zero(1), ActuatorSpec(mask), TimeGrid(0.1, 10),
+        CostSpec(alpha=2.0, c0=0.1, x_ref=ref, x_T=target), x0,
+    )
     for cached in (
         g.weights(), eigenmode_matrix(g, 3), _dct_symbol(g), _dct1_matrix(g),
         _inverse_symbol(g, 1.3, 1e-3), _dense_solve_1d(g1, 1.3, 1e-3),
         problem.x0.v, problem.x0.w, problem.spec.mask, x_ref.v, x_ref.w, x_T.v, x_T.w,
+        mask, x0.v, x0.w, ref.v, ref.w, target.v, target.w,
     ):
         with pytest.raises(ValueError):
             cached[0, 0] = 99.0

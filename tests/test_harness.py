@@ -287,6 +287,18 @@ def test_cli_convergence_study_horizon_too_short_exits_2(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_cli_convergence_study_unstable_study_step_exits_2(tmp_path, capsys):
+    # dt*I_ion'(14) = 0.55 at the scenario's dt = 1e-3 but 2.2 at the duality
+    # study's 4e-3: the study's derived problem fails before any integration
+    scenario_path = tmp_path / "stiff.ini"
+    scenario_path.write_text("[initial]\nv0 = constant:14\n")
+    out = tmp_path / "out"
+    code = main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert "unstable" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_verify_invariants_command(tmp_path):
     record = run(Scenario(**SMALL), "verify-invariants", tmp_path)
     assert record.passed
