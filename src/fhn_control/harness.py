@@ -410,6 +410,8 @@ def self_convergence_rate(problem: Problem, base_steps: int, seed: int = 0) -> d
     Brownian path across levels by aggregating fine-level increments.
     """
     params, grid, T = problem.params, problem.grid, problem.timegrid.T
+    # the coarsest level takes the largest step: its derived problem checks it
+    dataclasses.replace(problem, timegrid=TimeGrid(T, base_steps))
     noisy, n_paths, levels = not problem.cov.is_zero(), problem.n_paths, 3
     finest = base_steps * 2 ** (levels - 1) * 2
     errors = [0.0] * levels

@@ -12,12 +12,19 @@ is derived from that triple alone, so Monte Carlo fan-out order never
 changes the sampled increments, and `(seed, path)` is all a trajectory
 needs to keep to re-derive its noise with `sample_path`.  This module is
 the only one that opens streams.
+
+Each stream is still `np.random.default_rng([seed, path, step])`, bit for
+bit.  Only its seeding is computed differently: numpy's `SeedSequence`
+hash, run in uint32 array arithmetic for a block of `STREAM_BLOCK` steps
+at a time, hands each step's PCG64 its seed words directly.  The block
+size changes no sampled value.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,9 +84,120 @@ def trace_q(cov: SpectralCovariance, which: int) -> float:
     return float(sum(lam))
 
 
+#: Steps whose stream seeds are hashed together.  Any size gives the same
+#: bits; a power of two never splits a block at a word boundary 2**32k.
+STREAM_BLOCK = 256
+
+_MASK32 = 0xFFFFFFFF
+# O'Neill's seed_seq_fe hash constants, as numpy's SeedSequence uses them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+
+
+def _words(n: int) -> list:
+    """The uint32 words SeedSequence reads from a nonnegative int, low first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_state(entropy: list) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for many rows at once.
+
+    `entropy` holds one (rows,) uint32 array per entropy word.  This is
+    numpy's loop, word by word: mix the words into a 4-word pool, then
+    draw 8 words from it.  The hash constant evolves independently of the
+    data, so it stays a Python int and every step is one array operation."""
+    hash_const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # drawing a word is a hashmix of the next pool word under the B constants
+    hash_const, mult = _INIT_B, _MULT_B
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    # little-endian pairs of uint32 words make the four uint64 words
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=1)
+def _block_states(seed: int, path: int, start: int, stop: int) -> np.ndarray:
+    """Read-only (stop - start, 4) PCG64 seed words of steps start..stop-1.
+
+    Steps with the same number of words are hashed together; their words
+    are those of the first such step plus the offset, carried."""
+    head = _words(seed) + _words(path)
+    states = np.empty((stop - start, 4), np.uint64)
+    first = start
+    while first < stop:
+        first_words = _words(first)
+        last = min(stop, 1 << 32 * len(first_words))
+        entropy = [np.full(last - first, word, np.uint32) for word in head]
+        carry = np.arange(last - first, dtype=np.uint64)
+        for word in first_words:
+            total = carry + np.uint64(word)
+            entropy.append((total & np.uint64(_MASK32)).astype(np.uint32))
+            carry = total >> np.uint64(32)
+        states[first - start : last - start] = _seed_state(entropy)
+        first = last
+    states.flags.writeable = False
+    return states
+
+
+@cache
+def _stream_from_state():
+    """`state -> Generator(PCG64)` over precomputed seed words.  Built on
+    first use, so that importing this module loads no `numpy.random`."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds PCG64's four uint64 seed words only")
+            return self.state
+
+    return lambda state: Generator(PCG64(SeedWords(state)))
+
+
 def increment_stream(seed: int, path: int, step: int) -> np.random.Generator:
-    """Deterministic per-(path, step) random stream."""
-    return np.random.default_rng([seed, path, step])
+    """Deterministic per-(path, step) random stream.
+
+    Exactly `np.random.default_rng([seed, path, step])`: the same hash
+    seeds the same PCG64, with the seeds of `STREAM_BLOCK` steps hashed
+    together and the current block cached.  Each argument is a
+    nonnegative integer (`ValueError` otherwise, as from `default_rng`)."""
+    seed, path, step = operator.index(seed), operator.index(path), operator.index(step)
+    if min(seed, path, step) < 0:
+        raise ValueError(f"stream key must be nonnegative, got {(seed, path, step)}")
+    start = step - step % STREAM_BLOCK
+    state = _block_states(seed, path, start, start + STREAM_BLOCK)[step - start]
+    return _stream_from_state()(state)
 
 
 def _synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray) -> StateX:

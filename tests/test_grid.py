@@ -33,7 +33,7 @@ from fhn_control.grid import (
     norm_l2_sq,
     norm_v_sq,
 )
-from fhn_control.noise import SpectralCovariance
+from fhn_control.noise import STREAM_BLOCK, SpectralCovariance, _block_states
 from fhn_control.scenario import Scenario
 
 
@@ -89,6 +89,9 @@ def test_cached_arrays_are_read_only():
         _inverse_symbol(g, 1.3, 1e-3), _dense_solve_1d(g1, 1.3, 1e-3),
         problem.x0.v, problem.x0.w, problem.spec.mask, x_ref.v, x_ref.w, x_T.v, x_T.w,
         mask, x0.v, x0.w, ref.v, ref.w, target.v, target.w,
+        # the seed words of a block of noise streams, which every step's
+        # stream of that block reads
+        _block_states(0, 3, 0, STREAM_BLOCK),
     ):
         with pytest.raises(ValueError):
             cached[0, 0] = 99.0

@@ -63,6 +63,31 @@ def assert_runs_identical(a: Path, b: Path) -> None:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_deterministic_optimize_does_not_import_numpy_random(tmp_path):
+    # only a noise stream loads numpy.random, on first use: a fresh
+    # interpreter that imports the package and runs a noise-free optimize
+    # leaves it unloaded where numpy itself loads it lazily
+    scenario = dict(SMALL, mode="deterministic", max_iters=2)
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "random_at_import = 'numpy.random' in sys.modules\n"
+        "import fhn_control\n"
+        "from fhn_control.harness import run\n"
+        "from fhn_control.scenario import Scenario\n"
+        f"scenario = Scenario(**{scenario!r})\n"
+        f"assert run(scenario, 'optimize', {str(tmp_path / 'out')!r}).passed\n"
+        "print(random_at_import, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fhn_control.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    random_at_import, random_after = proc.stdout.split()
+    assert random_after == random_at_import
+
+
 def test_run_rejects_unknown_command(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown command"):
         run(Scenario(), "frobnicate", tmp_path)
@@ -292,6 +317,19 @@ def test_cli_convergence_study_unstable_study_step_exits_2(tmp_path, capsys):
     # study's 4e-3: the study's derived problem fails before any integration
     scenario_path = tmp_path / "stiff.ini"
     scenario_path.write_text("[initial]\nv0 = constant:14\n")
+    out = tmp_path / "out"
+    code = main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert "unstable" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_cli_convergence_study_unstable_refinement_step_exits_2(tmp_path, capsys):
+    # dt*I_ion'(7) = 0.52 at the duality study's 4e-3 but 2.03 at the
+    # deterministic refinement's coarsest step T/32: the refinement study
+    # fails before any integration, and no rate is reported
+    scenario_path = tmp_path / "stiff.ini"
+    scenario_path.write_text("[initial]\nv0 = constant:7\n")
     out = tmp_path / "out"
     code = main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)])
     assert code == 2

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from fhn_control import noise
 from fhn_control.errors import ConfigurationError
 from fhn_control.forward import TimeGrid
 from fhn_control.grid import Grid, StateX, eigenmode_matrix, mode_coefficients
 from fhn_control.noise import (
+    STREAM_BLOCK,
     SpectralCovariance,
     increment_stream,
     sample_increment,
@@ -53,6 +55,38 @@ def test_stream_is_counter_based():
     c = increment_stream(3, 1, 8).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# (seed, path, step) keys: zeros, words of 2**32 and more, and steps at and
+# on either side of block boundaries
+STREAM_KEYS = [
+    (0, 0, 0), (0, 0, 1), (3, 1, 7), (7, 49, 499), (1, 0, STREAM_BLOCK - 1),
+    (1, 0, STREAM_BLOCK), (1, 0, STREAM_BLOCK + 1), (5, 2, 2 * STREAM_BLOCK - 1),
+    (5, 2, 2 * STREAM_BLOCK), (2**32, 0, 3), (2**32 - 1, 2**32 - 1, 2**32 - 1),
+    (9, 2**32 + 5, STREAM_BLOCK), (2**64 + 1, 2**40, 0), (1, 1, 2**32 - 1),
+    (1, 1, 2**32), (2**32, 2**33, 2**32 + 1), (4, 4, 2**64 + 7),
+]
+
+
+@pytest.mark.parametrize("block", [STREAM_BLOCK, 1, 7])
+def test_stream_is_default_rng_of_its_key(monkeypatch, block):
+    # each stream is numpy's default_rng([seed, path, step]) bit for bit,
+    # whatever the number of steps whose seeds are hashed together
+    monkeypatch.setattr(noise, "STREAM_BLOCK", block)
+    for seed, path, step in STREAM_KEYS + [(2, 3, n) for n in range(0, 600, 37)]:
+        np.testing.assert_array_equal(
+            increment_stream(seed, path, step).standard_normal(64),
+            np.random.default_rng([seed, path, step]).standard_normal(64),
+            err_msg=str((seed, path, step)),
+        )
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)], ids=["seed", "path", "step"])
+def test_stream_rejects_negative_key(key):
+    with pytest.raises(ValueError):
+        np.random.default_rng(list(key))
+    with pytest.raises(ValueError, match="nonnegative"):
+        increment_stream(*key)
 
 
 def test_sample_increment_reproducible_and_shape():
