@@ -71,10 +71,11 @@ class CostSpec:
     x_T: StateX | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.c0 < 0 or self.c_g < 0:
-            raise ConfigurationError("cost weights must be nonnegative")
+        # written so that NaN fails too
+        if not 0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (0 <= self.c0 < np.inf and 0 <= self.c_g < np.inf):
+            raise ConfigurationError("cost weights must be nonnegative and finite")
 
     def _from_ref(self, X: StateX, n: int) -> StateX:
         # X - 0 is X bit for bit, signed zeros included
@@ -138,6 +139,9 @@ class Problem:
         for name, arr in [("actuator mask", self.spec.mask)] + [(name, x.v) for name, x in states]:
             if np.shape(arr) != grid.shape:
                 raise ContractViolation(f"{name} has shape {np.shape(arr)}, grid is {grid.shape}")
+        for name, x in states:
+            if not (np.all(np.isfinite(x.v)) and np.all(np.isfinite(x.w))):
+                raise ConfigurationError(f"{name} holds non-finite values")
         if self.cov.K > (top := (grid.max_mode_freq() + 1) ** grid.d):
             raise ConfigurationError(f"modes={self.cov.K} above the grid's exact truncation {top}")
         # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 (never in

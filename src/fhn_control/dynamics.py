@@ -37,10 +37,13 @@ class FhnParams:
     linear: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
-        if self.delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        # written so that NaN fails too
+        if not 0 < self.gamma < np.inf:
+            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.delta < np.inf:
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.all(np.isfinite(self.f))):
+            raise ConfigurationError("a, b and the forcing f must be finite")
 
     @property
     def eta(self) -> float:
@@ -130,6 +133,7 @@ def one_sided_margin(
         denom = norm_h_sq(grid, params.gamma, StateX(dv, dw))
         valid = denom > 0
         if np.any(valid):
-            worst = max(worst, float(np.max(num[valid] / denom[valid])))
+            # np.maximum keeps a NaN ratio, which max would drop
+            worst = float(np.maximum(worst, np.max(num[valid] / denom[valid])))
         done += m
     return {"sampled_margin": worst, "eta": params.eta}

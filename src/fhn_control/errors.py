@@ -19,12 +19,12 @@ class BlowUpError(RuntimeError):
 
     The cubic reaction term is stabilizing, so this signals a
     mis-configured run rather than genuine model behaviour.  The guard
-    reads a whole path once its time loop is over: `step` is the first
-    time node whose H-energy |X|_H^2 exceeds the squared threshold or is
-    not finite, `norm` is |X|_H there, and `path` is the index of the
-    ensemble path.  A path that crosses the threshold without overflowing
-    runs to its last step first; one that overflows stops at the step
-    whose Helmholtz solve goes non-finite.
+    reads an integration's paths once its time loop is over: `step` is the
+    first time node at which some path's H-energy |X|_H^2 exceeds the
+    squared threshold or is not finite, `path` is the ensemble index of
+    the lowest path failing there, and `norm` is its |X|_H.  A path that
+    crosses the threshold without overflowing runs to the last step first;
+    an overflow stops the loop at the step whose solve goes non-finite.
     """
 
     def __init__(self, step: int, norm: float, path: int = 0):

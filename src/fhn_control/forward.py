@@ -31,13 +31,13 @@ A path is a `StateX` whose fields carry a leading time axis, shape
 whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
 `ens[:, p]` is path p.  `integrate` steps the noise increments it is
-handed; `integrate_ensemble` is the one place that draws them, path p's
-from (seed, p) by `noise.sample_path`.
+handed, one path or a path axis; `integrate_ensemble` is the one place
+that draws them, path p's from (seed, p) by `noise.sample_path`.
 
-The blow-up guard reads a path once its time loop is over, not after
-every step: one batched `norm_h_sq` over its nodes names the first node
-past `BLOWUP_THRESHOLD`, so a `BlowUpError` reports the same step and norm
-a per-step check would, after the steps that followed it.
+The blow-up guard reads the paths once their time loop is over, not after
+every step: one batched `norm_h_sq` names the first node in time past
+`BLOWUP_THRESHOLD` and the lowest path there, so on one path a
+`BlowUpError` reports the step and norm a per-step check would.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ConfigurationError(f"need at least one time step, got N={self.N}")
-        if self.T <= 0:
-            raise ConfigurationError(f"horizon must be positive, got T={self.T}")
+        if not 0 < self.T < np.inf:  # written so that NaN fails too
+            raise ConfigurationError(f"horizon must be positive and finite, got T={self.T}")
 
     @property
     def dt(self) -> float:
@@ -252,35 +252,35 @@ def integrate(
     increments: StateX | None,
     path_index: int = 0,
 ) -> StateX:
-    """Run N steps from x0 on the noise increments it is handed; the path
-    has (N+1,) + grid.shape fields.
+    """Run N steps from the grid state x0 on the noise increments it is
+    handed: one path, (N,) + grid.shape fields such as a `noise.sample_path`
+    draw, or a path axis, (N, M) + grid.shape, such as the aggregated
+    fine-level increments of a coupled refinement study; None runs one
+    noise-free path.  The result has (N+1,) + grid.shape or (N+1, M) +
+    grid.shape fields, and column p of a batch is its one-path run, bit for bit.
 
-    `increments` is a path of (N,) + grid.shape fields, such as
-    `noise.sample_path` draws or the aggregated fine-level increments of a
-    coupled refinement study; None runs noise-free.
-
-    The blow-up guard runs once per path, after the time loop: one batched
-    `norm_h_sq` over nodes 1..N, and a `BlowUpError` (carrying
-    `path_index`) at the first node whose energy exceeds
-    BLOWUP_THRESHOLD**2 or is not finite, with the step and norm a check
-    after every step would report.  A path that crosses the threshold
-    without overflowing therefore runs to its last step before it raises.
-    The loop runs with numpy's overflow and invalid-value warnings off; a
-    state that overflows fails the finiteness check of `helmholtz_solve`,
-    which ends the loop, and the guard then reads the nodes stepped so far.
-    If none of them fails, that `FloatingPointError` is raised.
-    """
+    The blow-up guard runs once, after the time loop: one batched
+    `norm_h_sq` over nodes 1..N, and a `BlowUpError` at the first node in
+    time whose energy exceeds BLOWUP_THRESHOLD**2 or is not finite, naming
+    the lowest path failing there (`path_index` plus its column); on one
+    path, the step and norm a check after every step would report.  The
+    loop runs with overflow and invalid-value warnings off; an overflow
+    fails the finiteness check of `helmholtz_solve` and ends the loop, and
+    as a finite state crosses the threshold before it can overflow, the
+    guard reads the first failure among the nodes stepped so far.  If none
+    fails (a non-finite input), that `FloatingPointError` is raised."""
     check_control_path(grid, timegrid, control.values, "control path")
     if x0.v.shape != grid.shape:
         raise ContractViolation("initial state does not live on the grid")
     N = timegrid.N
     dt = timegrid.dt
-    if increments is not None and increments.v.shape != (N,) + grid.shape:
+    paths = () if increments is None else increments.v.shape[1 : -grid.d][:1]  # () or (M,)
+    if increments is not None and increments.v.shape != (N,) + paths + grid.shape:
         raise ContractViolation("increment arrays do not match the time grid")
     # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
     dW = StateX.zero(grid)
-    v = np.empty((N + 1,) + grid.shape)
-    w = np.empty((N + 1,) + grid.shape)
+    v = np.empty((N + 1,) + paths + grid.shape)
+    w = np.empty((N + 1,) + paths + grid.shape)
     v[0], w[0] = x0.v, x0.w
     X = x0
     stepped, overflow = N, None
@@ -295,10 +295,11 @@ def integrate(
                 break
             v[n + 1], w[n + 1] = X.v, X.w
         energy = norm_h_sq(grid, params.gamma, StateX(v[1 : stepped + 1], w[1 : stepped + 1]))
-    failed = np.flatnonzero(~(energy <= BLOWUP_THRESHOLD**2))
+    failed = np.flatnonzero(~(energy <= BLOWUP_THRESHOLD**2))  # node by node, path by path
     if failed.size:
         first = int(failed[0])
-        raise BlowUpError(first + 1, float(np.sqrt(max(float(energy[first]), 0.0))), path_index)
+        node, col = divmod(first, energy.size // stepped)
+        raise BlowUpError(node + 1, float(np.sqrt(max(energy.flat[first], 0.0))), path_index + col)
     if overflow is not None:
         raise overflow
     return StateX(v, w)
@@ -379,9 +380,16 @@ def save_control(path: str, timegrid: TimeGrid, u: ControlPath) -> None:
 
 
 def load_snapshot(path: str) -> tuple:
-    """Read a snapshot back as (state path, seed, path_index)."""
+    """Read a snapshot back as (state path, seed, path_index); a file
+    without one of the snapshot's arrays is a `ConfigurationError`."""
     with np.load(path) as data:
-        fmt = str(data["format"])
+
+        def read(name: str) -> np.ndarray:
+            if name not in data.files:
+                raise ConfigurationError(f"{path} is not a snapshot: it has no {name!r} array")
+            return data[name]
+
+        fmt = str(read("format"))
         if fmt != SNAPSHOT_FORMAT:
             raise ConfigurationError(f"unknown snapshot format {fmt!r}")
-        return StateX(data["v"], data["w"]), int(data["seed"]), int(data["path_index"])
+        return StateX(read("v"), read("w")), int(read("seed")), int(read("path_index"))

@@ -53,8 +53,8 @@ class Grid:
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.d}")
         if self.n < 3:
             raise ConfigurationError(f"need at least 3 nodes per axis, got {self.n}")
-        if self.ell <= 0:
-            raise ConfigurationError(f"edge length must be positive, got {self.ell}")
+        if not 0 < self.ell < np.inf:  # written so that NaN fails too
+            raise ConfigurationError(f"edge length must be positive and finite, got {self.ell}")
 
     @property
     def h(self) -> float:

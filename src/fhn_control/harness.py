@@ -264,14 +264,16 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
     gram = E.T @ (grid.weights().ravel()[:, None] * E)
     record("eigenmode_orthonormal", np.max(np.abs(gram - np.eye(kmax))) <= 1.0e-10, f"defect={np.max(np.abs(gram - np.eye(kmax))):.2e}")
     # roundoff in Lap_h grows with its spectral radius 4d/h^2, so the
-    # Laplacian defects below are held to a multiple of eps times that
+    # Laplacian defects below are held to a multiple of eps times that.
+    # Each sampled check keeps its worst defect with np.maximum, which
+    # keeps a NaN where max would drop it, so a NaN defect fails its check
     lap_bound = 64.0 * np.finfo(float).eps * (1.0 + 4.0 * grid.d / grid.h**2)
     worst = 0.0
     for k in range(1, kmax + 1):
         ek = neumann_eigenmode(grid, k)
         resid = neumann_laplacian(grid, ek) - mode_eigenvalue(grid, k) * ek
         defect = float(np.max(np.abs(resid))) / (1.0 + abs(mode_eigenvalue(grid, k)))
-        worst = max(worst, defect)
+        worst = np.maximum(worst, defect)
     record("eigen_identity", worst <= lap_bound, f"defect={worst:.2e}, bound={lap_bound:.2e}")
 
     # operator structure in the weighted inner product
@@ -281,7 +283,7 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
         ax = a_apply(params, grid, X)
         expected = params.gamma * inner_l2(grid, neumann_laplacian(grid, X.v), X.v) - params.delta * norm_l2_sq(grid, X.w)
         defect = abs(inner_h(grid, params.gamma, ax, X) - expected) / (1.0 + norm_h_sq(grid, params.gamma, X))
-        worst = max(worst, defect)
+        worst = np.maximum(worst, defect)
     record("weighted_skew_cancellation", worst <= lap_bound, f"defect={worst:.2e}, bound={lap_bound:.2e}")
     ok = True
     for _ in range(100):
@@ -307,7 +309,7 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
         uf = rng.standard_normal(grid.shape)
         lhs = inner_l2(grid, actuator_adjoint(spec, params.gamma, X.v), uf)
         rhs = inner_h(grid, params.gamma, X, StateX(actuator_apply(spec, uf), grid.zeros()))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        worst = np.maximum(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("actuator_adjointness", worst <= 1.0e-12, f"defect={worst:.2e}")
     dt = timegrid.dt
     worst = 0.0
@@ -316,7 +318,7 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
         Y = StateX(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
         lhs = inner_h(grid, params.gamma, implicit_solve(params, grid, dt, X), Y)
         rhs = inner_h(grid, params.gamma, X, implicit_solve_star(params, grid, dt, Y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        worst = np.maximum(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     record("implicit_solver_adjointness", worst <= 1.0e-11, f"defect={worst:.2e}")
     # S must invert the A checked above: the defect of (I - dt*A) S r = r is
     # roundoff times the size of dt*Lap_h, whose spectral radius is dt*4d/h^2
@@ -327,7 +329,7 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
         r = StateX(*solve_rng.standard_normal((2,) + grid.shape))
         X = implicit_solve(params, grid, dt, r)
         defect = X - dt * a_apply(params, grid, X) - r
-        worst = max(worst, float(np.max(np.abs([defect.v, defect.w])) / np.max(np.abs([r.v, r.w]))))
+        worst = np.maximum(worst, float(np.max(np.abs([defect.v, defect.w])) / np.max(np.abs([r.v, r.w]))))
     record("implicit_solver_inverts_operator", worst <= bound, f"defect={worst:.2e}, bound={bound:.2e}")
 
     # forward equilibrium + determinism, over ten steps
@@ -413,28 +415,25 @@ def self_convergence_rate(problem: Problem, base_steps: int, seed: int = 0) -> d
     # the coarsest level takes the largest step: its derived problem checks it
     dataclasses.replace(problem, timegrid=TimeGrid(T, base_steps))
     noisy, n_paths, levels = not problem.cov.is_zero(), problem.n_paths, 3
-    finest = base_steps * 2 ** (levels - 1) * 2
-    errors = [0.0] * levels
-    for p in range(n_paths):
+    finest = base_steps * 2**levels
+    if noisy:  # each path's fine increments, on a path axis: (finest, M) + grid.shape
+        fine = [sample_path(problem.cov, grid, TimeGrid(T, finest), seed, p) for p in range(n_paths)]
+        fine = StateX(np.stack([x.v for x in fine], axis=1), np.stack([x.w for x in fine], axis=1))
+    finals = []
+    for lev in range(levels + 1):
+        steps = base_steps * 2**lev
+        tg = TimeGrid(T, steps)
+        agg = None
         if noisy:
-            fine = sample_path(problem.cov, grid, TimeGrid(T, finest), seed, p)
-        finals = []
-        for lev in range(levels + 1):
-            steps = base_steps * 2**lev
-            tg = TimeGrid(T, steps)
-            u = ControlPath.zero(tg, grid)
-            agg = None
-            if noisy:
-                ratio = finest // steps
-                agg = StateX(
-                    fine.v.reshape(steps, ratio, *grid.shape).sum(axis=1),
-                    fine.w.reshape(steps, ratio, *grid.shape).sum(axis=1),
-                )
-            traj = integrate(params, grid, problem.spec, tg, problem.x0, u, agg, p)
-            finals.append(traj[tg.N])
-        for lev in range(levels):
-            diff = finals[lev] - finals[lev + 1]
-            errors[lev] += norm_h_sq(grid, params.gamma, diff) ** 0.5 / n_paths
+            runs = (steps, finest // steps) + fine.v.shape[1:]
+            agg = StateX(fine.v.reshape(runs).sum(axis=1), fine.w.reshape(runs).sum(axis=1))
+        traj = integrate(params, grid, problem.spec, tg, problem.x0, ControlPath.zero(tg, grid), agg)
+        finals.append(traj[steps])
+    # Python's sum adds the per-path errors in path order
+    errors = [
+        sum(np.atleast_1d(norm_h_sq(grid, params.gamma, a - b)) ** 0.5 / n_paths)
+        for a, b in zip(finals, finals[1:])
+    ]
     rates = [float(np.log2(errors[i] / errors[i + 1])) for i in range(levels - 1)]
     return {"errors": errors, "rates": rates, "rate": float(np.mean(rates))}
 

@@ -46,8 +46,9 @@ class SpectralCovariance:
     def __post_init__(self):
         if len(self.lam1) == 0 or len(self.lam1) != len(self.lam2):
             raise ConfigurationError("eigenvalue sequences must be nonempty, of one length")
-        if any(l < 0 for l in self.lam1) or any(l < 0 for l in self.lam2):
-            raise ConfigurationError("covariance eigenvalues must be nonnegative")
+        # written so that NaN fails too
+        if not all(0 <= l < np.inf for lam in (self.lam1, self.lam2) for l in lam):
+            raise ConfigurationError("covariance eigenvalues must be nonnegative and finite")
 
     @staticmethod
     def power_spectrum(K: int = 32, sigma1: float = 0.1, sigma2: float = 0.1) -> "SpectralCovariance":

@@ -111,6 +111,49 @@ def test_problem_built_in_code_is_checked(grid, change, error, match):
         Problem(**_parts(grid, **change(grid)))
 
 
+_G = Grid(1, 8)
+_NAN_STATE = StateX(np.where(np.arange(8) == 3, np.nan, 0.0), _G.zeros())
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: TimeGrid(np.nan, 10), "horizon"),
+        (lambda: TimeGrid(np.inf, 10), "horizon"),
+        (lambda: Grid(1, 8, np.nan), "edge length"),
+        (lambda: Grid(1, 8, np.inf), "edge length"),
+        (lambda: FhnParams(gamma=np.nan), "gamma"),
+        (lambda: FhnParams(delta=np.inf), "delta"),
+        (lambda: FhnParams(a=np.nan), "finite"),
+        (lambda: FhnParams(b=np.inf), "finite"),
+        (lambda: FhnParams(f=np.nan), "forcing"),
+        (lambda: FhnParams(f=_NAN_STATE.v), "forcing"),
+        (lambda: CostSpec(alpha=np.nan), "alpha"),
+        (lambda: CostSpec(alpha=np.inf), "alpha"),
+        (lambda: CostSpec(alpha=1.0, c0=np.nan), "cost weights"),
+        (lambda: CostSpec(alpha=1.0, c_g=np.inf), "cost weights"),
+        (lambda: SpectralCovariance((np.nan,), (0.0,)), "eigenvalues"),
+        (lambda: SpectralCovariance((np.inf,), (0.0,)), "eigenvalues"),
+        (lambda: SpectralCovariance((0.0,), (np.nan,)), "eigenvalues"),
+        (lambda: Problem(**_parts(_G, x0=_NAN_STATE)), "initial state"),
+        (lambda: Problem(**_parts(_G, cost=CostSpec(alpha=2.0, x_ref=_NAN_STATE))), "x_ref"),
+        (
+            lambda: Problem(**_parts(_G, cost=CostSpec(alpha=2.0, c0=0.1, x_T=_NAN_STATE))),
+            "x_T",
+        ),
+    ],
+    ids=[
+        "T-nan", "T-inf", "ell-nan", "ell-inf", "gamma-nan", "delta-inf", "a-nan", "b-inf",
+        "f-nan", "f-field", "alpha-nan", "alpha-inf", "c0-nan", "c_g-inf", "lam1-nan",
+        "lam1-inf", "lam2-nan", "x0", "x_ref", "x_T",
+    ],
+)
+def test_parts_built_in_code_reject_nan_and_infinity(build, match):
+    # each part's range check fails on NaN, and the problem checks its states
+    with pytest.raises(ConfigurationError, match=match):
+        build()
+
+
 def test_derived_problem_is_checked():
     # dataclasses.replace runs the same checks, so a study's refined or
     # coarsened problem is checked like the one it came from

@@ -239,8 +239,11 @@ def test_integrate_replays_supplied_increments():
     np.testing.assert_array_equal(replay.v, traj.v)
     np.testing.assert_array_equal(replay.w, traj.w)
     short = derived[1:]
-    with pytest.raises(ContractViolation, match="increment"):
-        integrate(p, g, spec, tg, x0, u, short)
+    deep = StateX(*np.zeros((2, tg.N, 2, 3) + g.shape))  # two path axes
+    off_grid = StateX(*np.zeros((2, tg.N, 2, 9)))  # a path axis of fields off the grid
+    for bad in (short, deep, off_grid):
+        with pytest.raises(ContractViolation, match="increment"):
+            integrate(p, g, spec, tg, x0, u, bad)
 
 
 def test_integrate_ensemble_paths_differ_and_order_is_stable():
@@ -342,12 +345,13 @@ def test_blow_up_detection():
     assert f"path 3, step {info.value.step}:" in str(info.value)
 
 
-def _per_step_blow_up(p, g, spec, tg, x0, u):
+def _per_step_blow_up(p, g, spec, tg, x0, u, dW):
     """(step, norm) of the first node past the threshold, checked after
-    every step; None if every node passes."""
+    every step on one path's increments dW (None: noise-free); None if
+    every node passes."""
     X = x0
     for n in range(tg.N):
-        X = step(p, g, spec, X, u.values[n], StateX.zero(g), tg.dt)
+        X = step(p, g, spec, X, u.values[n], StateX.zero(g) if dW is None else dW[n], tg.dt)
         energy = norm_h_sq(g, p.gamma, X)
         if not energy <= BLOWUP_THRESHOLD**2:
             return n + 1, float(np.sqrt(max(energy, 0.0)))
@@ -355,30 +359,55 @@ def _per_step_blow_up(p, g, spec, tg, x0, u):
 
 
 @pytest.mark.parametrize(
-    "d, n, T, N, v0, linear, f",
+    "d, n, T, N, v0, linear, f, kicks",
     [
         # crosses the threshold without overflowing, runs to its last step
-        (1, 8, 10.0, 10, 0.0, True, 1e9),
+        (1, 8, 10.0, 10, 0.0, True, 1e9, {}),
         # the explicit cubic overshoots until it overflows
-        (1, 16, 1.0, 50, 30.0, False, 0.0),
-        (2, 8, 1.0, 20, 50.0, False, 0.0),
+        (1, 16, 1.0, 50, 30.0, False, 0.0, {}),
+        (2, 8, 1.0, 20, 50.0, False, 0.0, {}),
         # fails at step 1
-        (1, 8, 1.0, 10, 2e6, False, 0.0),
+        (1, 8, 1.0, 10, 2e6, False, 0.0, {}),
+        # a batch of three paths: a 1e7 kick at step index 2 on path 2 and
+        # at step index 6 on path 0, so path 2 fails first in time
+        (1, 8, 0.1, 10, 0.0, True, 0.0, {2: 2, 0: 6}),
+        # two paths fail at one node: the lower one is reported
+        (1, 8, 0.1, 10, 0.0, True, 0.0, {2: 2, 1: 2, 0: 6}),
     ],
-    ids=["linear-forcing", "cubic-d1", "cubic-d2", "step-1"],
+    ids=["linear-forcing", "cubic-d1", "cubic-d2", "step-1", "batch-time-order", "batch-one-node"],
 )
-def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f):
+def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f, kicks):
     g = Grid(d, n)
     p = FhnParams(f=f, linear=linear)
     spec = ActuatorSpec.identity(g)
     tg = TimeGrid(T, N)
     x0 = StateX(g.constant(v0), g.zeros())
     u = ControlPath.zero(tg, g)
-    expected = _per_step_blow_up(p, g, spec, tg, x0, u)
-    assert expected is not None
+    increments, columns = None, [None]
+    if kicks:
+        shape = (N, max(kicks) + 1) + g.shape
+        increments = StateX(np.zeros(shape), np.zeros(shape))
+        for path, kick_step in kicks.items():
+            increments.v[kick_step, path] = 1.0e7
+        columns = range(shape[1])
+    # each path alone reports its own first failure: (step, path, norm)
+    failures = []
+    for col in columns:
+        dW = None if col is None else increments[:, col]
+        expected = _per_step_blow_up(p, g, spec, tg, x0, u, dW)
+        if expected is None:
+            continue
+        failures.append((expected[0], col or 0, expected[1]))
+        with pytest.raises(BlowUpError) as info:
+            integrate(p, g, spec, tg, x0, u, dW, col or 0)
+        assert (info.value.step, info.value.path, info.value.norm) == failures[-1]
+    assert failures
+    # the batch reports the first failure in time, and the lowest path
+    # failing there, offset by path_index
+    first_step, path, norm = min(failures)
     with pytest.raises(BlowUpError) as info:
-        integrate(p, g, spec, tg, x0, u, None)
-    assert (info.value.step, info.value.norm) == expected
+        integrate(p, g, spec, tg, x0, u, increments, path_index=10)
+    assert (info.value.step, info.value.path, info.value.norm) == (first_step, 10 + path, norm)
 
 
 def test_non_finite_control_fails_the_solve():
@@ -418,6 +447,31 @@ def test_integrate_is_the_step_kernel_composed(d):
         for got in (traj, ens[:, path]):
             np.testing.assert_array_equal(got.v, np.stack(v))
             np.testing.assert_array_equal(got.w, np.stack(w))
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("M", [1, 7])
+def test_batched_integrate_matches_each_path(d, M):
+    # each column of a batch is its one-path run, bit for bit: noise on, a
+    # half mask, a nonzero control and a forcing field
+    g = Grid(d, 8)
+    rng = np.random.default_rng([d, M, 41])
+    p = FhnParams(f=0.1 * rng.standard_normal(g.shape))
+    mask = np.zeros(g.shape)
+    mask[: g.n // 2] = 1.0
+    spec = ActuatorSpec(mask)
+    tg = TimeGrid(0.05, 10)
+    cov = SpectralCovariance.power_spectrum(4, 0.5, 0.5)
+    u = ControlPath(0.5 * rng.standard_normal((tg.N + 1,) + g.shape))
+    x0 = StateX(g.constant(0.2), 0.1 * rng.standard_normal(g.shape))
+    paths = [sample_path(cov, g, tg, 3, path) for path in range(M)]
+    batch = StateX(np.stack([x.v for x in paths], axis=1), np.stack([x.w for x in paths], axis=1))
+    got = integrate(p, g, spec, tg, x0, u, batch)
+    assert got.v.shape == (tg.N + 1, M) + g.shape
+    for path in range(M):
+        alone = integrate(p, g, spec, tg, x0, u, paths[path], path)
+        np.testing.assert_array_equal(got.v[:, path], alone.v)
+        np.testing.assert_array_equal(got.w[:, path], alone.w)
 
 
 def test_control_enters_voltage_linearly():
@@ -517,6 +571,17 @@ def test_load_snapshot_reads_compressed_v2(tmp_path):
     np.testing.assert_array_equal(back.v, v)
     np.testing.assert_array_equal(back.w, w)
     assert (seed, path_index) == (9, 2)
+
+
+@pytest.mark.parametrize("missing", ["format", "w"])
+def test_load_snapshot_names_a_missing_array(tmp_path, missing):
+    zeros = np.zeros((11, 8))
+    arrays = dict(format="fhn-snapshot-v2", v=zeros, w=zeros, path_index=0, seed=0)
+    del arrays[missing]
+    path = tmp_path / "foreign.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigurationError, match=f"no '{missing}' array"):
+        load_snapshot(path)
 
 
 def test_load_snapshot_rejects_v1(tmp_path):

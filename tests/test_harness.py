@@ -1,6 +1,7 @@
 """Harness commands, manifests, artifact reproducibility, and the CLI."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import fhn_control
+import fhn_control.dynamics as dynamics_module
 from fhn_control import harness
 from fhn_control.adjoint import ADJOINT_SWEEP
 from fhn_control.cli import build_parser, main
@@ -238,6 +240,38 @@ def test_invariant_battery_all_pass():
         assert len(checks) >= 12
 
 
+@pytest.mark.parametrize(
+    "module, name, only, failing",
+    [
+        (harness, "actuator_adjoint", None, {"actuator_adjointness"}),
+        (harness, "implicit_solve_star", 4, {"implicit_solver_adjointness"}),
+        (harness, "mode_eigenvalue", 2, {"eigen_identity"}),
+        (
+            harness, "a_apply", None,
+            {"weighted_skew_cancellation", "operator_dissipative", "implicit_solver_inverts_operator"},
+        ),
+        (dynamics_module, "f_apply", None, {"one_sided_lipschitz"}),
+    ],
+    ids=["actuator_adjoint", "implicit_solve_star", "mode_eigenvalue", "a_apply", "f_apply"],
+)
+def test_invariant_battery_fails_a_nan_defect(monkeypatch, module, name, only, failing):
+    # NaN in every result of one operator, or in its call number `only`:
+    # a sampled check keeps its worst defect with a NaN-propagating
+    # reduction, so the NaN fails exactly the checks that read it
+    real = getattr(module, name)
+    calls = itertools.count()
+
+    def nan_result(*args):
+        out = real(*args)
+        if only is not None and next(calls) != only:
+            return out
+        return StateX(out.v + np.nan, out.w + np.nan) if isinstance(out, StateX) else out + np.nan
+
+    monkeypatch.setattr(module, name, nan_result)
+    checks = invariant_checks(Scenario(**SMALL).problem, seed=0)
+    assert {check for check, ok, _ in checks if not ok} == failing
+
+
 @pytest.mark.parametrize("d, n", [(1, 200), (2, 130)], ids=["d1-n200", "d2-n130"])
 def test_invariant_battery_passes_on_fine_grids(d, n):
     # the Laplacian defects grow like roundoff times 4d/h^2, so fixed bounds
@@ -249,22 +283,23 @@ def test_invariant_battery_passes_on_fine_grids(d, n):
 
 
 def test_self_convergence_rate_runs_the_problems_paths(monkeypatch):
-    # one integration per path and level, over four levels: with the noise
-    # off the 24-member ensemble is one path, with it on each member runs
+    # one integration per level, over four levels: with the noise off the
+    # 24-member ensemble is one noise-free path, with it on every member
+    # steps in that one call, on the path axis of its increments
     calls = []
     real = harness.integrate
 
-    def counting(*args, **kwargs):
-        calls.append(args[3].N)
-        return real(*args, **kwargs)
+    def counting(params, grid, spec, timegrid, x0, control, increments, *rest):
+        calls.append((timegrid.N, None if increments is None else increments.v.shape[:2]))
+        return real(params, grid, spec, timegrid, x0, control, increments, *rest)
 
     monkeypatch.setattr(harness, "integrate", counting)
     harness.self_convergence_rate(Scenario(**dict(SMALL, ensemble=24)).problem, base_steps=8)
-    assert calls == [8, 16, 32, 64]
+    assert calls == [(8, None), (16, None), (32, None), (64, None)]
     calls.clear()
     noisy = Scenario(**dict(SMALL, ensemble=3), mode="stochastic", sigma1=1.0, sigma2=1.0)
     harness.self_convergence_rate(noisy.problem, base_steps=8)
-    assert calls == [8, 16, 32, 64] * 3
+    assert calls == [(8, (8, 3)), (16, (16, 3)), (32, (32, 3)), (64, (64, 3))]
 
 
 def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
