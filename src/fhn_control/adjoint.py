@@ -107,7 +107,10 @@ def control_signal(problem: Problem, adj: AdjointPath) -> ControlPath:
     N, dt = timegrid.N, timegrid.dt
     scale = (dt / timegrid.u_weights()[:N]).reshape((N,) + (1,) * grid.d)
     values = np.zeros((N + 1,) + grid.shape)
-    values[:N] = scale * actuator_adjoint(problem.spec, problem.params.gamma, adj.sp_v)
+    # scaled in place, one temporary fewer; IEEE products commute, so the
+    # bits are those of scale * B* S* p
+    b_star = actuator_adjoint(problem.spec, problem.params.gamma, adj.sp_v)
+    np.multiply(b_star, scale, out=values[:N])
     return ControlPath(values)
 
 

@@ -281,7 +281,20 @@ def optimize(
     residual r, falls below that slack cannot be told from roundoff, and
     the residual may stall or cycle near r ~ 1e-6*sqrt((1 + |psi|)/alpha).
     At a small alpha that floor lies above the default `tol`.
+
+    Settings are checked before any integration: `max_iters` >= 1, a
+    positive finite `tol`, a nonnegative finite `eps0` and a finite `u0`,
+    or a `ConfigurationError`.
     """
+    # written so that NaN fails too
+    if not max_iters >= 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    if not 0 <= eps0 < math.inf:
+        raise ConfigurationError(f"eps0 must be nonnegative and finite, got {eps0}")
+    if u0 is not None and not np.all(np.isfinite(u0.values)):
+        raise ConfigurationError("u0 holds non-finite values")
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
@@ -332,6 +345,9 @@ def optimize(
             # back to the plain fixed-point candidate
             candidate = fixed_point
             direction = candidate - u
+        # only the direction is read from here on; three control paths fewer
+        # stay alive through the line search and the next sweep
+        del grad, fixed_point, candidate
 
         accepted = False
         tau = 1.0

@@ -42,6 +42,8 @@ every step: one batched `norm_h_sq` names the first node in time past
 
 from __future__ import annotations
 
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -307,7 +309,8 @@ def integrate(
 
 def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
     """The problem's `n_paths` paths under a common control, as one
-    read-only ensemble of shape (N+1, M) + grid.shape.
+    read-only ensemble of shape (N+1, M) + grid.shape.  A one-path ensemble
+    is a view of its path with a unit path axis, not a copy of it.
 
     This is where a path's noise is drawn: path p steps
     `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
@@ -315,19 +318,27 @@ def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> Sta
     sees the same noise."""
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     noisy = not cov.is_zero()
-    shape = (timegrid.N + 1, problem.n_paths) + grid.shape
-    ens = StateX(np.empty(shape), np.empty(shape))
-    for p in range(problem.n_paths):
+
+    def run(p: int) -> StateX:
         # drawn inline, so one path's increments are alive at a time
-        path = integrate(
-            problem.params, grid, problem.spec, timegrid, problem.x0, control,
-            sample_path(cov, grid, timegrid, seed, p) if noisy else None, p,
+        increments = sample_path(cov, grid, timegrid, seed, p) if noisy else None
+        return integrate(
+            problem.params, grid, problem.spec, timegrid, problem.x0, control, increments, p
         )
-        ens.v[:, p], ens.w[:, p] = path.v, path.w
+
+    if problem.n_paths == 1:
+        ens = run(0)
+    else:
+        shape = (timegrid.N + 1, problem.n_paths) + grid.shape
+        ens = StateX(np.empty(shape), np.empty(shape))
+        for p in range(problem.n_paths):
+            path = run(p)
+            ens.v[:, p], ens.w[:, p] = path.v, path.w
     # the cost, the backward sweep, energy_report and the optimizer's
-    # report all share these arrays
+    # report all share these arrays, and views of read-only arrays are
+    # read-only too
     ens.v.flags.writeable = ens.w.flags.writeable = False
-    return ens
+    return ens[:, None] if problem.n_paths == 1 else ens
 
 
 def sup_h_sq(problem: Problem, ens: StateX) -> list:
@@ -379,10 +390,28 @@ def save_control(path: str, timegrid: TimeGrid, u: ControlPath) -> None:
     np.savez(path, format=CONTROL_FORMAT, times=timegrid.times(), u=u.values)
 
 
+@contextmanager
+def open_npz(path: str, what: str):
+    """An .npz archive, open for reading.  A missing or unreadable file, one
+    that is not an .npz archive, or a member that cannot be read is a
+    `ConfigurationError` naming `what` and the path."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigurationError(f"{what}: {path} is not an .npz archive")
+        with data:
+            yield data
+    except ConfigurationError:  # a ValueError, already naming the file
+        raise
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{what}: cannot read {path}: {exc}") from None
+
+
 def load_snapshot(path: str) -> tuple:
-    """Read a snapshot back as (state path, seed, path_index); a file
-    without one of the snapshot's arrays is a `ConfigurationError`."""
-    with np.load(path) as data:
+    """Read a snapshot back as (state path, seed, path_index); a file that
+    is not an .npz archive, or one without one of the snapshot's arrays, is
+    a `ConfigurationError`."""
+    with open_npz(path, "snapshot") as data:
 
         def read(name: str) -> np.ndarray:
             if name not in data.files:

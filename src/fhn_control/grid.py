@@ -156,7 +156,13 @@ def inner_l2(grid: Grid, a: Field, b: Field):
     """Trapezoid L2 pairing of two fields; leading axes broadcast."""
     _check_batch(grid, a)
     _check_batch(grid, b)
-    return _sum_fields(grid, _weights(grid) * a * b)
+    # (weights * a) * b, in one temporary where b broadcasts into it
+    t = _weights(grid) * a
+    try:
+        np.multiply(t, b, out=t)
+    except ValueError:  # b has leading axes that a lacks
+        t = t * b
+    return _sum_fields(grid, t)
 
 
 def norm_l2_sq(grid: Grid, a: Field):

@@ -16,7 +16,6 @@ import configparser
 import hashlib
 import io
 import json
-import zipfile
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -25,7 +24,7 @@ import numpy as np
 from .control import CostSpec, Problem
 from .dynamics import FhnParams
 from .errors import ConfigurationError
-from .forward import ActuatorSpec, TimeGrid
+from .forward import ActuatorSpec, TimeGrid, open_npz
 from .grid import Field, Grid, StateX, neumann_eigenmode
 from .noise import SpectralCovariance
 
@@ -185,21 +184,11 @@ def _load_array(grid: Grid, rest: str, key: str) -> Field:
     """Array of a `file:<path>[:<name>]` spec: the named array of an .npz
     file, or its first array when no name is given."""
     path, _, arr_key = rest.partition(":")
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ConfigurationError(f"{key}: {path} is not an .npz archive")
-        with data:
-            name = arr_key or next(iter(data.files), None)
-            if name not in data.files:
-                raise ConfigurationError(
-                    f"{key}: no array {name!r} in {path} (it holds {data.files})"
-                )
-            arr = np.asarray(data[name])
-    except ConfigurationError:
-        raise
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigurationError(f"{key}: cannot read {path}: {exc}") from None
+    with open_npz(path, key) as data:
+        name = arr_key or next(iter(data.files), None)
+        if name not in data.files:
+            raise ConfigurationError(f"{key}: no array {name!r} in {path} (it holds {data.files})")
+        arr = np.asarray(data[name])
     if arr.shape != grid.shape:
         raise ConfigurationError(
             f"{key}: array in {path} has shape {arr.shape}, grid is {grid.shape}"

@@ -1,6 +1,7 @@
 """Cost functional, exact gradients, contraction margin, and the optimizer."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from fhn_control.forward import (
     u_inner,
     u_norm,
 )
-from fhn_control.grid import Grid, StateX, norm_h_sq, norm_l2_sq
+from fhn_control.grid import Grid, StateX, neumann_eigenmode, norm_h_sq, norm_l2_sq
 from fhn_control.noise import SpectralCovariance
 from fhn_control.scenario import Scenario
 
@@ -435,3 +436,58 @@ def test_optimize_rejects_a_trial_that_blows_up():
     rep = optimize(problem, max_iters=3)
     assert np.isfinite(rep.psi_final)
     assert all(it["accepted"] and it["tau"] < 1.0 for it in rep.iterations)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_iters", 0),
+        ("tol", 0.0),
+        ("tol", np.nan),
+        ("tol", np.inf),
+        ("eps0", -1.0),
+        ("eps0", np.nan),
+        ("eps0", np.inf),
+        ("u0", np.nan),
+        ("u0", np.inf),
+    ],
+)
+def test_optimize_checks_its_settings_before_integrating(monkeypatch, name, value):
+    # called in code, optimize rejects what the scenario rejects, and a
+    # non-finite start, before it integrates anything
+    problem = _setup(n=16, N=10)
+    if name == "u0":
+        values = np.zeros((problem.timegrid.N + 1,) + problem.grid.shape)
+        values[3, 5] = value
+        value = ControlPath(values)
+    integrated = []
+    monkeypatch.setattr(control_module, "integrate_ensemble", lambda *a: integrated.append(a))
+    with pytest.raises(ConfigurationError, match=name):
+        optimize(problem, **{name: value})
+    assert integrated == []
+
+
+def test_optimize_holds_about_eleven_field_paths():
+    # the optimizer's working set on a deterministic 2-D problem, in field
+    # paths of (N+1)*n^d doubles: the current paths and signal, the iterate,
+    # theta, the direction, a trial and its paths, and the sweep's
+    # temporaries.  A second integration's copy of the one path, or the
+    # gradient and the candidates kept through the line search, read ~15.
+    n, N = 24, 100
+    g = Grid(2, n)
+    mask = np.multiply.outer((g.axis_coords() < g.ell / 2).astype(float), np.ones(n))
+    ref = StateX(0.3 * neumann_eigenmode(g, 2) - 0.2 * neumann_eigenmode(g, 3), g.zeros())
+    problem = Problem(
+        params=FhnParams(), grid=g, cov=SpectralCovariance.zero(1), spec=ActuatorSpec(mask),
+        timegrid=TimeGrid(1.0, N), cost=CostSpec(alpha=1.0, x_ref=ref),
+        x0=StateX(g.zeros(), g.zeros()),
+    )
+    optimize(problem)  # warm-up: the caches of the grid and the time grid
+    tracemalloc.start()
+    try:
+        rep = optimize(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak / ((N + 1) * n**g.d * 8) <= 11.5

@@ -277,6 +277,31 @@ def test_integrate_ensemble_is_read_only():
             field[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
+@pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
+def test_one_path_ensemble_is_a_read_only_view_of_its_path(grid, noisy):
+    # one path is not copied into an ensemble: the ensemble is the
+    # integrated path with a unit path axis, and no array under it can be
+    # written; with the noise off, any ensemble size runs one path
+    p = FhnParams()
+    tg = TimeGrid(0.04, 20)
+    cov = SpectralCovariance.power_spectrum(8, 0.3, 0.3) if noisy else SpectralCovariance.zero(8)
+    x0 = StateX(grid.constant(0.3), grid.zeros())
+    u = ControlPath(0.1 * np.ones((tg.N + 1,) + grid.shape))
+    spec = ActuatorSpec.identity(grid)
+    problem = Problem(p, grid, cov, spec, tg, CostSpec(alpha=1.0), x0, ensemble=1 if noisy else 5)
+    ens = integrate_ensemble(problem, u, 5)
+    path = integrate(p, grid, spec, tg, x0, u, sample_path(cov, grid, tg, 5, 0) if noisy else None)
+    for got, want in ((ens.v, path.v), (ens.w, path.w)):
+        assert got.shape == (tg.N + 1, 1) + grid.shape
+        assert got.base is not None and got.base.shape == want.shape  # a view, not a copy
+        assert got[:, 0].tobytes() == want.tobytes()
+        arr = got
+        while arr is not None:
+            assert not arr.flags.writeable
+            arr = arr.base
+
+
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
 def test_integrate_ensemble_paths_invariant_to_ensemble_size(grid):
     # path p of an ensemble of M paths is path p of any other ensemble,
@@ -582,6 +607,18 @@ def test_load_snapshot_names_a_missing_array(tmp_path, missing):
     np.savez(path, **arrays)
     with pytest.raises(ConfigurationError, match=f"no '{missing}' array"):
         load_snapshot(path)
+
+
+def test_load_snapshot_names_a_foreign_file(tmp_path):
+    # an .npy array, a text file named .npz and a missing file are each a
+    # configuration error naming the path, not numpy's or the OS's error
+    npy = tmp_path / "path.npy"
+    np.save(npy, np.zeros((11, 8)))
+    text = tmp_path / "notes.npz"
+    text.write_text("not an archive\n")
+    for path in (npy, text, tmp_path / "missing.npz"):
+        with pytest.raises(ConfigurationError, match=str(path)):
+            load_snapshot(path)
 
 
 def test_load_snapshot_rejects_v1(tmp_path):

@@ -110,6 +110,18 @@ def test_inner_l2_shape_mismatch():
         inner_l2(g, np.zeros(17), np.zeros(16))
 
 
+def test_inner_l2_is_the_weighted_product_sum_bit_for_bit():
+    # (weights * a) * b, summed over the grid axes, whichever operand
+    # carries the leading axes the other lacks
+    rng = np.random.default_rng(5)
+    g = Grid(2, 6)
+    field, batch = rng.standard_normal(g.shape), rng.standard_normal((3, 4) + g.shape)
+    column = rng.standard_normal((3, 1) + g.shape)
+    for a, b in ((batch, batch[::-1]), (batch, field), (field, batch), (column, batch)):
+        want = (g.weights() * a * b).sum(axis=(-2, -1))
+        assert np.asarray(inner_l2(g, a, b)).tobytes() == want.tobytes()
+
+
 def test_trapezoid_quadrature_exact_for_linear():
     # trapezoid quadrature integrates piecewise-linear functions exactly
     g = Grid(1, 11, 1.0)
