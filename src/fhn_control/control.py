@@ -1,17 +1,20 @@
 """Cost functional, optimality map, and the regularized outer loop.
 
 The optimizer iterates the control-to-adjoint-to-control fixed point
+u -> (dh)^{-1}(q(u)) through one array, the fixed-point step
 
-    u  ->  (dh)^{-1}( q(u) + sqrt(eps_k) * theta_k ),
+    step = (dh)^{-1}(q) - u = q/alpha - u,
 
-where q is the adjoint control signal, theta_k is the normalized
-previous update direction (norm at most one), and eps_k decreases
-geometrically.  A backtracking line search accepts a step only if it
-decreases the cost by at least sqrt(eps_k) times the step length, which
-is the discrete form of the variational-principle condition the
-convergence argument rests on.  The loop terminates on the fixed-point
-residual; hitting the iteration cap yields a non-converged report, not
-an error.
+where q is the adjoint control signal of u.  The cost's gradient is
+-alpha*step, so |step|_U is the optimality residual.  The step is
+perturbed to (dh)^{-1}(q + sqrt(eps_k)*theta_k) - u, where theta_k is the
+normalized previous update (norm at most one) and eps_k decreases
+geometrically, unless that perturbation points uphill.  A backtracking
+line search accepts u + tau*step only if it decreases the cost by at
+least sqrt(eps_k) times its length, which is the discrete form of the
+variational-principle condition the convergence argument rests on.  The
+loop terminates on the fixed-point residual; hitting the iteration cap
+yields a non-converged report, not an error.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ class CostSpec:
     `x_ref` may be a constant state or a callable of the time-node index;
     None is the zero state.  g, g0 and h act on the trailing grid axes and
     broadcast leading ones (ensemble paths, time nodes): one value per
-    field.  The cost holds no grid and no gamma: the values take both from
-    the `Problem` that holds the cost, so they are the grid and the gamma
-    the dynamics and the sweeps use.
+    field.  A zero weight takes the same formulas, so its values and
+    gradients are zeros.  The cost holds no grid and no gamma: the values
+    take both from the `Problem` that holds the cost, so they are the grid
+    and the gamma the dynamics and the sweeps use.
     """
 
     alpha: float
@@ -86,23 +90,15 @@ class CostSpec:
         return X if self.x_T is None else X - self.x_T
 
     def g(self, grid: Grid, gamma: float, X: StateX, n: int) -> float:
-        if self.c_g == 0.0:
-            return 0.0
         return 0.5 * self.c_g * norm_h_sq(grid, gamma, self._from_ref(X, n))
 
     def dg(self, X: StateX, n: int) -> StateX:
-        if self.c_g == 0.0:
-            return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
         return self.c_g * self._from_ref(X, n)
 
     def g0(self, grid: Grid, gamma: float, X: StateX) -> float:
-        if self.c0 == 0.0:
-            return 0.0
         return 0.5 * self.c0 * norm_h_sq(grid, gamma, self._from_target(X))
 
     def dg0(self, X: StateX) -> StateX:
-        if self.c0 == 0.0:
-            return StateX(np.zeros_like(X.v), np.zeros_like(X.w))
         return self.c0 * self._from_target(X)
 
     def h(self, grid: Grid, u):
@@ -115,7 +111,8 @@ class Problem:
     actuator, time grid, tracking cost, initial state and ensemble size.
 
     However it is built (in code, from a scenario, or by `dataclasses.replace`
-    in a study), construction checks that every field lives on the grid, the
+    in a study), construction checks that every field lives on the grid and
+    is finite (a callable reference at each node 0..N-1 the cost reads), the
     noise truncation is exact on it and the explicit cubic is stable at x0,
     then freezes the mask, x0 and the constant references it shares."""
 
@@ -133,9 +130,15 @@ class Problem:
             raise ConfigurationError(f"ensemble size must be >= 1, got {self.ensemble}")
         grid, cost = self.grid, self.cost
         self.params.forcing(grid)  # raises for a forcing field off the grid
-        # a field off the grid would broadcast silently; a reference may be a callable
+        # a field off the grid would broadcast silently; a callable reference
+        # is checked at the nodes the cost and the sweeps read, 0..N-1
         states = [("initial state", self.x0), ("x_ref", cost.x_ref), ("x_T", cost.x_T)]
-        states = [(name, x) for name, x in states if isinstance(x, StateX)]
+        shared = states = [(name, x) for name, x in states if isinstance(x, StateX)]
+        if callable(cost.x_ref):
+            states = shared + [(f"x_ref at node {n}", cost.x_ref(n)) for n in range(self.timegrid.N)]
+        for name, x in states:
+            if not isinstance(x, StateX):
+                raise ContractViolation(f"{name} is a {type(x).__name__}, not a StateX")
         for name, arr in [("actuator mask", self.spec.mask)] + [(name, x.v) for name, x in states]:
             if np.shape(arr) != grid.shape:
                 raise ContractViolation(f"{name} has shape {np.shape(arr)}, grid is {grid.shape}")
@@ -154,7 +157,7 @@ class Problem:
                 f"dt*max I_ion'(v0) = {growth:.4g} >= 2; take more time steps"
             )
         self.spec.mask.flags.writeable = False
-        for _, x in states:
+        for _, x in shared:
             x.v.flags.writeable = x.w.flags.writeable = False
 
     @property
@@ -212,11 +215,9 @@ def psi_from_trajectories(problem: Problem, u: ControlPath, ens: StateX) -> tupl
     n_paths = ensemble_size(timegrid, grid.shape, ens)
     gw = timegrid.g_weights()
     control_cost = float(sum(timegrid.u_weights() * cost.h(grid, u.values)))
-    state_cost = cost.g0(grid, gamma, ens[timegrid.N])
-    if cost.c_g != 0.0:
-        state_cost = state_cost + sum(
-            gw[n] * cost.g(grid, gamma, ens[n], n) for n in range(timegrid.N)
-        )
+    state_cost = cost.g0(grid, gamma, ens[timegrid.N]) + sum(
+        gw[n] * cost.g(grid, gamma, ens[n], n) for n in range(timegrid.N)
+    )
     per_path = state_cost + np.full(n_paths, control_cost)
     value = float(np.mean(per_path))
     stderr = 0.0 if n_paths == 1 else float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
@@ -244,7 +245,6 @@ class OptimizeReport:
     ensemble: StateX | None = None
     certificate_residual: float = float("nan")
     converged: bool = False
-    margin: dict = field(default_factory=dict)
     psi_final: float = float("nan")
 
     @property
@@ -266,6 +266,10 @@ def optimize(
     u0: ControlPath | None = None,
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
+
+    Each iteration forms one control path, the step q/alpha - u: its norm
+    is the recorded residual, the descent test pairs it with the perturbed
+    step, and the line search moves along whichever of the two it keeps.
 
     Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise streams.
@@ -303,16 +307,15 @@ def optimize(
         ens = integrate_ensemble(problem, candidate, seed)
         return psi_from_trajectories(problem, candidate, ens)[0], ens
 
-    report = OptimizeReport(margin=contraction_margin(cost, timegrid.T))
+    report = OptimizeReport()
     psi_u, ens = evaluate(u)
     q = problem.signal(ens)
     for k in range(max_iters):
-        grad = gradient(cost, u, q)
-        fixed_point = subdiff_inverse(cost, q)
-        # the optimality residual is the gap to the plain fixed-point map;
-        # step sizes are not a convergence measure (a blocked line search
-        # would otherwise masquerade as convergence)
-        residual = u_norm(grid, timegrid, fixed_point - u)
+        # the residual is the norm of the full fixed-point step, not of a
+        # step taken: a blocked line search would otherwise masquerade as
+        # convergence
+        step = subdiff_inverse(cost, q) - u
+        residual = u_norm(grid, timegrid, step)
         # one record per iteration, read off the current paths; a step
         # taken below fills in its outcome
         record = {
@@ -334,25 +337,18 @@ def optimize(
         # contraction step actually delivers
         eps = min(eps0 * 0.25**k, (0.1 * residual) ** 2)
 
-        candidate = fixed_point
         if use_theta and theta is not None and eps > 0:
-            candidate = subdiff_inverse(
+            perturbed = subdiff_inverse(
                 cost, ControlPath(q.values + math.sqrt(eps) * theta.values)
-            )
-        direction = candidate - u
-        if u_inner(grid, timegrid, grad, direction) > 0.0:
-            # the perturbation has overtaken the descent direction; fall
-            # back to the plain fixed-point candidate
-            candidate = fixed_point
-            direction = candidate - u
-        # only the direction is read from here on; three control paths fewer
-        # stay alive through the line search and the next sweep
-        del grad, fixed_point, candidate
+            ) - u
+            # the perturbed step is the direction, unless the perturbation
+            # has overtaken the step and points uphill
+            if u_inner(grid, timegrid, step, perturbed) >= 0.0:
+                step = perturbed
 
-        accepted = False
         tau = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = u + tau * direction
+            trial = u + tau * step
             dist = u_norm(grid, timegrid, trial - u)
             try:
                 psi_c, trial_ens = evaluate(trial)
@@ -360,22 +356,18 @@ def optimize(
                 # a step too long for the explicit cubic: reject it
                 psi_c, trial_ens = math.inf, None
             if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
-                accepted = True
+                if dist > 0:
+                    theta = ControlPath((tau * step).values / dist)
+                u, psi_u, ens = trial, psi_c, trial_ens
+                q = problem.signal(ens)
+                record.update(psi=psi_u, eps=eps, tau=tau)
                 break
             # keep at most two ensembles alive: the current one and a trial
             del trial_ens
             tau *= 0.5
-
-        if accepted:
-            if dist > 0:
-                theta = ControlPath((tau * direction).values / dist)
-            u = trial
-            psi_u = psi_c
-            ens = trial_ens
-            q = problem.signal(ens)
         else:
             theta = None
-        record.update(psi=psi_u, eps=eps, accepted=accepted, tau=tau if accepted else 0.0)
+            record.update(eps=eps, accepted=False)
 
     report.certificate_residual = u_norm(grid, timegrid, subdiff_inverse(cost, q) - u)
     report.u_star = u

@@ -31,8 +31,11 @@ A path is a `StateX` whose fields carry a leading time axis, shape
 whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
 `ens[:, p]` is path p.  `integrate` steps the noise increments it is
-handed, one path or a path axis; `integrate_ensemble` is the one place
-that draws them, path p's from (seed, p) by `noise.sample_path`.
+handed, one path or a path axis; `integrate_ensemble` draws a problem's
+paths' increments, path p's from (seed, p) by `noise.sample_path`.  The
+one other caller of `sample_path` outside the noise module is
+`harness.self_convergence_rate`, which draws each path's finest-level
+increments itself and sums them into every coarser level.
 
 The blow-up guard reads the paths once their time loop is over, not after
 every step: one batched `norm_h_sq` names the first node in time past
@@ -315,7 +318,10 @@ def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> Sta
     This is where a path's noise is drawn: path p steps
     `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
     off, so it depends on (seed, p) alone, whatever M is, and every control
-    sees the same noise."""
+    sees the same noise.  A negative seed is a `ConfigurationError`, noise
+    on or off, before any integration."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     noisy = not cov.is_zero()
 

@@ -165,7 +165,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
         eps0=scenario.eps0, use_theta=scenario.use_theta,
     )
     artifacts = []
-    margin = report.margin["margin"]
+    margin = contraction_margin(problem.cost, problem.timegrid.T)
     history_csv = out / "history.csv"
     _write_csv(
         history_csv,
@@ -178,7 +178,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
                 it["eps"],
                 int(it["accepted"]),
                 it["tau"],
-                margin,
+                margin["margin"],
             )
             for it in report.iterations
         ],
@@ -195,7 +195,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
         "iterations": len(report.iterations),
         "psi_final": report.psi_final,
         "certificate_residual": report.certificate_residual,
-        "margin": report.margin,
+        "margin": margin,
         "control_norm": u_norm(problem.grid, problem.timegrid, report.u_star),
     }
     return artifacts, summary, True
@@ -492,7 +492,6 @@ def margin_sweep(problem: Problem, eps0: float, use_theta: bool) -> list:
                 "margin": contraction_margin(problem.cost, T)["margin"],
                 "geometric_decay": geometric,
                 "worst_late_ratio": max(late) if late else float("nan"),
-                "residuals": res,
             }
         )
     return rows

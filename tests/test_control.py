@@ -104,8 +104,33 @@ _ROW = np.ones(8)  # one axis of Grid(2, 8): it would broadcast along the last
             lambda g: {"timegrid": TimeGrid(1.0, 10), "x0": StateX(g.constant(30.0), g.zeros())},
             ConfigurationError, r"dt=0\.1 .* >= 2",
         ),
+        # a callable reference is checked at every node 0..N-1 the cost reads
+        (
+            Grid(2, 8), lambda g: {"cost": CostSpec(alpha=2.0, x_ref=lambda n: StateX(_ROW, _ROW))},
+            ContractViolation, "x_ref at node 0 has shape",
+        ),
+        (
+            Grid(2, 8), lambda g: {"cost": CostSpec(alpha=2.0, x_ref=lambda n: None)},
+            ContractViolation, "x_ref at node 0 is a NoneType",
+        ),
+        (
+            Grid(2, 8),
+            lambda g: {"cost": CostSpec(alpha=2.0, x_ref=lambda n: StateX(g.constant(np.nan), g.zeros()))},
+            ConfigurationError, "x_ref at node 0 holds non-finite",
+        ),
+        (
+            # TimeGrid(0.1, 10): node 9 is the last the running cost reads
+            Grid(2, 8),
+            lambda g: {"cost": CostSpec(
+                alpha=2.0, x_ref=lambda n: StateX(g.constant(np.nan if n == 9 else 0.0), g.zeros())
+            )},
+            ConfigurationError, "x_ref at node 9 holds non-finite",
+        ),
     ],
-    ids=["mask", "x0", "x_ref", "x_T", "forcing", "truncation", "step-size"],
+    ids=[
+        "mask", "x0", "x_ref", "x_T", "forcing", "truncation", "step-size",
+        "x_ref-callable-shape", "x_ref-callable-type", "x_ref-callable-nan", "x_ref-callable-nan-late",
+    ],
 )
 def test_problem_built_in_code_is_checked(grid, change, error, match):
     with pytest.raises(error, match=match):
@@ -436,6 +461,45 @@ def test_optimize_rejects_a_trial_that_blows_up():
     rep = optimize(problem, max_iters=3)
     assert np.isfinite(rep.psi_final)
     assert all(it["accepted"] and it["tau"] < 1.0 for it in rep.iterations)
+
+
+def test_optimize_refuses_a_perturbed_step_that_points_uphill(monkeypatch):
+    # at alpha = 0.03 the sqrt(eps)*theta perturbation can overtake the
+    # fixed-point step; the descent test then keeps the plain step, and the
+    # run still converges.  `u_inner` is called directly only by that test.
+    problem = Scenario(
+        n=12, steps=40, horizon=0.5, modes=8, alpha=0.03, x_ref="constant:1.0", eps0=0.1,
+    ).problem
+    pairings = []
+    real_inner = control_module.u_inner
+
+    def recording_inner(*args):
+        pairings.append(real_inner(*args))
+        return pairings[-1]
+
+    monkeypatch.setattr(control_module, "u_inner", recording_inner)
+    rep = optimize(problem, max_iters=30, eps0=0.1)
+    refused = [ip for ip in pairings if ip < 0.0]
+    assert refused and len(refused) < len(pairings)
+    assert rep.converged
+    assert rep.certificate_residual < 1e-6
+    psi = rep.psi_history
+    assert all(b <= a + 1e-12 for a, b in zip(psi, psi[1:]))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
+def test_negative_seed_is_rejected_before_integrating(monkeypatch, noisy):
+    # integrate_ensemble draws a run's paths, so it checks the seed for
+    # optimize and psi_estimate alike, whether or not a stream is opened
+    problem = _noisy(_setup(n=8, N=10), 4) if noisy else _setup(n=8, N=10)
+    u = ControlPath.zero(problem.timegrid, problem.grid)
+    stepped = []
+    monkeypatch.setattr(forward_module, "integrate", lambda *a: stepped.append(a))
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        optimize(problem, seed=-1)
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        psi_estimate(problem, u, -1)
+    assert stepped == []
 
 
 @pytest.mark.parametrize(

@@ -131,16 +131,17 @@ def test_sample_increment_rejects_negative_dt():
 
 
 def test_increment_mode_variance_matches_spectrum():
-    # Monte Carlo check: the coefficient of mode k has variance lam_k * dt
+    # Monte Carlo check: the coefficient of mode k has variance lam_k * dt.
+    # The samples are the steps of one path: each step draws from its own
+    # stream (seed, path, step), so they are independent
     g = Grid(1, 32)
-    K, dt, n_samples = 4, 0.01, 4000
+    K, n_samples = 4, 4000
+    tg = TimeGrid(0.01 * n_samples, n_samples)
     cov = SpectralCovariance.power_spectrum(K, 0.3, 0.2)
-    coeffs = np.empty((n_samples, K))
-    for i in range(n_samples):
-        dW = sample_increment(cov, g, dt, increment_stream(42, i, 0))
-        coeffs[i] = mode_coefficients(g, K, dW.v)
+    dW = sample_path(cov, g, tg, 42, 0)
+    coeffs = np.array([mode_coefficients(g, K, v) for v in dW.v])
     sample_var = np.var(coeffs, axis=0)
-    expected = np.asarray(cov.lam1) * dt
+    expected = np.asarray(cov.lam1) * tg.dt
     np.testing.assert_allclose(sample_var, expected, rtol=0.15)
     # cross-mode covariance vanishes
     corr = np.corrcoef(coeffs.T)
@@ -149,15 +150,13 @@ def test_increment_mode_variance_matches_spectrum():
 
 
 def test_increment_components_independent():
+    # the steps of one path, as above
     g = Grid(1, 16)
     cov = SpectralCovariance.power_spectrum(1, 0.5, 0.5)
     n_samples = 3000
-    c1 = np.empty(n_samples)
-    c2 = np.empty(n_samples)
-    for i in range(n_samples):
-        dW = sample_increment(cov, g, 0.1, increment_stream(5, i, 0))
-        c1[i] = mode_coefficients(g, 1, dW.v)[0]
-        c2[i] = mode_coefficients(g, 1, dW.w)[0]
+    dW = sample_path(cov, g, TimeGrid(0.1 * n_samples, n_samples), 5, 0)
+    c1 = np.array([mode_coefficients(g, 1, v)[0] for v in dW.v])
+    c2 = np.array([mode_coefficients(g, 1, w)[0] for w in dW.w])
     assert abs(np.corrcoef(c1, c2)[0, 1]) < 0.06
 
 
