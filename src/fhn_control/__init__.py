@@ -31,6 +31,7 @@ from .forward import (
     energy_report,
     integrate,
     integrate_ensemble,
+    integrate_paths,
     load_snapshot,
     save_snapshot,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "energy_report",
     "integrate",
     "integrate_ensemble",
+    "integrate_paths",
     "load_snapshot",
     "save_snapshot",
     "AdjointPath",

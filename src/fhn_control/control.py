@@ -113,8 +113,8 @@ class Problem:
     However it is built (in code, from a scenario, or by `dataclasses.replace`
     in a study), construction checks that every field lives on the grid and
     is finite (a callable reference at each node 0..N-1 the cost reads), the
-    noise truncation is exact on it and the explicit cubic is stable at x0,
-    then freezes the mask, x0 and the constant references it shares."""
+    truncation of any noise is exact on it and the explicit cubic is stable
+    at x0, then freezes the mask, x0 and the constant references it shares."""
 
     params: FhnParams
     grid: Grid
@@ -145,7 +145,9 @@ class Problem:
         for name, x in states:
             if not (np.all(np.isfinite(x.v)) and np.all(np.isfinite(x.w))):
                 raise ConfigurationError(f"{name} holds non-finite values")
-        if self.cov.K > (top := (grid.max_mode_freq() + 1) ** grid.d):
+        # a noise-free run draws no modes, so its truncation is not checked
+        top = (grid.max_mode_freq() + 1) ** grid.d
+        if not self.cov.is_zero() and self.cov.K > top:
             raise ConfigurationError(f"modes={self.cov.K} above the grid's exact truncation {top}")
         # the cubic is stepped explicitly: where dt*I_ion'(v) >= 2 (never in
         # linear mode) the step amplifies the voltage, and the run blows up

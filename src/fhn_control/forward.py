@@ -31,11 +31,16 @@ A path is a `StateX` whose fields carry a leading time axis, shape
 whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
 `ens[:, p]` is path p.  `integrate` steps the noise increments it is
-handed, one path or a path axis; `integrate_ensemble` draws a problem's
-paths' increments, path p's from (seed, p) by `noise.sample_path`.  The
+handed, one path or a path axis.  `integrate_paths` hands out a problem's
+paths one at a time, path p stepped on the increments `noise.sample_path`
+draws from (seed, p), which are freed once it has integrated;
+`integrate_ensemble` stacks those paths into an ensemble for the cost, the
+sweeps and the optimizer.  `simulate` stacks nothing: it reduces each path
+as it arrives, so it holds one path besides path 0 whatever M is.  The
 one other caller of `sample_path` outside the noise module is
 `harness.self_convergence_rate`, which draws each path's finest-level
-increments itself and sums them into every coarser level.
+increments itself, after the seed check `integrate_paths` runs, and sums
+them into every coarser level.
 
 The blow-up guard reads the paths once their time loop is over, not after
 every step: one batched `norm_h_sq` names the first node in time past
@@ -59,6 +64,8 @@ from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
 from .noise import sample_path
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .control import Problem
 
 SNAPSHOT_FORMAT = "fhn-snapshot-v2"
@@ -310,35 +317,47 @@ def integrate(
     return StateX(v, w)
 
 
-def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
-    """The problem's `n_paths` paths under a common control, as one
-    read-only ensemble of shape (N+1, M) + grid.shape.  A one-path ensemble
-    is a view of its path with a unit path axis, not a copy of it.
+def check_seed(seed: int) -> None:
+    """A run's noise is drawn from (seed, path): a negative seed is a
+    `ConfigurationError`, whether or not a run draws any noise."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+
+
+def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterator[StateX]:
+    """The problem's `n_paths` paths under a common control, one at a time:
+    a generator whose item p is path p, with (N+1,) + grid.shape fields.
 
     This is where a path's noise is drawn: path p steps
     `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
     off, so it depends on (seed, p) alone, whatever M is, and every control
-    sees the same noise.  A negative seed is a `ConfigurationError`, noise
-    on or off, before any integration."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    sees the same noise.  A negative seed is a `ConfigurationError` at the
+    call, noise on or off, before any integration."""
+    check_seed(seed)
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     noisy = not cov.is_zero()
-
-    def run(p: int) -> StateX:
-        # drawn inline, so one path's increments are alive at a time
-        increments = sample_path(cov, grid, timegrid, seed, p) if noisy else None
-        return integrate(
-            problem.params, grid, problem.spec, timegrid, problem.x0, control, increments, p
+    # a path's increments are drawn inline, as `integrate`'s argument, so
+    # they are freed before the path is handed out
+    return (
+        integrate(
+            problem.params, grid, problem.spec, timegrid, problem.x0, control,
+            sample_path(cov, grid, timegrid, seed, p) if noisy else None, p,
         )
+        for p in range(problem.n_paths)
+    )
 
+
+def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
+    """The paths of `integrate_paths`, stacked as one read-only ensemble of
+    shape (N+1, M) + grid.shape.  A one-path ensemble is a view of its path
+    with a unit path axis, not a copy of it."""
+    paths = integrate_paths(problem, control, seed)
     if problem.n_paths == 1:
-        ens = run(0)
+        ens = next(paths)
     else:
-        shape = (timegrid.N + 1, problem.n_paths) + grid.shape
+        shape = (problem.timegrid.N + 1, problem.n_paths) + problem.grid.shape
         ens = StateX(np.empty(shape), np.empty(shape))
-        for p in range(problem.n_paths):
-            path = run(p)
+        for p, path in enumerate(paths):
             ens.v[:, p], ens.w[:, p] = path.v, path.w
     # the cost, the backward sweep, energy_report and the optimizer's
     # report all share these arrays, and views of read-only arrays are

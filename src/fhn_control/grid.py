@@ -277,13 +277,6 @@ def eigenmode_matrix(grid: Grid, K: int) -> np.ndarray:
     return E
 
 
-def mode_coefficients(grid: Grid, K: int, u: Field) -> np.ndarray:
-    """Trapezoid-quadrature projections <u, e_k>_2 for k = 1..K."""
-    _check_field(grid, u)
-    E = eigenmode_matrix(grid, K)
-    return E.T @ (_weights(grid) * u).ravel()
-
-
 @lru_cache(maxsize=None)
 def _dct_symbol(grid: Grid) -> np.ndarray:
     """Laplacian eigenvalues over the full DCT-I spectrum of the grid."""

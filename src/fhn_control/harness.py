@@ -38,11 +38,13 @@ from .forward import (
     TimeGrid,
     actuator_adjoint,
     actuator_apply,
+    check_seed,
     energy_report,
     implicit_solve,
     implicit_solve_star,
     integrate,
     integrate_ensemble,
+    integrate_paths,
     save_control,
     save_snapshot,
     u_inner,
@@ -131,30 +133,28 @@ def _write_manifest(
 
 def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
     """integrate the state equation and write trajectories"""
+    # one path at a time: each is reduced as it arrives and dropped, path 0
+    # is kept, and nothing is written before the last path has integrated
     problem = scenario.problem
-    grid, timegrid, n_paths = problem.grid, problem.timegrid, problem.n_paths
-    ens = integrate_ensemble(problem, ControlPath.zero(timegrid, grid), seed)
-    artifacts = []
+    sup_h, int_v, first = [], [], None
+    for path in integrate_paths(problem, ControlPath.zero(problem.timegrid, problem.grid), seed):
+        report = energy_report(problem, path[:, None])
+        sup_h += report["sup_h_sq"]
+        int_v += report["int_v_sq"]
+        if first is None:
+            first = path
+        del path  # not alive while the next path integrates
     snap = out / "trajectory_path0.npz"
-    save_snapshot(snap, ens[:, 0], seed, 0)
-    artifacts.append(snap)
-    report = energy_report(problem, ens)
+    save_snapshot(snap, first, seed, 0)
     energy_csv = out / "energy.csv"
-    _write_csv(
-        energy_csv,
-        ["path", "sup_h_sq", "int_v_sq"],
-        [
-            (p, report["sup_h_sq"][p], report["int_v_sq"][p])
-            for p in range(n_paths)
-        ],
-    )
-    artifacts.append(energy_csv)
+    rows = zip(range(problem.n_paths), sup_h, int_v)
+    _write_csv(energy_csv, ["path", "sup_h_sq", "int_v_sq"], rows)
     summary = {
-        "paths": n_paths,
-        "mean_sup_h_sq": report["mean_sup_h_sq"],
-        "mean_int_v_sq": report["mean_int_v_sq"],
+        "paths": problem.n_paths,
+        "mean_sup_h_sq": float(np.mean(sup_h)),
+        "mean_int_v_sq": float(np.mean(int_v)),
     }
-    return artifacts, summary, True
+    return [snap, energy_csv], summary, True
 
 
 def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
@@ -414,6 +414,7 @@ def self_convergence_rate(problem: Problem, base_steps: int, seed: int = 0) -> d
     params, grid, T = problem.params, problem.grid, problem.timegrid.T
     # the coarsest level takes the largest step: its derived problem checks it
     dataclasses.replace(problem, timegrid=TimeGrid(T, base_steps))
+    check_seed(seed)
     noisy, n_paths, levels = not problem.cov.is_zero(), problem.n_paths, 3
     finest = base_steps * 2**levels
     if noisy:  # each path's fine increments, on a path axis: (finest, M) + grid.shape
@@ -560,8 +561,8 @@ def run(scenario: Scenario, command: str, out_dir: str, seed: int | None = None)
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}; valid: {tuple(COMMANDS)}")
     scenario.validate()
-    if seed is not None and seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    if seed is not None:
+        check_seed(seed)
     effective_seed = scenario.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -489,7 +489,7 @@ def test_optimize_refuses_a_perturbed_step_that_points_uphill(monkeypatch):
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
 def test_negative_seed_is_rejected_before_integrating(monkeypatch, noisy):
-    # integrate_ensemble draws a run's paths, so it checks the seed for
+    # integrate_paths draws a run's paths, so it checks the seed for
     # optimize and psi_estimate alike, whether or not a stream is opened
     problem = _noisy(_setup(n=8, N=10), 4) if noisy else _setup(n=8, N=10)
     u = ControlPath.zero(problem.timegrid, problem.grid)

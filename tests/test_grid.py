@@ -24,7 +24,6 @@ from fhn_control.grid import (
     helmholtz_solve,
     inner_h,
     inner_l2,
-    mode_coefficients,
     mode_eigenvalue,
     mode_frequencies,
     neumann_eigenmode,
@@ -256,8 +255,10 @@ def test_project_synthesize_roundtrip():
     g = Grid(1, 32)
     K = 10
     coeffs = rng.standard_normal(K)
-    u = eigenmode_matrix(g, K) @ coeffs
-    np.testing.assert_allclose(mode_coefficients(g, K, u), coeffs, atol=1e-12)
+    E = eigenmode_matrix(g, K)
+    u = E @ coeffs
+    # the trapezoid projections <u, e_k>_2 recover the coefficients
+    np.testing.assert_allclose(E.T @ (g.weights() * u), coeffs, atol=1e-12)
 
 
 def test_helmholtz_solve_inverts_operator():

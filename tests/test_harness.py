@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,21 @@ import pytest
 
 import fhn_control
 import fhn_control.dynamics as dynamics_module
+import fhn_control.forward as forward_module
 from fhn_control import harness
 from fhn_control.adjoint import ADJOINT_SWEEP
 from fhn_control.cli import build_parser, main
 from fhn_control.control import CostSpec, Problem
 from fhn_control.dynamics import FhnParams
-from fhn_control.errors import ConfigurationError
+from fhn_control.errors import BlowUpError, ConfigurationError
 from fhn_control.forward import (
     CONTROL_FORMAT,
     SNAPSHOT_FORMAT,
     ActuatorSpec,
+    ControlPath,
     TimeGrid,
+    energy_report,
+    integrate_ensemble,
     load_snapshot,
 )
 from fhn_control.grid import DENSE_MAX_N, HELMHOLTZ_SOLVER, Grid, StateX, neumann_eigenmode
@@ -203,6 +208,75 @@ def test_simulate_rerun_bit_identical(tmp_path):
     assert_runs_identical(tmp_path / "a", tmp_path / "b")
 
 
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("d", [1, 2])
+def test_streamed_simulate_equals_the_stacked_ensemble(tmp_path, d, M):
+    # simulate reduces each path as it arrives; its tables and its path 0
+    # are those of the whole ensemble, bit for bit
+    sizes = dict(SMALL, d=d, n=8 if d == 2 else SMALL["n"], ensemble=M)
+    scenario = Scenario(**sizes, mode="stochastic")
+    record = run(scenario, "simulate", tmp_path, seed=5)
+    problem = scenario.problem
+    ens = integrate_ensemble(problem, ControlPath.zero(problem.timegrid, problem.grid), 5)
+    report = energy_report(problem, ens)
+    table = np.loadtxt(tmp_path / "energy.csv", delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(table[:, 0], np.arange(M))
+    np.testing.assert_array_equal(table[:, 1], report["sup_h_sq"])
+    np.testing.assert_array_equal(table[:, 2], report["int_v_sq"])
+    assert record.summary == {
+        "paths": M,
+        "mean_sup_h_sq": report["mean_sup_h_sq"],
+        "mean_int_v_sq": report["mean_int_v_sq"],
+    }
+    path0, seed, index = load_snapshot(tmp_path / "trajectory_path0.npz")
+    np.testing.assert_array_equal(path0.v, ens.v[:, 0])
+    np.testing.assert_array_equal(path0.w, ens.w[:, 0])
+    assert (seed, index) == (5, 0)
+
+
+def test_simulate_writes_nothing_when_a_later_path_blows_up(tmp_path, monkeypatch):
+    # the artifacts are written once the last path has integrated, so a
+    # blow-up on path 2 of 4 leaves the output directory empty
+    real, indices = forward_module.integrate, []
+
+    def failing(params, grid, spec, timegrid, x0, control, increments, path_index=0):
+        indices.append(path_index)
+        if path_index == 2:
+            raise BlowUpError(1, 2.0e6, path_index)
+        return real(params, grid, spec, timegrid, x0, control, increments, path_index)
+
+    monkeypatch.setattr(forward_module, "integrate", failing)
+    out = tmp_path / "out"
+    with pytest.raises(BlowUpError, match="path 2"):
+        run(Scenario(**SMALL, mode="stochastic"), "simulate", out)
+    assert indices == [0, 1, 2]
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_holds_as_many_field_paths_whatever_the_ensemble(tmp_path):
+    # simulate's working set, in field paths of (N+1)*n doubles: path 0, the
+    # path integrating and its increments, and the temporaries of its
+    # blow-up guard and its energy report.  Stacking the ensemble read
+    # 17.3 at M = 4 and 89.3 at M = 40
+    n, N = 64, 100
+
+    def peak(M):
+        scenario = Scenario(
+            d=1, n=n, steps=N, horizon=0.1, modes=32, ensemble=M, mode="stochastic"
+        )
+        run(scenario, "simulate", tmp_path / f"warm-up-{M}")  # the grid's and time grid's caches
+        tracemalloc.start()
+        try:
+            run(scenario, "simulate", tmp_path / f"run-{M}")
+            return tracemalloc.get_traced_memory()[1] / ((N + 1) * n * 8)
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(4), peak(40)
+    assert many <= 12
+    assert abs(many - few) <= 0.5
+
+
 def test_csv_artifacts_hold_plain_numbers(tmp_path):
     # numpy 2 reprs a numpy scalar as np.float64(...); no CSV may hold one
     scenario = Scenario(**SMALL, mode="stochastic")
@@ -300,6 +374,16 @@ def test_self_convergence_rate_runs_the_problems_paths(monkeypatch):
     noisy = Scenario(**dict(SMALL, ensemble=3), mode="stochastic", sigma1=1.0, sigma2=1.0)
     harness.self_convergence_rate(noisy.problem, base_steps=8)
     assert calls == [(8, (8, 3)), (16, (16, 3)), (32, (32, 3)), (64, (64, 3))]
+
+
+def test_self_convergence_rate_rejects_a_negative_seed_before_drawing(monkeypatch):
+    # it draws its own fine increments, through the seed check of integrate_paths
+    drawn = []
+    monkeypatch.setattr(harness, "sample_path", lambda *a: drawn.append(a))
+    noisy = Scenario(**dict(SMALL, ensemble=2), mode="stochastic").problem
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        harness.self_convergence_rate(noisy, base_steps=8, seed=-1)
+    assert drawn == []
 
 
 def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
@@ -441,6 +525,18 @@ def test_cli_unstable_step_size_exits_2_before_output(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
     assert code == 2
     assert "dt=0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_noise_free_run_skips_the_noise_truncation_check(tmp_path, capsys):
+    # a noise-free run draws no modes: the default modes=32 above n=32's
+    # exact truncation 31 is an error only once the noise is on
+    for mode, code in (("deterministic", 0), ("stochastic", 2)):
+        scenario_path = tmp_path / f"{mode}.ini"
+        save_scenario(Scenario(n=32, steps=50, horizon=0.1, max_iters=3, mode=mode), scenario_path)
+        out = tmp_path / mode
+        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == code
+    assert "modes=32 above the grid's exact truncation 31" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -83,8 +83,10 @@ def test_validation_errors():
         Scenario(mode="sideways").validate()
     with pytest.raises(ConfigurationError, match="nonnegative"):
         Scenario(sigma1=-0.1).validate()
+    # the truncation is checked where noise is drawn (a noise-free scenario
+    # draws none)
     with pytest.raises(ConfigurationError, match="modes"):
-        Scenario(n=8, modes=100).validate()
+        Scenario(n=8, modes=100, mode="stochastic").validate()
     with pytest.raises(ConfigurationError, match="seed"):
         Scenario(seed=-1).validate()
     # no iteration would run, and the optimizer would report an empty history
