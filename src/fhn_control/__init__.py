@@ -23,7 +23,7 @@ from .grid import (
     norm_v_sq,
 )
 from .noise import SpectralCovariance, sample_increment, sample_path, trace_q
-from .dynamics import FhnParams, a_apply, f_apply, i_ion, one_sided_margin
+from .dynamics import FhnParams, a_apply, f_apply, i_ion, one_sided_defect
 from .forward import (
     ActuatorSpec,
     ControlPath,
@@ -76,7 +76,7 @@ __all__ = [
     "a_apply",
     "f_apply",
     "i_ion",
-    "one_sided_margin",
+    "one_sided_defect",
     "ActuatorSpec",
     "ControlPath",
     "TimeGrid",

@@ -5,7 +5,7 @@ voltage/recovery coupling, F carries the cubic ionic current plus the
 external forcing.  F and DF act on the voltage only, so `f_apply` and
 `df_apply` take and return voltage fields.  The one-sided Lipschitz
 constant of F is computed analytically from the cubic's roots;
-`one_sided_margin` checks it by sampling.
+`one_sided_defect` checks it exactly, where it is attained, not by sampling.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ class FhnParams:
     equation.  `eta` is derived, never user-supplied: the minimum of the
     cubic's derivative over the real line is ab - (a+b)^2/3, attained at
     v = (a+b)/3, so the one-sided constant of -I_ion is its negative part.
+    `one_sided_defect` checks it exactly, where it is attained.
     """
 
     a: float = 0.25
@@ -96,44 +97,33 @@ def a_apply(params: FhnParams, grid: Grid, X: StateX) -> StateX:
     )
 
 
-#: Standard deviation of the random states `one_sided_margin` samples.
-MARGIN_SAMPLE_AMPLITUDE = 2.0
+def one_sided_defect(params: FhnParams, grid: Grid) -> dict:
+    """Exact check of `eta`, the one-sided Lipschitz constant of F.
 
-#: Batch bounds of `one_sided_margin`: at most 5,000 fields and 320,000
-#: node values, so each batch array holds at most ~2.6 MB whatever the grid.
-MARGIN_BATCH_FIELDS = 5000
-MARGIN_BATCH_VALUES = 320_000
-
-
-def one_sided_margin(
-    params: FhnParams, grid: Grid, samples: int, stream: np.random.Generator
-) -> dict:
-    """Sampled supremum of <F(x)-F(y), x-y>_H / |x-y|_H^2.
-
-    Returns the sampled margin together with the analytic constant; the
-    margin never exceeds eta up to roundoff.
+    F's divided difference (F(x)-F(y))/(x-y) at node values x != y is
+    -(x^2 + xy + y^2 - (a+b)(x+y) + ab) (zero in linear mode): its Hessian
+    -[[2, 1], [1, 2]] is negative definite, so it peaks at x = y = c =
+    (a+b)/3, at eta.  <F(X)-F(Y), X-Y>_H / |X-Y|_H^2 is a weighted mean of
+    it, so it never exceeds eta.  `pair` is that ratio's defect from
+    eta - s^2 (eta in linear mode) at the constant fields c +- s, s = 1e-3;
+    `lattice` is the divided difference's largest defect from the quadratic
+    over the pairs of 9 values around c.  Each is held to 64 eps |F| over
+    the pair's spacing, and a NaN defect fails `passed`.
     """
-    if samples < 1:
-        raise ConfigurationError(f"sample count must be >= 1, got {samples}")
-    worst = -np.inf
-    batch = max(1, min(samples, MARGIN_BATCH_FIELDS, MARGIN_BATCH_VALUES // grid.num_nodes))
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        shape = (m,) + grid.shape
-        vx = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
-        wx = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
-        vy = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
-        wy = MARGIN_SAMPLE_AMPLITUDE * stream.standard_normal(shape)
-        dv = vx - vy
-        dw = wx - wy
-        # F acts on the voltage only, so the recovery difference drops out
-        dfv = f_apply(params, grid, vx) - f_apply(params, grid, vy)
-        num = params.gamma * inner_l2(grid, dfv, dv)
-        denom = norm_h_sq(grid, params.gamma, StateX(dv, dw))
-        valid = denom > 0
-        if np.any(valid):
-            # np.maximum keeps a NaN ratio, which max would drop
-            worst = float(np.maximum(worst, np.max(num[valid] / denom[valid])))
-        done += m
-    return {"sampled_margin": worst, "eta": params.eta}
+    eps, a, b, s = np.finfo(float).eps, params.a, params.b, 1.0e-3
+    c = (a + b) / 3.0
+    x, y = grid.constant(c + s), grid.constant(c - s)
+    fx, fy, dv = f_apply(params, grid, x), f_apply(params, grid, y), x - y
+    ratio = params.gamma * inner_l2(grid, fx - fy, dv) / norm_h_sq(grid, params.gamma, StateX(dv, grid.zeros()))
+    pair = abs(ratio - (params.eta if params.linear else params.eta - s * s))
+    pair_bound = 64.0 * eps * (1.0 + np.max(np.abs([fx, fy]))) / s
+    # the pairs run along a leading axis, so a forcing field broadcasts
+    values = c + (1.0 + abs(a) + abs(b)) * np.linspace(-1.0, 1.0, 9)
+    x, y = (values[k].reshape((-1,) + (1,) * grid.d) for k in np.triu_indices(values.size, 1))
+    fx, fy = f_apply(params, grid, x), f_apply(params, grid, y)
+    quadratic = 0.0 if params.linear else x * x + x * y + y * y - (a + b) * (x + y) + a * b
+    lattice = float(np.max(np.abs((fx - fy) / (x - y) + quadratic)))
+    lattice_bound = 64.0 * eps * (1.0 + np.max(np.abs([fx, fy]))) / (values[1] - values[0])
+    passed = bool(pair <= pair_bound and lattice <= lattice_bound)
+    return {"eta": params.eta, "pair": pair, "pair_bound": pair_bound,
+            "lattice": lattice, "lattice_bound": lattice_bound, "passed": passed}

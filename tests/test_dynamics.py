@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from fhn_control.dynamics import (
-    MARGIN_BATCH_VALUES,
     FhnParams,
     a_apply,
     df_apply,
     f_apply,
     i_ion,
     i_ion_prime,
-    one_sided_margin,
+    one_sided_defect,
 )
 from fhn_control.errors import ConfigurationError, ContractViolation
 from fhn_control.grid import (
@@ -113,56 +112,19 @@ def test_skew_cancellation_identity():
         assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
 
 
-def test_one_sided_margin_below_eta():
-    g = Grid(1, 16)
-    for a, b in [(0.25, 1.0), (0.0, 0.0), (0.5, 0.5)]:
-        p = FhnParams(a=a, b=b)
-        out = one_sided_margin(p, g, 5000, np.random.default_rng(0))
-        assert out["eta"] == pytest.approx(p.eta)
-        assert out["sampled_margin"] <= p.eta + 1e-9
-
-
-def test_one_sided_margin_nearly_attained():
-    # pairs straddling the derivative minimum approach the bound
-    g = Grid(1, 8)
-    p = FhnParams(a=0.25, b=1.0)
-    v_star = (p.a + p.b) / 3.0
-    e = 1e-4
-    x = StateX(g.constant(v_star + e), g.zeros())
-    y = StateX(g.constant(v_star - e), g.zeros())
-    dv = x.v - y.v
-    dfv = -(i_ion(p, x.v) - i_ion(p, y.v))
-    ratio = inner_l2(g, dfv, dv) / norm_l2_sq(g, dv)
-    assert ratio == pytest.approx(p.eta, abs=1e-6)
-
-
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 48)], ids=["d1", "d2"])
 @pytest.mark.parametrize(
-    "d, n, samples, fields",
-    [(1, 16, 12000, [5000, 5000, 2000]), (2, 130, 50, [18, 18, 14])],
-    ids=["d1-n16", "d2-n130"],
+    "a, b, linear",
+    [(0.25, 1.0, False), (0.0, 0.0, False), (0.8, 0.3, False), (50.0, 80.0, False), (0.25, 1.0, True)],
+    ids=["a0.25-b1", "a0-b0", "a0.8-b0.3", "a50-b80", "linear"],
 )
-def test_one_sided_margin_batches_are_bounded(d, n, samples, fields):
-    # a batch holds at most 5,000 fields and MARGIN_BATCH_VALUES node values,
-    # so sampling a fine 2-D grid stays within a few MB per array
-    class Recording:
-        def __init__(self):
-            self.rng = np.random.default_rng(0)
-            self.shapes = []
-
-        def standard_normal(self, shape):
-            self.shapes.append(shape)
-            return self.rng.standard_normal(shape)
-
-    g = Grid(d, n)
-    stream = Recording()
-    out = one_sided_margin(FhnParams(), g, samples, stream)
-    assert out["sampled_margin"] <= out["eta"] + 1e-9
-    assert [shape[0] for shape in stream.shapes[::4]] == fields
-    assert all(shape[1:] == g.shape for shape in stream.shapes)
-    assert max(np.prod(shape) for shape in stream.shapes) <= MARGIN_BATCH_VALUES
-
-
-def test_one_sided_margin_rejects_bad_count():
-    g = Grid(1, 8)
-    with pytest.raises(ConfigurationError):
-        one_sided_margin(FhnParams(), g, 0, np.random.default_rng(0))
+def test_one_sided_defect_is_roundoff(a, b, linear, d, n):
+    # eta is attained at the pair c +- s (0 in linear mode), and f_apply's
+    # divided difference is the quadratic that peaks at eta: both defects
+    # are roundoff, which grows with the cubic (4e-10 at a = 50, b = 80)
+    p = FhnParams(a=a, b=b, linear=linear)
+    out = one_sided_defect(p, Grid(d, n))
+    assert out["eta"] == (0.0 if linear else pytest.approx((a + b) ** 2 / 3.0 - a * b))
+    assert out["pair"] <= out["pair_bound"]
+    assert out["lattice"] <= out["lattice_bound"]
+    assert out["passed"]

@@ -346,6 +346,26 @@ def test_invariant_battery_fails_a_nan_defect(monkeypatch, module, name, only, f
     assert {check for check, ok, _ in checks if not ok} == failing
 
 
+def test_a_wrong_cubic_fails_the_one_sided_check(monkeypatch):
+    # i_ion at half its size keeps every field ratio below eta: only the
+    # pair where eta is attained and the divided difference see it
+    real = dynamics_module.i_ion
+    monkeypatch.setattr(dynamics_module, "i_ion", lambda params, v: 0.5 * real(params, v))
+    for a, b in [(0.25, 1.0), (0.0, 0.0), (0.8, 0.3)]:
+        out = dynamics_module.one_sided_defect(FhnParams(a=a, b=b), Grid(1, 16))
+        assert not out["pair"] <= out["pair_bound"]
+        assert not out["lattice"] <= out["lattice_bound"]
+        assert not out["passed"]
+    checks = invariant_checks(Scenario(**SMALL).problem, seed=0)
+    assert "one_sided_lipschitz" in {name for name, ok, _ in checks if not ok}
+
+
+@pytest.mark.parametrize("check", [gradient_check, invariant_checks], ids=["gradient", "invariants"])
+def test_checks_reject_a_negative_seed(check):
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        check(Scenario(**SMALL).problem, seed=-1)
+
+
 @pytest.mark.parametrize("d, n", [(1, 200), (2, 130)], ids=["d1-n200", "d2-n130"])
 def test_invariant_battery_passes_on_fine_grids(d, n):
     # the Laplacian defects grow like roundoff times 4d/h^2, so fixed bounds
@@ -454,6 +474,16 @@ def test_cli_convergence_study_unstable_refinement_step_exits_2(tmp_path, capsys
     assert code == 2
     assert "unstable" in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+def test_cli_convergence_study_caps_the_modes_at_the_grid(tmp_path, capsys):
+    # a noise-free scenario may keep the default modes = 32 above n = 32's
+    # exact truncation 31: the study's 24-path problem takes the 31 modes
+    scenario_path = tmp_path / "n32.ini"
+    scenario_path.write_text("[grid]\nn = 32\n[time]\nsteps = 50\nhorizon = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_verify_invariants_command(tmp_path):
