@@ -50,6 +50,7 @@ every step: one batched `norm_h_sq` names the first node in time past
 
 from __future__ import annotations
 
+import operator
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -317,11 +318,17 @@ def integrate(
     return StateX(v, w)
 
 
-def check_seed(seed: int) -> None:
-    """A run's noise is drawn from (seed, path): a negative seed is a
-    `ConfigurationError`, whether or not a run draws any noise."""
+def check_seed(seed) -> int:
+    """A run's noise is drawn from (seed, path): the seed as an int, and a
+    `ConfigurationError` for a non-integer or negative seed, whether or not
+    a run draws any noise."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterator[StateX]:
@@ -331,8 +338,9 @@ def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterat
     This is where a path's noise is drawn: path p steps
     `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
     off, so it depends on (seed, p) alone, whatever M is, and every control
-    sees the same noise.  A negative seed is a `ConfigurationError` at the
-    call, noise on or off, before any integration."""
+    sees the same noise.  A non-integer or negative seed is a
+    `ConfigurationError` at the call, noise on or off, before any
+    integration."""
     check_seed(seed)
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     noisy = not cov.is_zero()

@@ -86,6 +86,12 @@ class Grid:
         # orthogonality (Nyquist), so the usable truncation stops there
         return self.n - 2
 
+    @property
+    def exact_truncation(self) -> int:
+        """Global modes the grid holds exactly, (n - 1)**d: every product of
+        per-axis frequencies 0..max_mode_freq()."""
+        return (self.max_mode_freq() + 1) ** self.d
+
 
 @dataclass
 class StateX:
@@ -229,15 +235,15 @@ def mode_frequencies(grid: Grid, K: int) -> list:
     first mode is the constant.  Raises if K exceeds the exactly
     orthogonal truncation of the grid.
     """
-    kmax = grid.max_mode_freq()
-    if K < 1 or K > (kmax + 1) ** grid.d:
+    if K < 1 or K > grid.exact_truncation:
         raise ContractViolation(
-            f"truncation K={K} outside valid range [1, {(kmax + 1) ** grid.d}] "
+            f"truncation K={K} outside valid range [1, {grid.exact_truncation}] "
             f"for n={grid.n}, d={grid.d}"
         )
 
     if grid.d == 1:
         return [(k,) for k in range(K)]
+    kmax = grid.max_mode_freq()
     # generate totals s in increasing order and stop after K modes, instead
     # of sorting all (kmax + 1)**2 pairs for every mode looked up
     pairs = (

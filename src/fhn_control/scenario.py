@@ -24,7 +24,7 @@ import numpy as np
 from .control import CostSpec, Problem
 from .dynamics import FhnParams
 from .errors import ConfigurationError
-from .forward import ActuatorSpec, TimeGrid, open_npz
+from .forward import ActuatorSpec, TimeGrid, check_seed, open_npz
 from .grid import Field, Grid, StateX, neumann_eigenmode
 from .noise import SpectralCovariance
 
@@ -93,8 +93,7 @@ class Scenario:
             raise ConfigurationError(
                 f"mode must be 'deterministic' or 'stochastic', got {self.mode!r}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
         if self.max_iters < 1:

@@ -263,13 +263,11 @@ def test_subdiff_inverse_is_inverse_of_dh():
 
 
 def test_contraction_margin_formula():
-    cost = CostSpec(alpha=2.0, c0=0.1)
-    out = contraction_margin(cost, 0.5)
-    assert out["L"] == pytest.approx(0.5)
-    assert out["margin"] == pytest.approx(0.5 * 0.5 + 0.1)
-    assert out["within"]
-    far = contraction_margin(cost, 10.0)
-    assert not far["within"]
+    # a number, in the operation order of history.csv's margin column
+    for alpha, c0, T in [(2.0, 0.1, 0.5), (3.0, 0.7, 0.3), (0.7, 0.0, 4.0), (2.0, 0.1, 10.0)]:
+        margin = contraction_margin(CostSpec(alpha=alpha, c0=c0), T)
+        assert type(margin) is float
+        assert margin == (1.0 / alpha) * T + c0
 
 
 def test_psi_estimate_zero_cost_for_zero_everything():

@@ -227,6 +227,10 @@ def test_mode_frequencies_ordering():
         )
         for K in range(1, len(ref) + 1):
             assert mode_frequencies(g, K) == ref[:K]
+        # every combination is a mode the grid holds exactly, and no more
+        assert len(ref) == g.exact_truncation == (g.n - 1) ** g.d
+        with pytest.raises(ContractViolation):
+            mode_frequencies(g, g.exact_truncation + 1)
 
 
 def test_eigenmodes_orthonormal_and_eigen_identity():

@@ -162,6 +162,12 @@ def test_optimize_artifacts_and_history(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["formats"]["control"] == CONTROL_FORMAT
     assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
+    assert manifest["formats"]["report"] == "fhn-report-csv-v2"
+    # the margin is a number, the one every history row holds
+    scenario = Scenario(**SMALL)
+    margin = (1.0 / scenario.alpha) * scenario.horizon + scenario.terminal_weight
+    assert manifest["summary"]["margin"] == margin
+    assert {line.rsplit(",", 1)[1] for line in history[1:]} == {repr(margin)}
     with np.load(tmp_path / "control.npz") as data:
         assert sorted(data.files) == ["format", "times", "u"]
         assert str(data["format"]) == CONTROL_FORMAT
@@ -376,6 +382,16 @@ def test_invariant_battery_passes_on_fine_grids(d, n):
     assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
 
+@pytest.mark.parametrize("d, n", [(1, 4), (1, 8), (2, 3)], ids=["d1-n4", "d1-n8", "d2-n3"])
+def test_invariant_battery_passes_on_coarse_grids(d, n):
+    # a noise-free grid may hold fewer than the battery's 8 modes: its rows
+    # take at most the grid's exact truncation (n - 1)**d
+    problem = Scenario(d=d, n=n, steps=50).problem
+    assert problem.grid.exact_truncation < 8
+    checks = invariant_checks(problem, seed=0)
+    assert [(name, detail) for name, ok, detail in checks if not ok] == []
+
+
 def test_self_convergence_rate_runs_the_problems_paths(monkeypatch):
     # one integration per level, over four levels: with the noise off the
     # 24-member ensemble is one noise-free path, with it on every member
@@ -413,6 +429,33 @@ def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
     lines = (tmp_path / "duality_gap.csv").read_text().strip().split("\n")[1:]
     assert max(float(line.split(",")[1]) for line in lines) <= 1e-12
     assert record.passed, record.summary
+
+
+def test_convergence_study_tables_and_summary(tmp_path):
+    # the sweep is a measurement, with no verdict: per horizon the margin
+    # and the worst late residual ratio, and the summary draws none from it
+    scenario = Scenario(**EXACT_DUALITY)
+    record = run(scenario, "convergence-study", tmp_path)
+    assert set(record.summary) == {"deterministic_rate", "stochastic_rate", "duality_slope"}
+    sweep = harness.margin_sweep(scenario.problem, scenario.eps0, scenario.use_theta)
+    assert [row["T"] for row in sweep] == [0.25, 0.5, 1.0, 2.0, 4.0]
+    for row in sweep:
+        assert set(row) == {"T", "margin", "worst_late_ratio"}
+        assert row["margin"] == (1.0 / scenario.alpha) * row["T"] + scenario.terminal_weight
+        assert 0.0 < row["worst_late_ratio"] < 1.0
+    lines = (tmp_path / "margin_sweep.csv").read_text().splitlines()
+    assert lines == ["T,margin,worst_late_ratio"] + [
+        f"{row['T']!r},{row['margin']!r},{row['worst_late_ratio']!r}" for row in sweep
+    ]
+
+
+def test_duality_slope_is_nan_where_every_gap_is_zero():
+    # a zero-cost problem's gaps are exactly 0: no logarithm of 0 is taken
+    # (the suite turns its RuntimeWarning into an error), and no slope exists
+    problem = Scenario(n=16, modes=8, running_weight=0.0, terminal_weight=0.0).problem
+    out = harness.duality_slope(problem)
+    assert out["gaps"] == [0.0, 0.0, 0.0]
+    assert np.isnan(out["slope"])
 
 
 def test_convergence_study_needs_first_order_gaps_above_roundoff(tmp_path, monkeypatch):
@@ -546,6 +589,23 @@ def test_negative_seed_rejected_before_output(tmp_path):
     assert not out.exists()
     assert main(["simulate", "--out", str(out), "--seed", "-1"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, command", [("deterministic", "optimize"), ("stochastic", "simulate")])
+def test_non_integer_seed_rejected_before_output(tmp_path, mode, command):
+    # a float seed is a configuration error before any output, whether or
+    # not the run draws noise
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        run(Scenario(**SMALL, mode=mode), command, out, seed=1.5)
+    assert not out.exists()
+
+
+def test_an_integer_seed_of_any_type_is_recorded_as_an_int(tmp_path):
+    run(Scenario(**SMALL, mode="stochastic"), "simulate", tmp_path, seed=np.int64(7))
+    seed = json.loads((tmp_path / "manifest.json").read_text())["seed"]
+    assert type(seed) is int and seed == 7
+    assert load_snapshot(tmp_path / "trajectory_path0.npz")[1] == 7
 
 
 def test_cli_unstable_step_size_exits_2_before_output(tmp_path, capsys):

@@ -89,6 +89,8 @@ def test_validation_errors():
         Scenario(n=8, modes=100, mode="stochastic").validate()
     with pytest.raises(ConfigurationError, match="seed"):
         Scenario(seed=-1).validate()
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        Scenario(seed=2.5).validate()
     # no iteration would run, and the optimizer would report an empty history
     for bad in (0, -3):
         with pytest.raises(ConfigurationError, match="max_iters"):
