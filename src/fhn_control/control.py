@@ -251,7 +251,6 @@ def optimize(
     tol: float = 1.0e-6,
     max_iters: int = 40,
     eps0: float = 1.0e-3,
-    use_theta: bool = True,
     u0: ControlPath | None = None,
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
@@ -276,16 +275,16 @@ def optimize(
     At a small alpha that floor lies above the default `tol`.
 
     Settings are checked before any integration: `max_iters` >= 1, a
-    positive finite `tol`, a nonnegative finite `eps0` and a finite `u0`,
-    or a `ConfigurationError`.
+    positive finite `tol`, a positive finite `eps0` and a finite `u0`, or
+    a `ConfigurationError`.
     """
     # written so that NaN fails too
     if not max_iters >= 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     if not 0 < tol < math.inf:
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if not 0 <= eps0 < math.inf:
-        raise ConfigurationError(f"eps0 must be nonnegative and finite, got {eps0}")
+    if not 0 < eps0 < math.inf:
+        raise ConfigurationError(f"eps0 must be positive and finite, got {eps0}")
     if u0 is not None and not np.all(np.isfinite(u0.values)):
         raise ConfigurationError("u0 holds non-finite values")
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
@@ -326,7 +325,7 @@ def optimize(
         # contraction step actually delivers
         eps = min(eps0 * 0.25**k, (0.1 * residual) ** 2)
 
-        if use_theta and theta is not None and eps > 0:
+        if theta is not None and eps > 0:
             perturbed = subdiff_inverse(
                 cost, ControlPath(q.values + math.sqrt(eps) * theta.values)
             ) - u

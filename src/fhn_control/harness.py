@@ -62,7 +62,7 @@ from .grid import (
     norm_h_sq,
     norm_l2_sq,
 )
-from .noise import SpectralCovariance, sample_path, trace_q
+from .noise import SpectralCovariance, sample_path
 from .scenario import Scenario, emit_scenario
 
 HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v1"
@@ -161,8 +161,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
     """run the regularized fixed-point control solver"""
     problem = scenario.problem
     report = optimize(
-        problem, seed=seed, tol=scenario.tol, max_iters=scenario.max_iters,
-        eps0=scenario.eps0, use_theta=scenario.use_theta,
+        problem, seed=seed, tol=scenario.tol, max_iters=scenario.max_iters, eps0=scenario.eps0
     )
     artifacts = []
     margin = contraction_margin(problem.cost, problem.timegrid.T)
@@ -355,10 +354,6 @@ def invariant_checks(problem: Problem, seed: int = 0) -> list:
         "bit-identical replay",
     )
 
-    # noise structure
-    traces = [trace_q(SpectralCovariance.power_spectrum(K, 0.1, 0.1), 1) for K in (4, 8, 16)]
-    record("trace_monotone_in_truncation", traces[0] <= traces[1] <= traces[2], f"traces={traces}")
-
     # adjoint structure: cost scaling and linear-mode duality exactness
     u0_full = ControlPath.zero(timegrid, grid)
     base = integrate_ensemble(noiseless, u0_full, seed)
@@ -442,7 +437,7 @@ def self_convergence_rate(problem: Problem, base_steps: int, seed: int = 0) -> d
 def _smooth_direction(grid, tg: TimeGrid) -> ControlPath:
     """Fixed smooth control perturbation, resolution-independent so gap
     values at different dt measure the same continuous direction."""
-    profile = neumann_eigenmode(grid, 1) + 0.5 * neumann_eigenmode(grid, min(2, grid.num_nodes))
+    profile = neumann_eigenmode(grid, 1) + 0.5 * neumann_eigenmode(grid, 2)
     t = tg.times() / tg.T
     envelope = 1.0 + np.cos(2.0 * np.pi * t)
     return ControlPath(np.multiply.outer(envelope, profile))
@@ -470,10 +465,10 @@ def duality_slope(problem: Problem) -> dict:
     return {"dts": dts, "gaps": gaps, "slope": slope}
 
 
-def margin_sweep(problem: Problem, eps0: float, use_theta: bool) -> list:
+def margin_sweep(problem: Problem, eps0: float) -> list:
     """Residual-decay survey of `problem` across horizons 0.25 to 4 at
     fixed cost weights and dt = 4e-3, each `optimize` run taking the given
-    `eps0` and `use_theta` and at most ten iterations.
+    `eps0` and at most ten iterations.
 
     Reports, per horizon, the contraction margin and the worst ratio of
     consecutive nonzero residuals, the first two ratios left out when
@@ -484,8 +479,7 @@ def margin_sweep(problem: Problem, eps0: float, use_theta: bool) -> list:
     for T in (0.25, 0.5, 1.0, 2.0, 4.0):
         tg = TimeGrid(T, max(int(round(T / 4.0e-3)), 2))
         report = optimize(
-            dataclasses.replace(problem, timegrid=tg), tol=1.0e-12,
-            max_iters=10, eps0=eps0, use_theta=use_theta,
+            dataclasses.replace(problem, timegrid=tg), tol=1.0e-12, max_iters=10, eps0=eps0
         )
         res = [r for r in report.residual_history if r > 0]
         ratios = [res[i + 1] / res[i] for i in range(len(res) - 1)]
@@ -511,7 +505,7 @@ def _cmd_convergence_study(scenario: Scenario, out: Path, seed: int) -> tuple:
     slope = duality_slope(noiseless)  # first: a horizon it cannot step fails at once
     det = self_convergence_rate(noiseless, base_steps=32, seed=seed)
     sto = self_convergence_rate(noisy, base_steps=16, seed=seed)
-    sweep = margin_sweep(noiseless, scenario.eps0, scenario.use_theta)
+    sweep = margin_sweep(noiseless, scenario.eps0)
     artifacts = []
     conv_csv = out / "convergence.csv"
     _write_csv(

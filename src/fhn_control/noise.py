@@ -11,7 +11,7 @@ Streams are counter-based: the generator for a given (seed, path, step)
 is derived from that triple alone, so Monte Carlo fan-out order never
 changes the sampled increments, and `(seed, path)` is all a trajectory
 needs to keep to re-derive its noise with `sample_path`.  This module is
-the only one that opens streams.
+the only one that opens the noise-increment streams.
 
 Each stream is still `np.random.default_rng([seed, path, step])`, bit for
 bit.  Only its seeding is computed differently: numpy's `SeedSequence`

@@ -38,8 +38,11 @@ _SECTIONS = {
     "actuator": ("mask",),
     "cost": ("alpha", "running_weight", "terminal_weight", "x_ref", "x_target"),
     "initial": ("v0", "w0"),
-    "run": ("seed", "ensemble", "mode", "tol", "max_iters", "eps0", "use_theta"),
+    "run": ("seed", "ensemble", "mode", "tol", "max_iters", "eps0"),
 }
+
+#: What a field holds, by the type of its default: that type, or an int for a float
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -75,17 +78,19 @@ class Scenario:
     tol: float = 1.0e-6
     max_iters: int = 40
     eps0: float = 1.0e-3
-    use_theta: bool = True
 
     @cached_property
     def problem(self) -> Problem:
         """The one validated build of this scenario, shared by every command
         of a run; a bad field or mask spec, or a NaN or infinity anywhere,
         fails here, before any output.  Only the scenario's own fields are
-        checked here: `Problem` checks the problem it is built into."""
+        checked here: `Problem` checks the problem it is built into.  A numpy
+        scalar fails: the manifest can neither serialize nor echo it."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
+            value, typ = getattr(self, f.name), type(f.default)
+            if not (type(value) is typ or (typ is float and type(value) is int)):
+                raise ConfigurationError(f"{f.name} must be {_KINDS[typ]}, got {value!r}")
+            if typ is float and not np.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ConfigurationError("noise amplitudes must be nonnegative")
@@ -98,8 +103,8 @@ class Scenario:
             raise ConfigurationError("tol must be positive")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.eps0 < 0:
-            raise ConfigurationError("eps0 must be nonnegative")
+        if self.eps0 <= 0:  # a NaN or infinity failed above
+            raise ConfigurationError("eps0 must be positive")
         # each part checks its own values, and Problem checks the whole
         return Problem(
             grid=self.build_grid(), params=self.build_params(), timegrid=self.build_timegrid(),

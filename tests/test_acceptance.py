@@ -297,7 +297,7 @@ def test_criterion_7_optimizer_certificate(short_horizon_report):
     psi_ok = all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(psi, psi[1:]))
 
     scenario = Scenario()
-    sweep = margin_sweep(scenario.problem, scenario.eps0, scenario.use_theta)
+    sweep = margin_sweep(scenario.problem, scenario.eps0)
     ok = _report(
         7,
         decay_ok and cert_ok and psi_ok,

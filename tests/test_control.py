@@ -367,15 +367,6 @@ def test_optimize_stochastic_smoke():
     assert rep.ensemble.v.shape == (problem.timegrid.N + 1, 20) + problem.grid.shape
 
 
-def test_optimize_theta_toggle_same_fixed_point():
-    problem = _setup(N=50)
-    with_theta = optimize(problem, tol=1e-9, max_iters=30)
-    without = optimize(problem, tol=1e-9, max_iters=30, use_theta=False)
-    assert with_theta.converged and without.converged
-    gap = u_norm(problem.grid, problem.timegrid, with_theta.u_star - without.u_star)
-    assert gap <= 1e-7
-
-
 @pytest.mark.parametrize(
     "stochastic, tol, max_iters",
     [(False, 1e-7, 30), (True, 1e-4, 10), (False, 1e-16, 2)],
@@ -507,6 +498,7 @@ def test_negative_seed_is_rejected_before_integrating(monkeypatch, noisy):
         ("tol", 0.0),
         ("tol", np.nan),
         ("tol", np.inf),
+        ("eps0", 0.0),
         ("eps0", -1.0),
         ("eps0", np.nan),
         ("eps0", np.inf),

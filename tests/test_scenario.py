@@ -91,6 +91,11 @@ def test_validation_errors():
         Scenario(seed=-1).validate()
     with pytest.raises(ConfigurationError, match="seed must be an integer"):
         Scenario(seed=2.5).validate()
+    # every optimize run is the regularized iteration: eps0 = 0 would drop
+    # both its perturbation and its penalty
+    for bad in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="eps0 must be positive"):
+            Scenario(eps0=bad).validate()
     # no iteration would run, and the optimizer would report an empty history
     for bad in (0, -3):
         with pytest.raises(ConfigurationError, match="max_iters"):
@@ -99,6 +104,31 @@ def test_validation_errors():
     with pytest.raises(ConfigurationError, match=r"dt=0\.1 .* = 27\.5"):
         Scenario(steps=5, v0="constant:10").validate()
     Scenario(steps=5, v0="constant:10", linear=True).validate()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", np.int64(3)),
+        ("n", np.int64(12)),
+        ("linear", np.bool_(False)),
+        ("horizon", np.float64(0.1)),
+        ("n", 12.0),
+        ("steps", 30.0),
+        ("ensemble", True),
+        ("mask", 1),
+    ],
+)
+def test_fields_hold_the_type_of_their_default(key, value):
+    # a numpy scalar breaks the manifest's digest or its scenario text, and
+    # a float count breaks the grid, so each is rejected when validated
+    with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+        Scenario(**{key: value}).validate()
+
+
+def test_an_int_may_stand_for_a_float():
+    s = Scenario(n=16, horizon=1, steps=100, alpha=2)
+    assert s.problem.timegrid.T == 1.0 and s.problem.cost.alpha == 2.0
 
 
 def test_digest_stable_under_key_order(tmp_path):
@@ -168,14 +198,13 @@ def test_emit_contains_all_sections():
 )
 def test_boolean_words(tmp_path, word, value):
     path = tmp_path / "scn.ini"
-    path.write_text(f"[dynamics]\nlinear = {word}\n[run]\nuse_theta = {word}\n")
-    s = load_scenario(path)
-    assert s.linear is value and s.use_theta is value
+    path.write_text(f"[dynamics]\nlinear = {word}\n")
+    assert load_scenario(path).linear is value
 
 
 def test_boolean_rejects_other_words(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[run]\nuse_theta = maybe\n")
+    path.write_text("[dynamics]\nlinear = maybe\n")
     with pytest.raises(ConfigurationError, match="cannot parse"):
         load_scenario(path)
 
@@ -187,7 +216,7 @@ def test_every_field_round_trips(tmp_path):
         mask="left_half", alpha=1.5, running_weight=0.5, terminal_weight=0.2,
         x_ref="constant:0.1", x_target="constant:0.05|constant:0.02",
         v0="constant:0.2", w0="modes:2:0.1", seed=3, ensemble=7,
-        mode="stochastic", tol=1.0e-5, max_iters=12, eps0=2.0e-3, use_theta=False,
+        mode="stochastic", tol=1.0e-5, max_iters=12, eps0=2.0e-3,
     )
     assert all(getattr(s, f.name) != f.default for f in dataclasses.fields(s))
     path = tmp_path / "scn.ini"
