@@ -30,20 +30,23 @@ A path is a `StateX` whose fields carry a leading time axis, shape
 (N+1,) + grid.shape: `X[n]` is the state at node n, and the norms reduce a
 whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
-`ens[:, p]` is path p.  `integrate` steps the noise increments it is
-handed, one path or a path axis.  `integrate_paths` hands out a problem's
-paths one at a time, path p stepped on the increments `noise.sample_path`
-draws from (seed, p), which are freed once it has integrated;
-`integrate_ensemble` stacks those paths into an ensemble for the cost, the
-sweeps and the optimizer.  `simulate` stacks nothing: it reduces each path
-as it arrives, so it holds one path besides path 0 whatever M is.  The
-one other caller of `sample_path` outside the noise module is
-`harness.self_convergence_rate`, which draws each path's finest-level
-increments itself, after the seed check `integrate_paths` runs, and sums
-them into every coarser level.
+`ens[:, p]` is path p.  `integrate` is the one time loop: it steps the
+noise increments it is handed, one path or a path axis, and column p of a
+batch is its one-path run, bit for bit.  Path p steps the increments
+`noise.sample_path` draws from (seed, p).  `integrate_ensemble` steps all
+M paths of the cost, the sweeps and the optimizer in one `integrate` call,
+on increments it stages in the ensemble's own arrays, one path's draw at a
+time, and `integrate` writes each state over the increment it has just
+used.  `integrate_paths` hands out a problem's paths one at a time instead,
+each freed with its increments once it has integrated, and `simulate`
+reduces each path as it arrives, so it holds one path besides path 0
+whatever M is.  The one other caller of `sample_path` outside the noise
+module is `harness.self_convergence_rate`, which draws each path's
+finest-level increments itself, after the seed check `integrate_paths`
+runs, and sums them into every coarser level.
 
 The blow-up guard reads the paths once their time loop is over, not after
-every step: one batched `norm_h_sq` names the first node in time past
+every step, one path at a time: it names the first node in time past
 `BLOWUP_THRESHOLD` and the lowest path there, so on one path a
 `BlowUpError` reports the step and norm a per-step check would.
 """
@@ -264,24 +267,32 @@ def integrate(
     control: ControlPath,
     increments: StateX | None,
     path_index: int = 0,
+    out: StateX | None = None,
 ) -> StateX:
     """Run N steps from the grid state x0 on the noise increments it is
     handed: one path, (N,) + grid.shape fields such as a `noise.sample_path`
-    draw, or a path axis, (N, M) + grid.shape, such as the aggregated
-    fine-level increments of a coupled refinement study; None runs one
-    noise-free path.  The result has (N+1,) + grid.shape or (N+1, M) +
-    grid.shape fields, and column p of a batch is its one-path run, bit for bit.
+    draw, or a path axis, (N, M) + grid.shape, such as an ensemble's draws
+    or the aggregated fine-level increments of a coupled refinement study;
+    None runs one noise-free path.  The result has (N+1,) + grid.shape or
+    (N+1, M) + grid.shape fields, and column p of a batch is its one-path
+    run, bit for bit.
 
-    The blow-up guard runs once, after the time loop: one batched
-    `norm_h_sq` over nodes 1..N, and a `BlowUpError` at the first node in
-    time whose energy exceeds BLOWUP_THRESHOLD**2 or is not finite, naming
-    the lowest path failing there (`path_index` plus its column); on one
-    path, the step and norm a check after every step would report.  The
-    loop runs with overflow and invalid-value warnings off; an overflow
-    fails the finiteness check of `helmholtz_solve` and ends the loop, and
-    as a finite state crosses the threshold before it can overflow, the
-    guard reads the first failure among the nodes stepped so far.  If none
-    fails (a non-finite input), that `FloatingPointError` is raised."""
+    Given `out`, fields of the result's shape, the states are written into
+    it and the result is `out` itself.  The increments may then be
+    `out[1:]`: step n reads its increment at node n+1 before it writes the
+    state there.  Any other overlap of the two is not allowed.
+
+    The blow-up guard runs once, after the time loop, over nodes 1..N one
+    path at a time, so its temporaries are one path large.  A
+    `BlowUpError` names the first node in time whose energy exceeds
+    BLOWUP_THRESHOLD**2 or is not finite, and the lowest path failing
+    there (`path_index` plus its column); on one path, the step and norm a
+    check after every step would report.  The loop runs with overflow and
+    invalid-value warnings off; an overflow fails the finiteness check of
+    `helmholtz_solve` and ends the loop, and as a finite state crosses the
+    threshold before it can overflow, the guard reads the first failure
+    among the nodes stepped so far.  If none fails (a non-finite input),
+    that `FloatingPointError` is raised."""
     check_control_path(grid, timegrid, control.values, "control path")
     if x0.v.shape != grid.shape:
         raise ContractViolation("initial state does not live on the grid")
@@ -290,10 +301,14 @@ def integrate(
     paths = () if increments is None else increments.v.shape[1 : -grid.d][:1]  # () or (M,)
     if increments is not None and increments.v.shape != (N,) + paths + grid.shape:
         raise ContractViolation("increment arrays do not match the time grid")
+    shape = (N + 1,) + paths + grid.shape
+    if out is None:
+        out = StateX(np.empty(shape), np.empty(shape))
+    elif out.v.shape != shape:
+        raise ContractViolation(f"output arrays have shape {out.v.shape}, expected {shape}")
     # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
     dW = StateX.zero(grid)
-    v = np.empty((N + 1,) + paths + grid.shape)
-    w = np.empty((N + 1,) + paths + grid.shape)
+    v, w = out.v, out.w
     v[0], w[0] = x0.v, x0.w
     X = x0
     stepped, overflow = N, None
@@ -307,15 +322,19 @@ def integrate(
                 stepped, overflow = n, exc
                 break
             v[n + 1], w[n + 1] = X.v, X.w
-        energy = norm_h_sq(grid, params.gamma, StateX(v[1 : stepped + 1], w[1 : stepped + 1]))
-    failed = np.flatnonzero(~(energy <= BLOWUP_THRESHOLD**2))  # node by node, path by path
+        # energies node by node, path by path; one path has a unit path axis
+        V, W = (v, w) if paths else (v[:, None], w[:, None])
+        energy = np.empty((stepped, V.shape[1]))
+        for p in range(V.shape[1]):
+            node_paths = StateX(V[1 : stepped + 1, p], W[1 : stepped + 1, p])
+            energy[:, p] = norm_h_sq(grid, params.gamma, node_paths)
+    failed = np.flatnonzero(~(energy <= BLOWUP_THRESHOLD**2))
     if failed.size:
-        first = int(failed[0])
-        node, col = divmod(first, energy.size // stepped)
-        raise BlowUpError(node + 1, float(np.sqrt(max(energy.flat[first], 0.0))), path_index + col)
+        node, col = divmod(int(failed[0]), energy.shape[1])
+        raise BlowUpError(node + 1, float(np.sqrt(max(energy[node, col], 0.0))), path_index + col)
     if overflow is not None:
         raise overflow
-    return StateX(v, w)
+    return out
 
 
 def check_seed(seed) -> int:
@@ -335,12 +354,11 @@ def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterat
     """The problem's `n_paths` paths under a common control, one at a time:
     a generator whose item p is path p, with (N+1,) + grid.shape fields.
 
-    This is where a path's noise is drawn: path p steps
-    `sample_path(cov, grid, timegrid, seed, p)`, or none when the noise is
-    off, so it depends on (seed, p) alone, whatever M is, and every control
-    sees the same noise.  A non-integer or negative seed is a
-    `ConfigurationError` at the call, noise on or off, before any
-    integration."""
+    Path p steps `sample_path(cov, grid, timegrid, seed, p)`, or none when
+    the noise is off, as it does in `integrate_ensemble`, so it depends on
+    (seed, p) alone, whatever M is, and every control sees the same noise.
+    A non-integer or negative seed is a `ConfigurationError` at the call,
+    noise on or off, before any integration."""
     check_seed(seed)
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     noisy = not cov.is_zero()
@@ -356,22 +374,37 @@ def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterat
 
 
 def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
-    """The paths of `integrate_paths`, stacked as one read-only ensemble of
-    shape (N+1, M) + grid.shape.  A one-path ensemble is a view of its path
-    with a unit path axis, not a copy of it."""
-    paths = integrate_paths(problem, control, seed)
-    if problem.n_paths == 1:
-        ens = next(paths)
+    """The problem's `n_paths` paths under a common control as one
+    read-only ensemble of shape (N+1, M) + grid.shape, stepped together in
+    one `integrate` call.  Column p is path p of `integrate_paths`, bit for
+    bit.
+
+    Path p's increments, `sample_path(cov, grid, timegrid, seed, p)` or
+    zeros when the noise is off, are drawn one path at a time into nodes
+    1..N of the ensemble's own arrays, and `integrate` writes each state
+    over the increment it has just used.  So no increments array is held
+    besides the ensemble, and the ensemble's arrays are the ones
+    `integrate` wrote, a unit path axis and all when M is one."""
+    check_seed(seed)
+    grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
+    shape = (timegrid.N + 1, problem.n_paths) + grid.shape
+    ens = StateX(np.empty(shape), np.empty(shape))
+    if cov.is_zero():
+        # written here, not left to np.zeros: a zero page the loop reads
+        # before it writes it faults twice, which slowed a noise-free 2-D
+        # integration (n = 48, N = 250) from 21 to 27 ms
+        ens.v[1:] = ens.w[1:] = 0.0
     else:
-        shape = (problem.timegrid.N + 1, problem.n_paths) + problem.grid.shape
-        ens = StateX(np.empty(shape), np.empty(shape))
-        for p, path in enumerate(paths):
-            ens.v[:, p], ens.w[:, p] = path.v, path.w
+        for p in range(problem.n_paths):
+            dW = sample_path(cov, grid, timegrid, seed, p)
+            ens.v[1:, p], ens.w[1:, p] = dW.v, dW.w
+            del dW  # one path's draw alive at a time
+    integrate(problem.params, grid, problem.spec, timegrid, problem.x0, control, ens[1:], out=ens)
     # the cost, the backward sweep, energy_report and the optimizer's
     # report all share these arrays, and views of read-only arrays are
     # read-only too
     ens.v.flags.writeable = ens.w.flags.writeable = False
-    return ens[:, None] if problem.n_paths == 1 else ens
+    return ens
 
 
 def sup_h_sq(problem: Problem, ens: StateX) -> list:

@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -116,7 +116,7 @@ class Scenario:
         return self.problem
 
     def digest(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True)
+        canonical = json.dumps(_written_values(self), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     # -- assembly -----------------------------------------------------
@@ -154,6 +154,17 @@ class Scenario:
         return StateX(
             _parse_field(grid, self.v0, "v0"), _parse_field(grid, self.w0, "w0")
         )
+
+
+def _written_values(scenario: Scenario) -> dict:
+    """Every field's value as the digest and the scenario text write it:
+    an int in a float field as that float, so a scenario and its saved and
+    loaded copy serialize alike."""
+    out = {}
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        out[f.name] = float(value) if type(f.default) is float and type(value) is int else value
+    return out
 
 
 def _parse_field(grid: Grid, text: str, key: str) -> Field:
@@ -268,10 +279,11 @@ def load_scenario(path: str) -> Scenario:
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize every field (defaults included) back to INI text."""
     parser = configparser.ConfigParser(interpolation=None)
+    values = _written_values(scenario)
     for section, keys in _SECTIONS.items():
         parser[section] = {}
         for key in keys:
-            value = getattr(scenario, key)
+            value = values[key]
             if isinstance(value, bool):
                 parser[section][key] = "true" if value else "false"
             elif isinstance(value, float):

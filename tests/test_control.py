@@ -545,3 +545,26 @@ def test_optimize_holds_about_eleven_field_paths():
         tracemalloc.stop()
     assert rep.converged
     assert peak / ((N + 1) * n**g.d * 8) <= 11.5
+
+
+@pytest.mark.parametrize("M, bound", [(8, 42.0), (1, 13.5)])
+def test_optimize_holds_the_ensembles_and_little_else(M, bound):
+    # the stochastic optimizer's working set, in field paths of (N+1)*n
+    # doubles: the current ensemble and a trial's, 2M each, its signal and
+    # the sweep's temporaries.  The ensemble's increments are staged in its
+    # own arrays and the blow-up guard reduces one path at a time.  At
+    # M = 8, a separate increments array read 57.3, a guard over the whole
+    # ensemble at once 46.8, and integrating one path at a time and copying
+    # it in 45.3
+    n, N = 64, 100
+    problem = Scenario(
+        d=1, n=n, steps=N, horizon=0.1, modes=32, ensemble=M, mode="stochastic"
+    ).problem
+    optimize(problem, max_iters=5)  # warm-up: the caches of the grid and the time grid
+    tracemalloc.start()
+    try:
+        optimize(problem, max_iters=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ((N + 1) * n * 8) <= bound

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import fhn_control.forward as forward_module
 from fhn_control.adjoint import duality_gap, solve_adjoint_regression, solve_variational
 from fhn_control.control import CostSpec, Problem, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
@@ -23,6 +24,7 @@ from fhn_control.forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
+    integrate_paths,
     load_snapshot,
     save_snapshot,
     step,
@@ -244,6 +246,10 @@ def test_integrate_replays_supplied_increments():
     for bad in (short, deep, off_grid):
         with pytest.raises(ContractViolation, match="increment"):
             integrate(p, g, spec, tg, x0, u, bad)
+    # the states go into arrays of the result's shape, or nowhere
+    for bad in (derived, StateX(*np.zeros((2, tg.N + 1, 1) + g.shape))):
+        with pytest.raises(ContractViolation, match="output"):
+            integrate(p, g, spec, tg, x0, u, derived, out=bad)
 
 
 def test_integrate_ensemble_paths_differ_and_order_is_stable():
@@ -279,9 +285,10 @@ def test_integrate_ensemble_is_read_only():
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
-def test_one_path_ensemble_is_a_read_only_view_of_its_path(grid, noisy):
-    # one path is not copied into an ensemble: the ensemble is the
-    # integrated path with a unit path axis, and no array under it can be
+def test_one_path_ensemble_is_the_read_only_buffers_integrate_wrote(monkeypatch, grid, noisy):
+    # one path is not copied into an ensemble: the ensemble's arrays are
+    # the (N+1, 1) + grid.shape buffers integrate wrote its states into, its
+    # column is the one-path run bit for bit, and no array under it can be
     # written; with the noise off, any ensemble size runs one path
     p = FhnParams()
     tg = TimeGrid(0.04, 20)
@@ -290,16 +297,48 @@ def test_one_path_ensemble_is_a_read_only_view_of_its_path(grid, noisy):
     u = ControlPath(0.1 * np.ones((tg.N + 1,) + grid.shape))
     spec = ActuatorSpec.identity(grid)
     problem = Problem(p, grid, cov, spec, tg, CostSpec(alpha=1.0), x0, ensemble=1 if noisy else 5)
+    written = []
+
+    def recording(*args, **kwargs):
+        written.append(integrate(*args, **kwargs))
+        return written[-1]
+
+    monkeypatch.setattr(forward_module, "integrate", recording)
     ens = integrate_ensemble(problem, u, 5)
+    [out] = written
     path = integrate(p, grid, spec, tg, x0, u, sample_path(cov, grid, tg, 5, 0) if noisy else None)
-    for got, want in ((ens.v, path.v), (ens.w, path.w)):
+    for got, buffer, want in ((ens.v, out.v, path.v), (ens.w, out.w, path.w)):
+        assert got is buffer and got.base is None  # integrate's own buffer, not a copy
         assert got.shape == (tg.N + 1, 1) + grid.shape
-        assert got.base is not None and got.base.shape == want.shape  # a view, not a copy
         assert got[:, 0].tobytes() == want.tobytes()
         arr = got
         while arr is not None:
             assert not arr.flags.writeable
             arr = arr.base
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("M", [1, 7])
+def test_integrate_ensemble_stacks_integrate_paths(d, M, noisy):
+    # the ensemble's one time loop over every path gives the paths that
+    # integrate_paths steps one at a time, bit for bit: a half mask, a
+    # forcing field and a nonzero control, with the noise on and off
+    g = Grid(d, 8)
+    rng = np.random.default_rng([d, M, 43])
+    p = FhnParams(f=0.1 * rng.standard_normal(g.shape))
+    mask = np.zeros(g.shape)
+    mask[: g.n // 2] = 1.0
+    tg = TimeGrid(0.05, 10)
+    cov = SpectralCovariance.power_spectrum(4, 0.5, 0.5) if noisy else SpectralCovariance.zero(4)
+    u = ControlPath(0.5 * rng.standard_normal((tg.N + 1,) + g.shape))
+    x0 = StateX(g.constant(0.2), 0.1 * rng.standard_normal(g.shape))
+    problem = Problem(p, g, cov, ActuatorSpec(mask), tg, CostSpec(alpha=1.0), x0, ensemble=M)
+    ens = integrate_ensemble(problem, u, 3)
+    paths = list(integrate_paths(problem, u, 3))
+    assert len(paths) == (M if noisy else 1)
+    assert ens.v.tobytes() == np.stack([x.v for x in paths], axis=1).tobytes()
+    assert ens.w.tobytes() == np.stack([x.w for x in paths], axis=1).tobytes()
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
@@ -433,6 +472,34 @@ def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f, kicks):
     with pytest.raises(BlowUpError) as info:
         integrate(p, g, spec, tg, x0, u, increments, path_index=10)
     assert (info.value.step, info.value.path, info.value.norm) == (first_step, 10 + path, norm)
+
+
+def test_integrate_ensemble_reports_the_first_blow_up_in_time(monkeypatch):
+    # a 1e7 kick at step index 2 on path 2 and at step index 6 on path 0:
+    # the ensemble steps every path at once, so it reports the first node
+    # in time that fails and the lowest path failing there, step 3 on path 2
+    g = Grid(1, 8)
+    tg = TimeGrid(0.1, 10)
+    p = FhnParams(linear=True)
+    spec = ActuatorSpec.identity(g)
+    cov = SpectralCovariance.power_spectrum(4)
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), StateX.zero(g), ensemble=3)
+    u = ControlPath.zero(tg, g)
+    kicks = {2: 2, 0: 6}
+
+    def kicked(cov, grid, timegrid, seed, path):
+        dW = StateX(np.zeros((timegrid.N,) + grid.shape), np.zeros((timegrid.N,) + grid.shape))
+        if path in kicks:
+            dW.v[kicks[path]] = 1.0e7
+        return dW
+
+    monkeypatch.setattr(forward_module, "sample_path", kicked)
+    with pytest.raises(BlowUpError) as ensemble:
+        integrate_ensemble(problem, u, 0)
+    with pytest.raises(BlowUpError) as alone:
+        integrate(p, g, spec, tg, StateX.zero(g), u, kicked(cov, g, tg, 0, 2), 2)
+    assert (ensemble.value.step, ensemble.value.path) == (3, 2)
+    assert ensemble.value.norm == alone.value.norm
 
 
 def test_non_finite_control_fails_the_solve():

@@ -131,6 +131,20 @@ def test_an_int_may_stand_for_a_float():
     assert s.problem.timegrid.T == 1.0 and s.problem.cost.alpha == 2.0
 
 
+def test_an_int_in_a_float_field_round_trips_with_its_digest(tmp_path):
+    # the digest and the scenario text write horizon=1 as 1.0, the value
+    # the loaded scenario holds
+    s = Scenario(n=16, horizon=1, steps=100)
+    path = tmp_path / "scn.ini"
+    save_scenario(s, path)
+    back = load_scenario(path)
+    assert type(back.horizon) is float
+    assert back == s
+    assert back.digest() == s.digest() == Scenario(n=16, horizon=1.0, steps=100).digest()
+    assert emit_scenario(back) == emit_scenario(s)
+    assert "horizon = 1.0\n" in emit_scenario(s)
+
+
 def test_digest_stable_under_key_order(tmp_path):
     p1 = tmp_path / "a.ini"
     p1.write_text("[grid]\nn = 48\nd = 1\n")
