@@ -31,7 +31,6 @@ from .forward import (
     energy_report,
     integrate,
     integrate_ensemble,
-    integrate_paths,
     load_snapshot,
     save_snapshot,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "energy_report",
     "integrate",
     "integrate_ensemble",
-    "integrate_paths",
     "load_snapshot",
     "save_snapshot",
     "AdjointPath",

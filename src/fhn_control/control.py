@@ -245,6 +245,18 @@ class OptimizeReport:
         return [it["residual"] for it in self.iterations if it["accepted"]]
 
 
+def check_run_settings(tol: float, max_iters: int, eps0: float) -> None:
+    """`optimize`'s settings, from a scenario or a call: a positive finite
+    `tol`, `max_iters` >= 1 and a positive finite `eps0`, or a `ConfigurationError`."""
+    # written so that NaN fails too
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    if not max_iters >= 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0 < eps0 < math.inf:
+        raise ConfigurationError(f"eps0 must be positive and finite, got {eps0}")
+
+
 def optimize(
     problem: Problem,
     seed: int = 0,
@@ -274,20 +286,16 @@ def optimize(
     the residual may stall or cycle near r ~ 1e-6*sqrt((1 + |psi|)/alpha).
     At a small alpha that floor lies above the default `tol`.
 
-    Settings are checked before any integration: `max_iters` >= 1, a
-    positive finite `tol`, a positive finite `eps0` and a finite `u0`, or
-    a `ConfigurationError`.
+    Settings are checked before any integration: the run settings
+    (`check_run_settings`) and a finite `u0`, or a `ConfigurationError`,
+    and a `u0` off the time grid or the grid, a `ContractViolation`.
     """
-    # written so that NaN fails too
-    if not max_iters >= 1:
-        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    if not 0 < tol < math.inf:
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if not 0 < eps0 < math.inf:
-        raise ConfigurationError(f"eps0 must be positive and finite, got {eps0}")
-    if u0 is not None and not np.all(np.isfinite(u0.values)):
-        raise ConfigurationError("u0 holds non-finite values")
+    check_run_settings(tol, max_iters, eps0)
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
+    if u0 is not None:
+        check_control_path(grid, timegrid, u0.values, "u0")
+        if not np.all(np.isfinite(u0.values)):
+            raise ConfigurationError("u0 holds non-finite values")
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
 

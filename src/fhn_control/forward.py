@@ -32,18 +32,18 @@ whole path at once.  An ensemble of M paths is one `StateX` of shape
 (N+1, M) + grid.shape: `ens[n]` is every path at node n, as a view, and
 `ens[:, p]` is path p.  `integrate` is the one time loop: it steps the
 noise increments it is handed, one path or a path axis, and column p of a
-batch is its one-path run, bit for bit.  Path p steps the increments
-`noise.sample_path` draws from (seed, p).  `integrate_ensemble` steps all
-M paths of the cost, the sweeps and the optimizer in one `integrate` call,
-on increments it stages in the ensemble's own arrays, one path's draw at a
-time, and `integrate` writes each state over the increment it has just
-used.  `integrate_paths` hands out a problem's paths one at a time instead,
-each freed with its increments once it has integrated, and `simulate`
-reduces each path as it arrives, so it holds one path besides path 0
-whatever M is.  The one other caller of `sample_path` outside the noise
-module is `harness.self_convergence_rate`, which draws each path's
-finest-level increments itself, after the seed check `integrate_paths`
-runs, and sums them into every coarser level.
+batch is its one-path run, bit for bit.  `integrate_ensemble` is the one
+integrator of a problem's paths: path p steps the increments
+`noise.sample_path` draws from (seed, p), and a contiguous block of paths,
+all of them by default, steps in one `integrate` call.  A one-path block,
+as every noise-free run is, steps without its path axis, on no increments
+when the noise is off.  The cost, the sweeps and the optimizer take the
+whole ensemble; `simulate` takes one-path blocks and reduces each as it
+arrives, so it holds one path besides path 0 whatever M is.  The one other
+caller of `sample_path` outside the noise module is
+`harness.self_convergence_rate`, which draws each path's finest-level
+increments itself, after the same `check_seed`, and sums them into every
+coarser level.
 
 The blow-up guard reads the paths once their time loop is over, not after
 every step, one path at a time: it names the first node in time past
@@ -68,8 +68,6 @@ from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
 from .noise import sample_path
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
-
     from .control import Problem
 
 SNAPSHOT_FORMAT = "fhn-snapshot-v2"
@@ -306,8 +304,9 @@ def integrate(
         out = StateX(np.empty(shape), np.empty(shape))
     elif out.v.shape != shape:
         raise ContractViolation(f"output arrays have shape {out.v.shape}, expected {shape}")
-    # noise-free steps all add this one zero pair, which turns -0.0 into +0.0
-    dW = StateX.zero(grid)
+    # noise-free steps all add this one zero pair, which turns -0.0 into +0.0;
+    # it is 0-d and broadcasts, so it holds no field through the loop
+    dW = StateX(np.zeros(()), np.zeros(()))
     v, w = out.v, out.w
     v[0], w[0] = x0.v, x0.w
     X = x0
@@ -350,56 +349,50 @@ def check_seed(seed) -> int:
     return seed
 
 
-def integrate_paths(problem: Problem, control: ControlPath, seed: int) -> Iterator[StateX]:
-    """The problem's `n_paths` paths under a common control, one at a time:
-    a generator whose item p is path p, with (N+1,) + grid.shape fields.
+def integrate_ensemble(
+    problem: Problem, control: ControlPath, seed: int, paths: range | None = None
+) -> StateX:
+    """Paths `paths` of the problem, a nonempty range of step 1 inside
+    range(n_paths) and all of them by default, under a common control: one
+    read-only ensemble of shape (N+1, len(paths)) + grid.shape, stepped in
+    one `integrate` call.  Column j is path paths[j] bit for bit, whatever
+    the block, and a `BlowUpError` names it as path paths[j].
 
     Path p steps `sample_path(cov, grid, timegrid, seed, p)`, or none when
-    the noise is off, as it does in `integrate_ensemble`, so it depends on
-    (seed, p) alone, whatever M is, and every control sees the same noise.
-    A non-integer or negative seed is a `ConfigurationError` at the call,
-    noise on or off, before any integration."""
-    check_seed(seed)
-    grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
-    noisy = not cov.is_zero()
-    # a path's increments are drawn inline, as `integrate`'s argument, so
-    # they are freed before the path is handed out
-    return (
-        integrate(
-            problem.params, grid, problem.spec, timegrid, problem.x0, control,
-            sample_path(cov, grid, timegrid, seed, p) if noisy else None, p,
-        )
-        for p in range(problem.n_paths)
-    )
-
-
-def integrate_ensemble(problem: Problem, control: ControlPath, seed: int) -> StateX:
-    """The problem's `n_paths` paths under a common control as one
-    read-only ensemble of shape (N+1, M) + grid.shape, stepped together in
-    one `integrate` call.  Column p is path p of `integrate_paths`, bit for
-    bit.
-
-    Path p's increments, `sample_path(cov, grid, timegrid, seed, p)` or
-    zeros when the noise is off, are drawn one path at a time into nodes
+    the noise is off, so it depends on (seed, p) alone.  A one-path block
+    steps without its path axis, on its draw as drawn, into the ensemble's
+    only column.  A larger block draws its paths, one at a time, into nodes
     1..N of the ensemble's own arrays, and `integrate` writes each state
-    over the increment it has just used.  So no increments array is held
-    besides the ensemble, and the ensemble's arrays are the ones
-    `integrate` wrote, a unit path axis and all when M is one."""
+    over the increment it has just used.
+
+    The seed (a `ConfigurationError`), the control's shape and `paths` (a
+    `ContractViolation`) are checked before any draw."""
     check_seed(seed)
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
-    shape = (timegrid.N + 1, problem.n_paths) + grid.shape
-    ens = StateX(np.empty(shape), np.empty(shape))
-    if cov.is_zero():
-        # written here, not left to np.zeros: a zero page the loop reads
-        # before it writes it faults twice, which slowed a noise-free 2-D
-        # integration (n = 48, N = 250) from 21 to 27 ms
-        ens.v[1:] = ens.w[1:] = 0.0
-    else:
-        for p in range(problem.n_paths):
+    check_control_path(grid, timegrid, control.values, "control path")
+    n_paths = problem.n_paths
+    paths = range(n_paths) if paths is None else paths
+    ok = isinstance(paths, range) and paths.step == 1 and 0 <= paths.start < paths.stop <= n_paths
+    if not ok:
+        raise ContractViolation(
+            f"paths must be a nonempty range of step 1 inside range({n_paths}), got {paths!r}"
+        )
+    shape = (timegrid.N + 1, len(paths)) + grid.shape
+    run = problem.params, grid, problem.spec, timegrid, problem.x0, control
+    if len(paths) == 1:
+        # drawn before the ensemble's arrays are allocated: the other way
+        # round, a 50-path simulate (n = 64, N = 500) took 23,300 minor page
+        # faults where it takes 5,000
+        dW = None if cov.is_zero() else sample_path(cov, grid, timegrid, seed, paths.start)
+        ens = StateX(np.empty(shape), np.empty(shape))
+        integrate(*run, dW, paths.start, out=ens[:, 0])
+    else:  # more than one path: the noise is on
+        ens = StateX(np.empty(shape), np.empty(shape))
+        for col, p in enumerate(paths):
             dW = sample_path(cov, grid, timegrid, seed, p)
-            ens.v[1:, p], ens.w[1:, p] = dW.v, dW.w
+            ens.v[1:, col], ens.w[1:, col] = dW.v, dW.w
             del dW  # one path's draw alive at a time
-    integrate(problem.params, grid, problem.spec, timegrid, problem.x0, control, ens[1:], out=ens)
+        integrate(*run, ens[1:], paths.start, out=ens)
     # the cost, the backward sweep, energy_report and the optimizer's
     # report all share these arrays, and views of read-only arrays are
     # read-only too

@@ -44,7 +44,6 @@ from .forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
-    integrate_paths,
     save_control,
     save_snapshot,
     u_inner,
@@ -136,14 +135,16 @@ def _cmd_simulate(scenario: Scenario, out: Path, seed: int) -> tuple:
     # one path at a time: each is reduced as it arrives and dropped, path 0
     # is kept, and nothing is written before the last path has integrated
     problem = scenario.problem
+    u = ControlPath.zero(problem.timegrid, problem.grid)
     sup_h, int_v, first = [], [], None
-    for path in integrate_paths(problem, ControlPath.zero(problem.timegrid, problem.grid), seed):
-        report = energy_report(problem, path[:, None])
+    for p in range(problem.n_paths):
+        ens = integrate_ensemble(problem, u, seed, range(p, p + 1))
+        report = energy_report(problem, ens)
         sup_h += report["sup_h_sq"]
         int_v += report["int_v_sq"]
         if first is None:
-            first = path
-        del path  # not alive while the next path integrates
+            first = ens[:, 0]
+        del ens  # not alive while the next path integrates
     snap = out / "trajectory_path0.npz"
     save_snapshot(snap, first, seed, 0)
     energy_csv = out / "energy.csv"

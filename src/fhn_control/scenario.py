@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import CostSpec, Problem
+from .control import CostSpec, Problem, check_run_settings
 from .dynamics import FhnParams
 from .errors import ConfigurationError
 from .forward import ActuatorSpec, TimeGrid, check_seed, open_npz
@@ -99,12 +99,7 @@ class Scenario:
                 f"mode must be 'deterministic' or 'stochastic', got {self.mode!r}"
             )
         check_seed(self.seed)
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.eps0 <= 0:  # a NaN or infinity failed above
-            raise ConfigurationError("eps0 must be positive")
+        check_run_settings(self.tol, self.max_iters, self.eps0)
         # each part checks its own values, and Problem checks the whole
         return Problem(
             grid=self.build_grid(), params=self.build_params(), timegrid=self.build_timegrid(),

@@ -478,7 +478,7 @@ def test_optimize_refuses_a_perturbed_step_that_points_uphill(monkeypatch):
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
 def test_negative_seed_is_rejected_before_integrating(monkeypatch, noisy):
-    # integrate_paths draws a run's paths, so it checks the seed for
+    # integrate_ensemble draws a run's paths, so it checks the seed for
     # optimize and psi_estimate alike, whether or not a stream is opened
     problem = _noisy(_setup(n=8, N=10), 4) if noisy else _setup(n=8, N=10)
     u = ControlPath.zero(problem.timegrid, problem.grid)
@@ -519,6 +519,41 @@ def test_optimize_checks_its_settings_before_integrating(monkeypatch, name, valu
     with pytest.raises(ConfigurationError, match=name):
         optimize(problem, **{name: value})
     assert integrated == []
+
+
+@pytest.mark.parametrize("short", ["grid-node", "time-node"])
+def test_a_control_off_the_grid_fails_before_any_draw(monkeypatch, short):
+    # a control one grid node or one time node short is refused before any
+    # of the six paths' noise is drawn, whether it is integrated, costed or
+    # the optimizer's start
+    problem = Scenario(n=16, modes=8, steps=50, ensemble=6, mode="stochastic").problem
+    N, n = problem.timegrid.N, problem.grid.n
+    bad = ControlPath(np.zeros((N + 1, n - 1) if short == "grid-node" else (N, n)))
+    drawn = []
+    monkeypatch.setattr(forward_module, "sample_path", lambda *a: drawn.append(a))
+    with pytest.raises(ContractViolation, match="control path has shape"):
+        integrate_ensemble(problem, bad, 0)
+    with pytest.raises(ContractViolation, match="control path has shape"):
+        psi_estimate(problem, bad, 0)
+    with pytest.raises(ContractViolation, match="u0 has shape"):
+        optimize(problem, u0=bad)
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "name, values", [("tol", (0.0, -1.0)), ("max_iters", (0, -1)), ("eps0", (0.0, -1.0))]
+)
+def test_run_settings_fail_alike_from_a_scenario_and_in_code(name, values):
+    # a scenario and a call of optimize check tol, max_iters and eps0 with
+    # one check, so a bad value reads the same by either route
+    problem = _setup(n=8, N=10)
+    for value in values:
+        with pytest.raises(ConfigurationError) as from_scenario:
+            Scenario(**{name: value}).validate()
+        with pytest.raises(ConfigurationError) as in_code:
+            optimize(problem, **{name: value})
+        assert str(from_scenario.value) == str(in_code.value)
+        assert str(in_code.value).startswith(f"{name} must be")
 
 
 def test_optimize_holds_about_eleven_field_paths():

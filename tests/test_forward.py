@@ -24,7 +24,6 @@ from fhn_control.forward import (
     implicit_solve_star,
     integrate,
     integrate_ensemble,
-    integrate_paths,
     load_snapshot,
     save_snapshot,
     step,
@@ -286,10 +285,12 @@ def test_integrate_ensemble_is_read_only():
 @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
 def test_one_path_ensemble_is_the_read_only_buffers_integrate_wrote(monkeypatch, grid, noisy):
-    # one path is not copied into an ensemble: the ensemble's arrays are
-    # the (N+1, 1) + grid.shape buffers integrate wrote its states into, its
-    # column is the one-path run bit for bit, and no array under it can be
-    # written; with the noise off, any ensemble size runs one path
+    # one path is not copied into an ensemble: it steps without its path
+    # axis, on no increments when the noise is off, and integrate writes its
+    # states into the ensemble's only column, a view of the ensemble's own
+    # (N+1, 1) + grid.shape buffers; the column is the one-path run bit for
+    # bit, and no array under the ensemble can be written.  With the noise
+    # off, any ensemble size runs one path
     p = FhnParams()
     tg = TimeGrid(0.04, 20)
     cov = SpectralCovariance.power_spectrum(8, 0.3, 0.3) if noisy else SpectralCovariance.zero(8)
@@ -300,30 +301,29 @@ def test_one_path_ensemble_is_the_read_only_buffers_integrate_wrote(monkeypatch,
     written = []
 
     def recording(*args, **kwargs):
-        written.append(integrate(*args, **kwargs))
-        return written[-1]
+        written.append((args[6], integrate(*args, **kwargs)))
+        return written[-1][1]
 
     monkeypatch.setattr(forward_module, "integrate", recording)
     ens = integrate_ensemble(problem, u, 5)
-    [out] = written
+    [(increments, out)] = written
+    assert (increments is None) == (not noisy)
     path = integrate(p, grid, spec, tg, x0, u, sample_path(cov, grid, tg, 5, 0) if noisy else None)
-    for got, buffer, want in ((ens.v, out.v, path.v), (ens.w, out.w, path.w)):
-        assert got is buffer and got.base is None  # integrate's own buffer, not a copy
+    for got, column, want in ((ens.v, out.v, path.v), (ens.w, out.w, path.w)):
+        # the column view of integrate's own buffer, not a copy
+        assert got.base is None and column.base is got
+        assert column.shape == (tg.N + 1,) + grid.shape
+        assert column.ctypes.data == got.ctypes.data
         assert got.shape == (tg.N + 1, 1) + grid.shape
         assert got[:, 0].tobytes() == want.tobytes()
-        arr = got
+        arr = got[:, 0]
         while arr is not None:
             assert not arr.flags.writeable
             arr = arr.base
 
 
-@pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
-@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
-@pytest.mark.parametrize("M", [1, 7])
-def test_integrate_ensemble_stacks_integrate_paths(d, M, noisy):
-    # the ensemble's one time loop over every path gives the paths that
-    # integrate_paths steps one at a time, bit for bit: a half mask, a
-    # forcing field and a nonzero control, with the noise on and off
+def _block_problem(d, M, noisy):
+    # a half mask, a forcing field, a nonzero control and a random w0
     g = Grid(d, 8)
     rng = np.random.default_rng([d, M, 43])
     p = FhnParams(f=0.1 * rng.standard_normal(g.shape))
@@ -333,12 +333,61 @@ def test_integrate_ensemble_stacks_integrate_paths(d, M, noisy):
     cov = SpectralCovariance.power_spectrum(4, 0.5, 0.5) if noisy else SpectralCovariance.zero(4)
     u = ControlPath(0.5 * rng.standard_normal((tg.N + 1,) + g.shape))
     x0 = StateX(g.constant(0.2), 0.1 * rng.standard_normal(g.shape))
-    problem = Problem(p, g, cov, ActuatorSpec(mask), tg, CostSpec(alpha=1.0), x0, ensemble=M)
+    return Problem(p, g, cov, ActuatorSpec(mask), tg, CostSpec(alpha=1.0), x0, ensemble=M), u
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("M", [1, 7])
+def test_integrate_ensemble_blocks_are_its_columns(d, M, noisy):
+    # blocks of paths stepped apart, concatenated on the path axis, are the
+    # whole ensemble bit for bit, and a one-path block is the one-path run
+    # on its path's draw
+    problem, u = _block_problem(d, M, noisy)
+    g, tg, cov = problem.grid, problem.timegrid, problem.cov
     ens = integrate_ensemble(problem, u, 3)
-    paths = list(integrate_paths(problem, u, 3))
-    assert len(paths) == (M if noisy else 1)
-    assert ens.v.tobytes() == np.stack([x.v for x in paths], axis=1).tobytes()
-    assert ens.w.tobytes() == np.stack([x.w for x in paths], axis=1).tobytes()
+    assert problem.n_paths == (M if noisy else 1)
+    blocks = [b for b in (range(0, 1), range(1, 4), range(4, 7)) if b.stop <= problem.n_paths]
+    parts = [integrate_ensemble(problem, u, 3, b) for b in blocks]
+    for field in ("v", "w"):
+        whole = getattr(ens, field)
+        stacked = np.concatenate([getattr(x, field) for x in parts], axis=1)
+        assert stacked.shape == whole.shape
+        assert stacked.tobytes() == whole.tobytes()
+    for path in range(problem.n_paths):
+        block = integrate_ensemble(problem, u, 3, range(path, path + 1))
+        dW = sample_path(cov, g, tg, 3, path) if noisy else None
+        alone = integrate(problem.params, g, problem.spec, tg, problem.x0, u, dW, path)
+        assert block.v.shape == (tg.N + 1, 1) + g.shape
+        assert block.v[:, 0].tobytes() == alone.v.tobytes()
+        assert block.w[:, 0].tobytes() == alone.w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "noisy, paths",
+    [
+        (True, range(2, 2)),
+        (True, range(0, 4, 2)),
+        (True, range(3, 1, -1)),
+        (True, range(-1, 2)),
+        (True, range(3, 5)),
+        (True, range(4, 5)),
+        (True, [0, 1]),
+        (True, slice(0, 2)),
+        (False, range(1, 2)),
+        (False, range(0, 2)),
+    ],
+)
+def test_integrate_ensemble_refuses_a_bad_path_range_before_drawing(monkeypatch, noisy, paths):
+    # a range that is empty, strided, or reaches outside range(n_paths) (one
+    # path with the noise off) is refused before a path is drawn or stepped
+    problem, u = _block_problem(1, 4, noisy)
+    called = []
+    monkeypatch.setattr(forward_module, "sample_path", lambda *a: called.append(a))
+    monkeypatch.setattr(forward_module, "integrate", lambda *a, **k: called.append(a))
+    with pytest.raises(ContractViolation, match="paths must be"):
+        integrate_ensemble(problem, u, 0, paths)
+    assert called == []
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
@@ -500,6 +549,31 @@ def test_integrate_ensemble_reports_the_first_blow_up_in_time(monkeypatch):
         integrate(p, g, spec, tg, StateX.zero(g), u, kicked(cov, g, tg, 0, 2), 2)
     assert (ensemble.value.step, ensemble.value.path) == (3, 2)
     assert ensemble.value.norm == alone.value.norm
+
+
+def test_a_block_names_the_blow_up_path_by_its_index_in_the_problem(monkeypatch):
+    # path 4, kicked at step index 2, fails at step 3 in the block of paths
+    # 3 and 4 and in its own one-path block alike; the paths before it pass
+    g = Grid(1, 8)
+    tg = TimeGrid(0.1, 10)
+    p = FhnParams(linear=True)
+    cov = SpectralCovariance.power_spectrum(4)
+    spec = ActuatorSpec.identity(g)
+    problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), StateX.zero(g), ensemble=6)
+
+    def kicked(cov, grid, timegrid, seed, path):
+        dW = StateX(np.zeros((timegrid.N,) + grid.shape), np.zeros((timegrid.N,) + grid.shape))
+        if path == 4:
+            dW.v[2] = 1.0e7
+        return dW
+
+    monkeypatch.setattr(forward_module, "sample_path", kicked)
+    u = ControlPath.zero(tg, g)
+    for paths in (range(3, 5), range(4, 5)):
+        with pytest.raises(BlowUpError, match="path 4, step 3:") as info:
+            integrate_ensemble(problem, u, 0, paths)
+        assert (info.value.step, info.value.path) == (3, 4)
+    integrate_ensemble(problem, u, 0, range(0, 4))
 
 
 def test_non_finite_control_fails_the_solve():

@@ -245,11 +245,11 @@ def test_simulate_writes_nothing_when_a_later_path_blows_up(tmp_path, monkeypatc
     # blow-up on path 2 of 4 leaves the output directory empty
     real, indices = forward_module.integrate, []
 
-    def failing(params, grid, spec, timegrid, x0, control, increments, path_index=0):
+    def failing(params, grid, spec, timegrid, x0, control, increments, path_index=0, out=None):
         indices.append(path_index)
         if path_index == 2:
             raise BlowUpError(1, 2.0e6, path_index)
-        return real(params, grid, spec, timegrid, x0, control, increments, path_index)
+        return real(params, grid, spec, timegrid, x0, control, increments, path_index, out)
 
     monkeypatch.setattr(forward_module, "integrate", failing)
     out = tmp_path / "out"
@@ -413,7 +413,7 @@ def test_self_convergence_rate_runs_the_problems_paths(monkeypatch):
 
 
 def test_self_convergence_rate_rejects_a_negative_seed_before_drawing(monkeypatch):
-    # it draws its own fine increments, through the seed check of integrate_paths
+    # it draws its own fine increments, after the seed check integrate_ensemble also runs
     drawn = []
     monkeypatch.setattr(harness, "sample_path", lambda *a: drawn.append(a))
     noisy = Scenario(**dict(SMALL, ensemble=2), mode="stochastic").problem
