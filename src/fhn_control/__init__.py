@@ -29,6 +29,7 @@ from .forward import (
     ControlPath,
     TimeGrid,
     energy_report,
+    ensemble_normals,
     integrate,
     integrate_ensemble,
     load_snapshot,
@@ -80,6 +81,7 @@ __all__ = [
     "ControlPath",
     "TimeGrid",
     "energy_report",
+    "ensemble_normals",
     "integrate",
     "integrate_ensemble",
     "load_snapshot",

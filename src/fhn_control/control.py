@@ -32,6 +32,7 @@ from .forward import (
     ControlPath,
     TimeGrid,
     check_control_path,
+    ensemble_normals,
     ensemble_size,
     integrate_ensemble,
     sup_h_sq,
@@ -231,7 +232,7 @@ class OptimizeReport:
 
     iterations: list = field(default_factory=list)
     u_star: ControlPath | None = None
-    ensemble: StateX | None = None
+    path0: StateX | None = None  # path 0 of u_star's ensemble, (N+1,) + grid.shape
     certificate_residual: float = float("nan")
     converged: bool = False
     psi_final: float = float("nan")
@@ -272,9 +273,14 @@ def optimize(
     step, and the line search moves along whichever of the two it keeps.
 
     Every quantity is deterministic given (seed, problem): candidate
-    controls are always evaluated on the same per-path noise streams.
-    Each distinct control is integrated and swept once: an accepted trial's
-    paths and signal serve the next iteration and the final certificate.
+    controls are always evaluated on the same per-path noise, common
+    random numbers.  With more than one path, each path's standard normals
+    are drawn once per run (`ensemble_normals`), before the first
+    integration, and every control is integrated on them; each (path, step)
+    stream is opened once.  Each distinct control is integrated and swept
+    once.  Of an accepted trial's ensemble the loop keeps its signal, its
+    mean sup energy and path 0, and drops the rest, so at most one ensemble
+    is alive; the report carries path 0 of the final control.
 
     A line-search trial whose state blows up is rejected like one that
     does not decrease the cost, and the step halves; only a blow-up of the
@@ -286,9 +292,10 @@ def optimize(
     the residual may stall or cycle near r ~ 1e-6*sqrt((1 + |psi|)/alpha).
     At a small alpha that floor lies above the default `tol`.
 
-    Settings are checked before any integration: the run settings
-    (`check_run_settings`) and a finite `u0`, or a `ConfigurationError`,
-    and a `u0` off the time grid or the grid, a `ContractViolation`.
+    Settings are checked before any draw or integration: the run settings
+    (`check_run_settings`), a finite `u0` and the seed, or a
+    `ConfigurationError`, and a `u0` off the time grid or the grid, a
+    `ContractViolation`.
     """
     check_run_settings(tol, max_iters, eps0)
     grid, timegrid, cost = problem.grid, problem.timegrid, problem.cost
@@ -298,22 +305,34 @@ def optimize(
             raise ConfigurationError("u0 holds non-finite values")
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
+    # one path is integrated on its stream's draw as drawn: held normals
+    # would only add to its working set
+    normals = ensemble_normals(problem, seed) if problem.n_paths > 1 else None
 
     def evaluate(candidate):
-        ens = integrate_ensemble(problem, candidate, seed)
+        ens = integrate_ensemble(problem, candidate, seed, normals=normals)
         return psi_from_trajectories(problem, candidate, ens)[0], ens
+
+    def keep(ens):
+        # the signal, the mean sup energy and path 0 of an accepted
+        # ensemble; path 0 is copied unless it is the whole ensemble
+        path0 = ens[:, 0]
+        if ens.v.shape[1] > 1:
+            path0 = StateX(path0.v.copy(), path0.w.copy())
+        return problem.signal(ens), float(np.mean(sup_h_sq(problem, ens))), path0
 
     report = OptimizeReport()
     psi_u, ens = evaluate(u)
-    q = problem.signal(ens)
+    q, mean_sup, path0 = keep(ens)
+    del ens
     for k in range(max_iters):
         # the residual is the norm of the full fixed-point step, not of a
         # step taken: a blocked line search would otherwise masquerade as
         # convergence
         step = subdiff_inverse(cost, q) - u
         residual = u_norm(grid, timegrid, step)
-        # one record per iteration, read off the current paths; a step
-        # taken below fills in its outcome
+        # one record per iteration, read off what was kept of the current
+        # paths; a step taken below fills in its outcome
         record = {
             "iter": k,
             "psi": psi_u,
@@ -321,7 +340,7 @@ def optimize(
             "eps": 0.0,
             "accepted": True,
             "tau": 0.0,
-            "mean_sup_h_sq": float(np.mean(sup_h_sq(problem, ens))),
+            "mean_sup_h_sq": mean_sup,
         }
         report.iterations.append(record)
         if residual < tol:
@@ -354,11 +373,12 @@ def optimize(
             if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
                 if dist > 0:
                     theta = ControlPath((tau * step).values / dist)
-                u, psi_u, ens = trial, psi_c, trial_ens
-                q = problem.signal(ens)
+                u, psi_u = trial, psi_c
+                del q, path0  # not alive while the trial's are taken
+                q, mean_sup, path0 = keep(trial_ens)
+                del trial_ens  # one ensemble alive at a time
                 record.update(psi=psi_u, eps=eps, tau=tau)
                 break
-            # keep at most two ensembles alive: the current one and a trial
             del trial_ens
             tau *= 0.5
         else:
@@ -367,6 +387,6 @@ def optimize(
 
     report.certificate_residual = u_norm(grid, timegrid, subdiff_inverse(cost, q) - u)
     report.u_star = u
-    report.ensemble = ens
+    report.path0 = path0
     report.psi_final = psi_u
     return report

@@ -39,11 +39,14 @@ all of them by default, steps in one `integrate` call.  A one-path block,
 as every noise-free run is, steps without its path axis, on no increments
 when the noise is off.  The cost, the sweeps and the optimizer take the
 whole ensemble; `simulate` takes one-path blocks and reduces each as it
-arrives, so it holds one path besides path 0 whatever M is.  The one other
-caller of `sample_path` outside the noise module is
-`harness.self_convergence_rate`, which draws each path's finest-level
-increments itself, after the same `check_seed`, and sums them into every
-coarser level.
+arrives, so it holds one path besides path 0 whatever M is.  A caller that
+integrates the same paths under many controls, as the optimizer does, can
+draw their standard normals once with `ensemble_normals` and hand them to
+every `integrate_ensemble` call, which then synthesizes the same increments
+without opening a stream.  The one other caller of `sample_path` outside
+the noise module is `harness.self_convergence_rate`, which draws each
+path's finest-level increments itself, after the same `check_seed`, and
+sums them into every coarser level.
 
 The blow-up guard reads the paths once their time loop is over, not after
 every step, one path at a time: it names the first node in time past
@@ -65,7 +68,7 @@ import numpy as np
 from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BLOWUP_THRESHOLD, BlowUpError, ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
-from .noise import sample_path
+from .noise import path_normals, sample_path, synthesize
 
 if TYPE_CHECKING:
     from .control import Problem
@@ -349,8 +352,44 @@ def check_seed(seed) -> int:
     return seed
 
 
+def _path_range(problem: Problem, paths: range | None) -> range:
+    """`paths`, a nonempty range of step 1 inside range(n_paths), or all of
+    them when None; anything else is a `ContractViolation`."""
+    n_paths = problem.n_paths
+    paths = range(n_paths) if paths is None else paths
+    ok = isinstance(paths, range) and paths.step == 1 and 0 <= paths.start < paths.stop <= n_paths
+    if not ok:
+        raise ContractViolation(
+            f"paths must be a nonempty range of step 1 inside range({n_paths}), got {paths!r}"
+        )
+    return paths
+
+
+def ensemble_normals(problem: Problem, seed: int, paths: range | None = None) -> np.ndarray | None:
+    """The standard normals of paths `paths` (as in `integrate_ensemble`):
+    one read-only (len(paths), N, 2, K) array whose row j is
+    `noise.path_normals` of path paths[j], drawn one path at a time, or
+    None when the noise is off.  Handed to `integrate_ensemble`, they
+    integrate the paths without opening a stream.  The seed is checked
+    first (a `ConfigurationError`)."""
+    check_seed(seed)
+    paths = _path_range(problem, paths)
+    cov, timegrid = problem.cov, problem.timegrid
+    if cov.is_zero():
+        return None
+    normals = np.empty((len(paths), timegrid.N, 2, cov.K))
+    for j, p in enumerate(paths):
+        normals[j] = path_normals(cov, timegrid, seed, p)
+    normals.flags.writeable = False
+    return normals
+
+
 def integrate_ensemble(
-    problem: Problem, control: ControlPath, seed: int, paths: range | None = None
+    problem: Problem,
+    control: ControlPath,
+    seed: int,
+    paths: range | None = None,
+    normals: np.ndarray | None = None,
 ) -> StateX:
     """Paths `paths` of the problem, a nonempty range of step 1 inside
     range(n_paths) and all of them by default, under a common control: one
@@ -359,38 +398,46 @@ def integrate_ensemble(
     the block, and a `BlowUpError` names it as path paths[j].
 
     Path p steps `sample_path(cov, grid, timegrid, seed, p)`, or none when
-    the noise is off, so it depends on (seed, p) alone.  A one-path block
-    steps without its path axis, on its draw as drawn, into the ensemble's
-    only column.  A larger block draws its paths, one at a time, into nodes
-    1..N of the ensemble's own arrays, and `integrate` writes each state
-    over the increment it has just used.
+    the noise is off, so it depends on (seed, p) alone.  Given `normals`,
+    the block's `ensemble_normals`, path paths[j] steps the `synthesize` of
+    row j instead, the same increments bit for bit, and no stream is
+    opened.  A one-path block steps without its path axis, on its draw as
+    drawn, into the ensemble's only column.  A larger block draws its
+    paths, one at a time, into nodes 1..N of the ensemble's own arrays, and
+    `integrate` writes each state over the increment it has just used.
 
-    The seed (a `ConfigurationError`), the control's shape and `paths` (a
-    `ContractViolation`) are checked before any draw."""
+    The seed (a `ConfigurationError`), the control's shape, `paths` and the
+    shape of `normals` (a `ContractViolation`) are checked before any draw."""
     check_seed(seed)
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     check_control_path(grid, timegrid, control.values, "control path")
-    n_paths = problem.n_paths
-    paths = range(n_paths) if paths is None else paths
-    ok = isinstance(paths, range) and paths.step == 1 and 0 <= paths.start < paths.stop <= n_paths
-    if not ok:
-        raise ContractViolation(
-            f"paths must be a nonempty range of step 1 inside range({n_paths}), got {paths!r}"
-        )
+    paths = _path_range(problem, paths)
+    if normals is not None:
+        expected = (len(paths), timegrid.N, 2, cov.K)
+        if cov.is_zero() or normals.shape != expected:
+            raise ContractViolation(
+                f"normals have shape {normals.shape}, expected {expected} with the noise on"
+            )
+
+    def draw(j: int) -> StateX:
+        if normals is None:
+            return sample_path(cov, grid, timegrid, seed, paths[j])
+        return synthesize(cov, grid, timegrid.dt, normals[j])
+
     shape = (timegrid.N + 1, len(paths)) + grid.shape
     run = problem.params, grid, problem.spec, timegrid, problem.x0, control
     if len(paths) == 1:
         # drawn before the ensemble's arrays are allocated: the other way
         # round, a 50-path simulate (n = 64, N = 500) took 23,300 minor page
         # faults where it takes 5,000
-        dW = None if cov.is_zero() else sample_path(cov, grid, timegrid, seed, paths.start)
+        dW = None if cov.is_zero() else draw(0)
         ens = StateX(np.empty(shape), np.empty(shape))
         integrate(*run, dW, paths.start, out=ens[:, 0])
     else:  # more than one path: the noise is on
         ens = StateX(np.empty(shape), np.empty(shape))
-        for col, p in enumerate(paths):
-            dW = sample_path(cov, grid, timegrid, seed, p)
-            ens.v[1:, col], ens.w[1:, col] = dW.v, dW.w
+        for j in range(len(paths)):
+            dW = draw(j)
+            ens.v[1:, j], ens.w[1:, j] = dW.v, dW.w
             del dW  # one path's draw alive at a time
         integrate(*run, ens[1:], paths.start, out=ens)
     # the cost, the backward sweep, energy_report and the optimizer's

@@ -188,7 +188,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
     save_control(control_npz, problem.timegrid, report.u_star)
     artifacts.append(control_npz)
     snap = out / "state_path0.npz"
-    save_snapshot(snap, report.ensemble[:, 0], seed, 0)
+    save_snapshot(snap, report.path0, seed, 0)
     artifacts.append(snap)
     summary = {
         "converged": report.converged,

@@ -11,7 +11,10 @@ Streams are counter-based: the generator for a given (seed, path, step)
 is derived from that triple alone, so Monte Carlo fan-out order never
 changes the sampled increments, and `(seed, path)` is all a trajectory
 needs to keep to re-derive its noise with `sample_path`.  This module is
-the only one that opens the noise-increment streams.
+the only one that opens the noise-increment streams.  A path's draw is two
+stages, `path_normals` (the standard normals of its per-step streams) and
+`synthesize` (the increments they scale to), so a caller that integrates
+the same paths again can hold the normals and synthesize them anew.
 
 Each stream is still `np.random.default_rng([seed, path, step])`, bit for
 bit.  Only its seeding is computed differently: numpy's `SeedSequence`
@@ -201,7 +204,7 @@ def increment_stream(seed: int, path: int, step: int) -> np.random.Generator:
     return _stream_from_state()(state)
 
 
-def _synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray) -> StateX:
+def synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray) -> StateX:
     """Increments from standard normals xi of shape (..., 2, K).
 
     Each component is one stacked product of the eigenmode matrix with a
@@ -234,19 +237,25 @@ def sample_increment(
     xi = stream.standard_normal((2, cov.K))
     if dt == 0.0:
         return StateX.zero(grid)
-    return _synthesize(cov, grid, dt, xi)
+    return synthesize(cov, grid, dt, xi)
+
+
+def path_normals(cov: SpectralCovariance, timegrid: TimeGrid, seed: int, path: int) -> np.ndarray:
+    """The (N, 2, K) standard normals of one path: step n draws its row
+    from `increment_stream(seed, path, n)`."""
+    xi = np.empty((timegrid.N, 2, cov.K))
+    for n in range(timegrid.N):
+        increment_stream(seed, path, n).standard_normal(out=xi[n])
+    return xi
 
 
 def sample_path(
     cov: SpectralCovariance, grid: Grid, timegrid: TimeGrid, seed: int, path: int
 ) -> StateX:
-    """Increments of one path over every step, as (N,) + grid.shape fields.
+    """Increments of one path over every step, as (N,) + grid.shape fields:
+    `synthesize` of its `path_normals`.
 
-    Step n draws from `increment_stream(seed, path, n)`, so the result
-    depends on (seed, path) alone and equals the step-by-step
+    The result depends on (seed, path) alone and equals the step-by-step
     `sample_increment` draws bit for bit.
     """
-    xi = np.empty((timegrid.N, 2, cov.K))
-    for n in range(timegrid.N):
-        increment_stream(seed, path, n).standard_normal(out=xi[n])
-    return _synthesize(cov, grid, timegrid.dt, xi)
+    return synthesize(cov, grid, timegrid.dt, path_normals(cov, timegrid, seed, path))

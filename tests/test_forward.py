@@ -20,6 +20,7 @@ from fhn_control.forward import (
     actuator_adjoint,
     actuator_apply,
     energy_report,
+    ensemble_normals,
     implicit_solve,
     implicit_solve_star,
     integrate,
@@ -361,6 +362,51 @@ def test_integrate_ensemble_blocks_are_its_columns(d, M, noisy):
         assert block.v.shape == (tg.N + 1, 1) + g.shape
         assert block.v[:, 0].tobytes() == alone.v.tobytes()
         assert block.w[:, 0].tobytes() == alone.w.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("M", [1, 7])
+def test_held_normals_give_the_drawn_ensemble(monkeypatch, d, M):
+    # a block integrated on its held normals is the block integrated on its
+    # drawn paths, bit for bit, and opens no stream; the normals are read-only
+    problem, u = _block_problem(d, M, noisy=True)
+    N, K = problem.timegrid.N, problem.cov.K
+    blocks = [b for b in (range(0, 1), range(1, 4), range(4, 7)) if b.stop <= M]
+    for paths in blocks + [range(M)]:
+        drawn = integrate_ensemble(problem, u, 3, paths)
+        normals = ensemble_normals(problem, 3, paths)
+        assert normals.shape == (len(paths), N, 2, K)
+        assert not normals.flags.writeable
+        with monkeypatch.context() as m:
+            m.setattr(forward_module, "sample_path", None)
+            m.setattr(forward_module, "path_normals", None)
+            held = integrate_ensemble(problem, u, 3, paths, normals=normals)
+        assert held.v.tobytes() == drawn.v.tobytes()
+        assert held.w.tobytes() == drawn.w.tobytes()
+        assert not (held.v.flags.writeable or held.w.flags.writeable)
+    assert ensemble_normals(dataclasses.replace(problem, cov=SpectralCovariance.zero(4)), 3) is None
+
+
+def test_normals_of_the_wrong_shape_are_refused_before_integrating(monkeypatch):
+    # normals for another block, too few steps or modes, or any normals with
+    # the noise off, are refused before a path is stepped
+    problem, u = _block_problem(1, 4, noisy=True)
+    normals = ensemble_normals(problem, 0)
+    noise_free = dataclasses.replace(problem, cov=SpectralCovariance.zero(4))
+    called = []
+    monkeypatch.setattr(forward_module, "integrate", lambda *a, **k: called.append(a))
+    for prob, paths, held in [
+        (problem, range(1, 3), normals),
+        (problem, None, normals[:3]),
+        (problem, None, normals[:, :-1]),
+        (problem, None, normals[..., :-1]),
+        (noise_free, None, normals[:1]),
+    ]:
+        with pytest.raises(ContractViolation, match="normals have shape"):
+            integrate_ensemble(prob, u, 0, paths, normals=held)
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        ensemble_normals(problem, -1)
+    assert called == []
 
 
 @pytest.mark.parametrize(

@@ -192,8 +192,8 @@ def test_optimize_field_artifacts_round_trip(tmp_path, monkeypatch, d):
     run(scenario, "optimize", tmp_path)
     (report,) = reports
     back, seed, path_index = load_snapshot(tmp_path / "state_path0.npz")
-    np.testing.assert_array_equal(back.v, report.ensemble.v[:, 0])
-    np.testing.assert_array_equal(back.w, report.ensemble.w[:, 0])
+    np.testing.assert_array_equal(back.v, report.path0.v)
+    np.testing.assert_array_equal(back.w, report.path0.w)
     assert (seed, path_index) == (seeds[0], 0)
     with np.load(tmp_path / "control.npz") as data:
         np.testing.assert_array_equal(data["u"], report.u_star.values)

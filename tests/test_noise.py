@@ -11,8 +11,10 @@ from fhn_control.noise import (
     STREAM_BLOCK,
     SpectralCovariance,
     increment_stream,
+    path_normals,
     sample_increment,
     sample_path,
+    synthesize,
     trace_q,
 )
 
@@ -168,12 +170,18 @@ def test_increment_components_independent():
 
 @pytest.mark.parametrize("grid", [Grid(1, 16), Grid(2, 7)], ids=["d1", "d2"])
 def test_sample_path_equals_per_step_increments(grid):
-    # one stacked synthesis over all steps gives the one-step draws bit for bit
+    # one stacked synthesis over all steps gives the one-step draws bit for
+    # bit, and it is the synthesis of the path's normals
     cov = SpectralCovariance.power_spectrum(12, 0.3, 0.2)
     tg = TimeGrid(0.2, 40)
     path = sample_path(cov, grid, tg, seed=11, path=3)
     assert path.v.shape == path.w.shape == (tg.N,) + grid.shape
     assert path.v.flags.c_contiguous and path.w.flags.c_contiguous
+    xi = path_normals(cov, tg, 11, 3)
+    assert xi.shape == (tg.N, 2, cov.K)
+    again = synthesize(cov, grid, tg.dt, xi)
+    assert again.v.tobytes() == path.v.tobytes()
+    assert again.w.tobytes() == path.w.tobytes()
     for n in range(tg.N):
         dW = sample_increment(cov, grid, tg.dt, increment_stream(11, 3, n))
         np.testing.assert_array_equal(path.v[n], dW.v)
