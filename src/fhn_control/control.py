@@ -274,13 +274,13 @@ def optimize(
 
     Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise, common
-    random numbers.  With more than one path, each path's standard normals
-    are drawn once per run (`ensemble_normals`), before the first
-    integration, and every control is integrated on them; each (path, step)
-    stream is opened once.  Each distinct control is integrated and swept
-    once.  Of an accepted trial's ensemble the loop keeps its signal, its
-    mean sup energy and path 0, and drops the rest, so at most one ensemble
-    is alive; the report carries path 0 of the final control.
+    random numbers.  Each path's standard normals are drawn once per run
+    (`ensemble_normals`), before the first integration, and every control
+    is integrated on them; each (path, step) stream is opened once.  Each
+    distinct control is integrated and swept once.  Of an accepted trial's
+    ensemble the loop keeps its signal, its mean sup energy and path 0, and
+    drops the rest, so at most one ensemble is alive; the report carries
+    path 0 of the final control.
 
     A line-search trial whose state blows up is rejected like one that
     does not decrease the cost, and the step halves; only a blow-up of the
@@ -305,9 +305,7 @@ def optimize(
             raise ConfigurationError("u0 holds non-finite values")
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
     theta = None
-    # one path is integrated on its stream's draw as drawn: held normals
-    # would only add to its working set
-    normals = ensemble_normals(problem, seed) if problem.n_paths > 1 else None
+    normals = ensemble_normals(problem, seed)
 
     def evaluate(candidate):
         ens = integrate_ensemble(problem, candidate, seed, normals=normals)

@@ -33,20 +33,17 @@ whole path at once.  An ensemble of M paths is one `StateX` of shape
 `ens[:, p]` is path p.  `integrate` is the one time loop: it steps the
 noise increments it is handed, one path or a path axis, and column p of a
 batch is its one-path run, bit for bit.  `integrate_ensemble` is the one
-integrator of a problem's paths: path p steps the increments
-`noise.sample_path` draws from (seed, p), and a contiguous block of paths,
-all of them by default, steps in one `integrate` call.  A one-path block,
-as every noise-free run is, steps without its path axis, on no increments
-when the noise is off.  The cost, the sweeps and the optimizer take the
-whole ensemble; `simulate` takes one-path blocks and reduces each as it
-arrives, so it holds one path besides path 0 whatever M is.  A caller that
-integrates the same paths under many controls, as the optimizer does, can
-draw their standard normals once with `ensemble_normals` and hand them to
-every `integrate_ensemble` call, which then synthesizes the same increments
-without opening a stream.  The one other caller of `sample_path` outside
-the noise module is `harness.self_convergence_rate`, which draws each
-path's finest-level increments itself, after the same `check_seed`, and
-sums them into every coarser level.
+integrator of a problem's paths, in one loop for every block size: path
+p's standard normals, drawn from (seed, p) or held, are synthesized
+straight into nodes 1..N of its column, and a contiguous block of paths,
+all of them by default, steps in one `integrate` call; a one-path block
+steps its column without the path axis.  The cost, the sweeps and the
+optimizer take the whole ensemble; `simulate` takes one-path blocks and
+reduces each as it arrives, so it holds one path besides path 0 whatever M
+is.  The optimizer draws the normals once with `ensemble_normals` and hands
+them to every call.  `noise.sample_path`, one path's increments in arrays
+of their own, is the tests' reference and, after the same `check_seed`,
+the fine-level draw of `harness.self_convergence_rate`.
 
 The blow-up guard reads the paths once their time loop is over, not after
 every step, one path at a time: it names the first node in time past
@@ -68,7 +65,7 @@ import numpy as np
 from .dynamics import FhnParams, df_apply, f_apply
 from .errors import BLOWUP_THRESHOLD, BlowUpError, ConfigurationError, ContractViolation
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
-from .noise import path_normals, sample_path, synthesize
+from .noise import path_normals, synthesize
 
 if TYPE_CHECKING:
     from .control import Problem
@@ -397,14 +394,14 @@ def integrate_ensemble(
     one `integrate` call.  Column j is path paths[j] bit for bit, whatever
     the block, and a `BlowUpError` names it as path paths[j].
 
-    Path p steps `sample_path(cov, grid, timegrid, seed, p)`, or none when
-    the noise is off, so it depends on (seed, p) alone.  Given `normals`,
-    the block's `ensemble_normals`, path paths[j] steps the `synthesize` of
-    row j instead, the same increments bit for bit, and no stream is
-    opened.  A one-path block steps without its path axis, on its draw as
-    drawn, into the ensemble's only column.  A larger block draws its
-    paths, one at a time, into nodes 1..N of the ensemble's own arrays, and
-    `integrate` writes each state over the increment it has just used.
+    Path p steps the synthesis of its `path_normals(cov, timegrid, seed,
+    p)`, `sample_path` of (seed, p) bit for bit, or none when the noise is
+    off.  Given `normals`, the block's `ensemble_normals`, path paths[j]
+    steps the synthesis of row j instead, and no stream is opened.  Every
+    block size runs one loop: each path's increments are synthesized into
+    nodes 1..N of its column, and `integrate` writes each state over the
+    increment it has just used; a one-path block steps its column without
+    the path axis.
 
     The seed (a `ConfigurationError`), the control's shape, `paths` and the
     shape of `normals` (a `ContractViolation`) are checked before any draw."""
@@ -412,34 +409,28 @@ def integrate_ensemble(
     grid, timegrid, cov = problem.grid, problem.timegrid, problem.cov
     check_control_path(grid, timegrid, control.values, "control path")
     paths = _path_range(problem, paths)
+    noisy = not cov.is_zero()
     if normals is not None:
         expected = (len(paths), timegrid.N, 2, cov.K)
-        if cov.is_zero() or normals.shape != expected:
+        if not noisy or normals.shape != expected:
             raise ContractViolation(
                 f"normals have shape {normals.shape}, expected {expected} with the noise on"
             )
 
-    def draw(j: int) -> StateX:
-        if normals is None:
-            return sample_path(cov, grid, timegrid, seed, paths[j])
-        return synthesize(cov, grid, timegrid.dt, normals[j])
-
     shape = (timegrid.N + 1, len(paths)) + grid.shape
+    # the ensemble is allocated after the first draw, and each draw dropped
+    # once synthesized: allocated first, a 50-path simulate (n = 64, N = 500)
+    # read 18,000 minor page faults, and keeping each draw 12,100, not 11,300
+    ens = None if noisy else StateX(np.empty(shape), np.empty(shape))
+    for j in range(len(paths) if noisy else 0):
+        xi = path_normals(cov, timegrid, seed, paths[j]) if normals is None else normals[j]
+        if ens is None:
+            ens = StateX(np.empty(shape), np.empty(shape))
+        synthesize(cov, grid, timegrid.dt, xi, ens[1:, j])
+        del xi
+    out = ens[:, 0] if len(paths) == 1 else ens
     run = problem.params, grid, problem.spec, timegrid, problem.x0, control
-    if len(paths) == 1:
-        # drawn before the ensemble's arrays are allocated: the other way
-        # round, a 50-path simulate (n = 64, N = 500) took 23,300 minor page
-        # faults where it takes 5,000
-        dW = None if cov.is_zero() else draw(0)
-        ens = StateX(np.empty(shape), np.empty(shape))
-        integrate(*run, dW, paths.start, out=ens[:, 0])
-    else:  # more than one path: the noise is on
-        ens = StateX(np.empty(shape), np.empty(shape))
-        for j in range(len(paths)):
-            dW = draw(j)
-            ens.v[1:, j], ens.w[1:, j] = dW.v, dW.w
-            del dW  # one path's draw alive at a time
-        integrate(*run, ens[1:], paths.start, out=ens)
+    integrate(*run, out[1:] if noisy else None, paths.start, out=out)
     # the cost, the backward sweep, energy_report and the optimizer's
     # report all share these arrays, and views of read-only arrays are
     # read-only too

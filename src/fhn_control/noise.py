@@ -13,8 +13,9 @@ changes the sampled increments, and `(seed, path)` is all a trajectory
 needs to keep to re-derive its noise with `sample_path`.  This module is
 the only one that opens the noise-increment streams.  A path's draw is two
 stages, `path_normals` (the standard normals of its per-step streams) and
-`synthesize` (the increments they scale to), so a caller that integrates
-the same paths again can hold the normals and synthesize them anew.
+`synthesize` (the increments they scale to, written into given arrays), so
+a caller that integrates the same paths again can hold the normals and
+synthesize them anew.
 
 Each stream is still `np.random.default_rng([seed, path, step])`, bit for
 bit.  Only its seeding is computed differently: numpy's `SeedSequence`
@@ -204,21 +205,29 @@ def increment_stream(seed: int, path: int, step: int) -> np.random.Generator:
     return _stream_from_state()(state)
 
 
-def synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray) -> StateX:
-    """Increments from standard normals xi of shape (..., 2, K).
+def synthesize(cov: SpectralCovariance, grid: Grid, dt: float, xi: np.ndarray, out: StateX) -> StateX:
+    """Increments from standard normals xi of shape (..., 2, K), written
+    into `out`, fields of shape xi.shape[:-2] + grid.shape such as the
+    column of a staging array, and returned.
 
     Each component is one stacked product of the eigenmode matrix with a
     coefficient column per leading index, so every step is synthesized
     by the same arithmetic as a single step (one GEMM over all steps
     would not be: its rows differ from the one-step product in the last
-    bit).  Each component lands in its own contiguous array."""
+    bit).  Both fields are flattened as views first, so a field that
+    cannot be (a transposed one, say) raises before anything is written."""
     E = eigenmode_matrix(grid, cov.K)
-    c = cov.sqrt_lam * xi * np.sqrt(dt)
-    shape = xi.shape[:-2] + grid.shape
-    return StateX(
-        np.matmul(E, c[..., 0, :, None]).reshape(shape),
-        np.matmul(E, c[..., 1, :, None]).reshape(shape),
-    )
+    views = [out.v.view(), out.w.view()]
+    for view in views:
+        view.shape = xi.shape[:-2] + (E.shape[0], 1)
+    # one coefficient temporary for both components: one each read 1,400
+    # more minor page faults on a 50-path simulate (n = 64, N = 500)
+    c = np.empty_like(xi[..., 0, :])
+    for k, view in enumerate(views):
+        np.multiply(cov.sqrt_lam[k], xi[..., k, :], out=c)
+        c *= np.sqrt(dt)
+        np.matmul(E, c[..., None], out=view)
+    return out
 
 
 def sample_increment(
@@ -235,9 +244,8 @@ def sample_increment(
     if dt < 0:
         raise ConfigurationError(f"dt must be nonnegative, got {dt}")
     xi = stream.standard_normal((2, cov.K))
-    if dt == 0.0:
-        return StateX.zero(grid)
-    return synthesize(cov, grid, dt, xi)
+    out = StateX.zero(grid)
+    return out if dt == 0.0 else synthesize(cov, grid, dt, xi, out)
 
 
 def path_normals(cov: SpectralCovariance, timegrid: TimeGrid, seed: int, path: int) -> np.ndarray:
@@ -258,4 +266,6 @@ def sample_path(
     The result depends on (seed, path) alone and equals the step-by-step
     `sample_increment` draws bit for bit.
     """
-    return synthesize(cov, grid, timegrid.dt, path_normals(cov, timegrid, seed, path))
+    shape = (timegrid.N,) + grid.shape
+    out = StateX(np.empty(shape), np.empty(shape))
+    return synthesize(cov, grid, timegrid.dt, path_normals(cov, timegrid, seed, path), out)

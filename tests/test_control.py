@@ -567,7 +567,7 @@ def test_a_control_off_the_grid_fails_before_any_draw(monkeypatch, short):
     N, n = problem.timegrid.N, problem.grid.n
     bad = ControlPath(np.zeros((N + 1, n - 1) if short == "grid-node" else (N, n)))
     drawn = []
-    monkeypatch.setattr(forward_module, "sample_path", lambda *a: drawn.append(a))
+    monkeypatch.setattr(forward_module, "path_normals", lambda *a: drawn.append(a))
     monkeypatch.setattr(noise_module, "increment_stream", lambda *a: drawn.append(a))
     with pytest.raises(ContractViolation, match="control path has shape"):
         integrate_ensemble(problem, bad, 0)
@@ -620,7 +620,7 @@ def test_optimize_holds_about_eleven_field_paths():
     assert peak / ((N + 1) * n**g.d * 8) <= 11.5
 
 
-@pytest.mark.parametrize("M, bound", [(8, 38.0), (1, 13.5)])
+@pytest.mark.parametrize("M, bound", [(8, 38.0), (1, 12.7)])
 def test_optimize_holds_the_ensembles_and_little_else(M, bound):
     # the stochastic optimizer's working set, in field paths of (N+1)*n
     # doubles: the held standard normals, M*2K/n (one per path at K = n/2),
@@ -630,7 +630,8 @@ def test_optimize_holds_the_ensembles_and_little_else(M, bound):
     # M = 8, keeping the current ensemble beside the trial's read 41.2,
     # holding the synthesized increments instead of the normals 44.1, and
     # keeping the old signal and path 0 while a trial's are taken 38.2.
-    # One path holds no normals: holding them read 14.2 at M = 1
+    # One path holds its normals too, and stages its increments in its
+    # ensemble's column: drawing them into a separate pair read 13.2 at M = 1
     n, N = 64, 100
     problem = Scenario(
         d=1, n=n, steps=N, horizon=0.1, modes=32, ensemble=M, mode="stochastic"

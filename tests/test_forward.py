@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import fhn_control.forward as forward_module
+import fhn_control.noise as noise_module
 from fhn_control.adjoint import duality_gap, solve_adjoint_regression, solve_variational
 from fhn_control.control import CostSpec, Problem, psi_from_trajectories
 from fhn_control.dynamics import FhnParams, a_apply, df_apply, f_apply, i_ion
@@ -286,12 +287,12 @@ def test_integrate_ensemble_is_read_only():
 @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "noise-on"])
 @pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["d1", "d2"])
 def test_one_path_ensemble_is_the_read_only_buffers_integrate_wrote(monkeypatch, grid, noisy):
-    # one path is not copied into an ensemble: it steps without its path
-    # axis, on no increments when the noise is off, and integrate writes its
-    # states into the ensemble's only column, a view of the ensemble's own
-    # (N+1, 1) + grid.shape buffers; the column is the one-path run bit for
-    # bit, and no array under the ensemble can be written.  With the noise
-    # off, any ensemble size runs one path
+    # one path is not copied into an ensemble: integrate steps the
+    # ensemble's only column, a view of its own (N+1, 1) + grid.shape
+    # buffers, without the path axis, on the increments staged in the
+    # column's nodes 1..N, or on none when the noise is off; the column is
+    # the one-path run bit for bit, and no array under the ensemble can be
+    # written.  With the noise off, any ensemble size runs one path
     p = FhnParams()
     tg = TimeGrid(0.04, 20)
     cov = SpectralCovariance.power_spectrum(8, 0.3, 0.3) if noisy else SpectralCovariance.zero(8)
@@ -302,19 +303,25 @@ def test_one_path_ensemble_is_the_read_only_buffers_integrate_wrote(monkeypatch,
     written = []
 
     def recording(*args, **kwargs):
-        written.append((args[6], integrate(*args, **kwargs)))
-        return written[-1][1]
+        written.append((args[6], kwargs["out"]))
+        return integrate(*args, **kwargs)
 
     monkeypatch.setattr(forward_module, "integrate", recording)
     ens = integrate_ensemble(problem, u, 5)
     [(increments, out)] = written
     assert (increments is None) == (not noisy)
     path = integrate(p, grid, spec, tg, x0, u, sample_path(cov, grid, tg, 5, 0) if noisy else None)
-    for got, column, want in ((ens.v, out.v, path.v), (ens.w, out.w, path.w)):
-        # the column view of integrate's own buffer, not a copy
+    for name, want in (("v", path.v), ("w", path.w)):
+        got, column = getattr(ens, name), getattr(out, name)
+        # the column view of the ensemble's own buffer, not a copy
         assert got.base is None and column.base is got
         assert column.shape == (tg.N + 1,) + grid.shape
         assert column.ctypes.data == got.ctypes.data
+        if noisy:
+            staged, below = getattr(increments, name), column[1:]
+            assert staged.base is got
+            assert staged.shape == below.shape and staged.strides == below.strides
+            assert staged.ctypes.data == below.ctypes.data
         assert got.shape == (tg.N + 1, 1) + grid.shape
         assert got[:, 0].tobytes() == want.tobytes()
         arr = got[:, 0]
@@ -378,8 +385,8 @@ def test_held_normals_give_the_drawn_ensemble(monkeypatch, d, M):
         assert normals.shape == (len(paths), N, 2, K)
         assert not normals.flags.writeable
         with monkeypatch.context() as m:
-            m.setattr(forward_module, "sample_path", None)
             m.setattr(forward_module, "path_normals", None)
+            m.setattr(noise_module, "increment_stream", None)
             held = integrate_ensemble(problem, u, 3, paths, normals=normals)
         assert held.v.tobytes() == drawn.v.tobytes()
         assert held.w.tobytes() == drawn.w.tobytes()
@@ -429,7 +436,7 @@ def test_integrate_ensemble_refuses_a_bad_path_range_before_drawing(monkeypatch,
     # path with the noise off) is refused before a path is drawn or stepped
     problem, u = _block_problem(1, 4, noisy)
     called = []
-    monkeypatch.setattr(forward_module, "sample_path", lambda *a: called.append(a))
+    monkeypatch.setattr(forward_module, "path_normals", lambda *a: called.append(a))
     monkeypatch.setattr(forward_module, "integrate", lambda *a, **k: called.append(a))
     with pytest.raises(ContractViolation, match="paths must be"):
         integrate_ensemble(problem, u, 0, paths)
@@ -570,9 +577,10 @@ def test_blow_up_guard_matches_per_step_check(d, n, T, N, v0, linear, f, kicks):
 
 
 def test_integrate_ensemble_reports_the_first_blow_up_in_time(monkeypatch):
-    # a 1e7 kick at step index 2 on path 2 and at step index 6 on path 0:
-    # the ensemble steps every path at once, so it reports the first node
-    # in time that fails and the lowest path failing there, step 3 on path 2
+    # a kick of the normals at step index 2 on path 2 and at step index 6 on
+    # path 0: the ensemble steps every path at once, so it reports the first
+    # node in time that fails and the lowest path failing there, step 3 on
+    # path 2
     g = Grid(1, 8)
     tg = TimeGrid(0.1, 10)
     p = FhnParams(linear=True)
@@ -582,24 +590,28 @@ def test_integrate_ensemble_reports_the_first_blow_up_in_time(monkeypatch):
     u = ControlPath.zero(tg, g)
     kicks = {2: 2, 0: 6}
 
-    def kicked(cov, grid, timegrid, seed, path):
-        dW = StateX(np.zeros((timegrid.N,) + grid.shape), np.zeros((timegrid.N,) + grid.shape))
+    def kicked(cov, timegrid, seed, path):
+        xi = np.zeros((timegrid.N, 2, cov.K))
         if path in kicks:
-            dW.v[kicks[path]] = 1.0e7
-        return dW
+            xi[kicks[path], 0] = 1.0e10
+        return xi
 
-    monkeypatch.setattr(forward_module, "sample_path", kicked)
+    # both modules: the ensemble stages its paths' normals, and sample_path
+    # synthesizes the same kicked normals for the one-path reference
+    monkeypatch.setattr(forward_module, "path_normals", kicked)
+    monkeypatch.setattr(noise_module, "path_normals", kicked)
     with pytest.raises(BlowUpError) as ensemble:
         integrate_ensemble(problem, u, 0)
     with pytest.raises(BlowUpError) as alone:
-        integrate(p, g, spec, tg, StateX.zero(g), u, kicked(cov, g, tg, 0, 2), 2)
+        integrate(p, g, spec, tg, StateX.zero(g), u, sample_path(cov, g, tg, 0, 2), 2)
     assert (ensemble.value.step, ensemble.value.path) == (3, 2)
     assert ensemble.value.norm == alone.value.norm
 
 
 def test_a_block_names_the_blow_up_path_by_its_index_in_the_problem(monkeypatch):
-    # path 4, kicked at step index 2, fails at step 3 in the block of paths
-    # 3 and 4 and in its own one-path block alike; the paths before it pass
+    # path 4, its normals kicked at step index 2, fails at step 3 in the
+    # block of paths 3 and 4 and in its own one-path block alike; the paths
+    # before it pass
     g = Grid(1, 8)
     tg = TimeGrid(0.1, 10)
     p = FhnParams(linear=True)
@@ -607,13 +619,13 @@ def test_a_block_names_the_blow_up_path_by_its_index_in_the_problem(monkeypatch)
     spec = ActuatorSpec.identity(g)
     problem = Problem(p, g, cov, spec, tg, CostSpec(alpha=1.0), StateX.zero(g), ensemble=6)
 
-    def kicked(cov, grid, timegrid, seed, path):
-        dW = StateX(np.zeros((timegrid.N,) + grid.shape), np.zeros((timegrid.N,) + grid.shape))
+    def kicked(cov, timegrid, seed, path):
+        xi = np.zeros((timegrid.N, 2, cov.K))
         if path == 4:
-            dW.v[2] = 1.0e7
-        return dW
+            xi[2, 0] = 1.0e10
+        return xi
 
-    monkeypatch.setattr(forward_module, "sample_path", kicked)
+    monkeypatch.setattr(forward_module, "path_normals", kicked)
     u = ControlPath.zero(tg, g)
     for paths in (range(3, 5), range(4, 5)):
         with pytest.raises(BlowUpError, match="path 4, step 3:") as info:

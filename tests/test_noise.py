@@ -179,10 +179,43 @@ def test_sample_path_equals_per_step_increments(grid):
     assert path.v.flags.c_contiguous and path.w.flags.c_contiguous
     xi = path_normals(cov, tg, 11, 3)
     assert xi.shape == (tg.N, 2, cov.K)
-    again = synthesize(cov, grid, tg.dt, xi)
+    out = StateX(np.empty(path.v.shape), np.empty(path.w.shape))
+    again = synthesize(cov, grid, tg.dt, xi, out)
+    assert again is out
     assert again.v.tobytes() == path.v.tobytes()
     assert again.w.tobytes() == path.w.tobytes()
     for n in range(tg.N):
         dW = sample_increment(cov, grid, tg.dt, increment_stream(11, 3, n))
         np.testing.assert_array_equal(path.v[n], dW.v)
         np.testing.assert_array_equal(path.w[n], dW.w)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("grid", [Grid(1, 16), Grid(2, 7)], ids=["d1", "d2"])
+def test_synthesis_into_staging_columns_equals_sample_path(grid, M):
+    # each path synthesized into its column of an (N, M) + grid.shape
+    # staging array, a strided view, is its sample_path bit for bit
+    cov = SpectralCovariance.power_spectrum(12, 0.3, 0.2)
+    tg = TimeGrid(0.2, 40)
+    shape = (tg.N, M) + grid.shape
+    staged = StateX(np.full(shape, np.nan), np.full(shape, np.nan))
+    for j in range(M):
+        column = staged[:, j]
+        assert synthesize(cov, grid, tg.dt, path_normals(cov, tg, 11, j), column) is column
+    for j in range(M):
+        path = sample_path(cov, grid, tg, 11, j)
+        assert staged.v[:, j].tobytes() == path.v.tobytes()
+        assert staged.w[:, j].tobytes() == path.w.tobytes()
+
+
+def test_synthesis_refuses_a_field_it_cannot_flatten_before_writing():
+    # a transposed 2-D field has no flat view: writing into a flattened copy
+    # would lose the increments, so synthesize raises, and the other field,
+    # which it could have written, is left as it was
+    grid = Grid(2, 6)
+    cov = SpectralCovariance.power_spectrum(4)
+    xi = np.ones((2, cov.K))
+    out = StateX(np.zeros(grid.shape), np.zeros(grid.shape).T)
+    with pytest.raises(AttributeError):
+        synthesize(cov, grid, 0.1, xi, out)
+    assert not out.v.any() and not out.w.any()
