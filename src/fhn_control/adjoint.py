@@ -11,8 +11,10 @@ multiplier recursion is
 and the reported dual path is p_n = -lam_n, so the terminal condition
 p(T) = -Dg0(X(T)) holds exactly and the control-space gradient assembled
 from this path is the exact gradient of the discrete cost functional.
-The sweeps also keep the transported values S* p_{n+1}, from which the
-control signal is read off without further solves.
+Both backward sweeps run one loop: `solve_adjoint_regression` stores
+the dual path, and `control_signal` stores only the signal, read off the
+transported values S* p_{n+1} as the loop passes them, without further
+solves.
 
 Every sweep reads the ensemble that `integrate_ensemble` returns, fields
 (N+1, M) + grid.shape checked by `ensemble_size`, all paths at once.  The
@@ -21,8 +23,8 @@ run evaluates every candidate control on the same noise streams (common
 random numbers).  So the exact gradient of the sampled cost
 Psi_M = (1/M) sum_p J(u, omega_p) is the mean of the M pathwise
 gradients, each of which is the transpose sweep along its own path.  B*
-is linear, so the backward sweep keeps only the ensemble mean of the dual
-path: that is all the control signal reads.  With M = 1 it is the
+is linear, so the backward sweeps keep only ensemble means: the mean dual
+path, or the signal of the mean transport.  With M = 1 it is the
 deterministic sweep.
 
 Every sweep reads one `control.Problem` for the dynamics, the grid, the
@@ -60,13 +62,11 @@ ADJOINT_SWEEP = "pathwise-mean-v1"
 
 @dataclass
 class AdjointPath:
-    """Dual state per time node, and the voltage part of its transport
-    S* p_{n+1} back over each step (all that B* reads); the mean over the
-    ensemble when the sweep ran over several paths."""
+    """Dual state per time node; the mean over the ensemble when the sweep
+    ran over several paths."""
 
     p_v: np.ndarray  # (N+1,) + grid.shape
     p_w: np.ndarray
-    sp_v: np.ndarray  # (N,) + grid.shape
 
 
 def solve_variational(problem: Problem, ens: StateX, direction: ControlPath) -> StateX:
@@ -90,68 +90,81 @@ def solve_variational(problem: Problem, ens: StateX, direction: ControlPath) -> 
     return z
 
 
+def _backward(problem: Problem, ens: StateX):
+    """The transpose sweep along every path of an ensemble at once: yields
+    (N, None, lam_N), then (n, y, lam_n) for n = N-1 .. 0, where
+    y = S* lam_{n+1}.  The arrays yielded are the sweep's own, (M,) +
+    grid.shape fields; a caller keeps what it reads of them."""
+    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    N, dt = timegrid.N, timegrid.dt
+    gw = timegrid.g_weights()
+    lam = cost.dg0(ens[N])
+    yield N, None, lam
+    for n in range(N - 1, -1, -1):
+        X = ens[n]
+        y = implicit_solve_star(params, grid, dt, lam)
+        lam = transpose_step(params, grid, X, y, gw[n] * cost.dg(X, n), dt)
+        yield n, y, lam
+
+
+def _store_mean_negated(out: np.ndarray, a: np.ndarray, M: int) -> None:
+    # paths are summed one after another, as averaging per-path sweeps
+    # would; a single path comes back exactly
+    np.sum(a, axis=0, out=out)
+    out /= -M
+
+
 def solve_adjoint_deterministic(problem: Problem, traj: StateX) -> AdjointPath:
     """The one-path case of `solve_adjoint_regression`, fields (N+1,) +
     grid.shape; no package function calls it, but the benchmark traces it."""
     return solve_adjoint_regression(problem, traj[:, None])
 
 
-def control_signal(problem: Problem, adj: AdjointPath) -> ControlPath:
-    """Adjoint-to-control signal q with exact-gradient weights.
+def control_signal(problem: Problem, ens: StateX) -> ControlPath:
+    """Adjoint-to-control signal q of the backward sweep along an ensemble,
+    fields (N+1, M) + grid.shape, with exact-gradient weights.
 
-    q_n = (dt / w_n) B* S* p_{n+1} for n < N and q_N = 0, where w_n are
-    the control-space trapezoid weights.  The discrete cost gradient is
-    alpha*u - q, and the optimality fixed point is u = (dh)^{-1}(q).
+    q_n = (dt / w_n) B* S* p_{n+1} for n < N and q_N = 0, where p is the
+    ensemble-mean dual path and w_n are the control-space trapezoid
+    weights.  The discrete cost gradient is alpha*u - q, and the
+    optimality fixed point is u = (dh)^{-1}(q).  Each node of q is written
+    into the signal's own array as the sweep passes it, so the dual path is
+    never stored; the bits are those of `solve_adjoint_regression`'s sweep.
     """
     grid, timegrid = problem.grid, problem.timegrid
+    M = ensemble_size(timegrid, grid.shape, ens)
     N, dt = timegrid.N, timegrid.dt
-    scale = (dt / timegrid.u_weights()[:N]).reshape((N,) + (1,) * grid.d)
+    scale = dt / timegrid.u_weights()[:N]
     values = np.zeros((N + 1,) + grid.shape)
-    # scaled in place, one temporary fewer; IEEE products commute, so the
-    # bits are those of scale * B* S* p
-    b_star = actuator_adjoint(problem.spec, problem.params.gamma, adj.sp_v)
-    np.multiply(b_star, scale, out=values[:N])
+    for n, y, _ in _backward(problem, ens):
+        if y is not None:
+            q = values[n]
+            _store_mean_negated(q, y.v, M)
+            # IEEE products commute, so the bits are those of scale * B* S* p
+            np.multiply(actuator_adjoint(problem.spec, problem.params.gamma, q), scale[n], out=q)
     return ControlPath(values)
 
 
 def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
-    """The backward sweep: the exact transpose sweep along every path of an
-    ensemble, whose fields have shape (N+1, M) + grid.shape, all paths at
-    once.  Returns the ensemble-mean AdjointPath, which equals the sum of
-    the M one-path sweeps divided by M, bit for bit.
+    """The dual path of the backward sweep: the exact transpose sweep along
+    every path of an ensemble, whose fields have shape (N+1, M) +
+    grid.shape, all paths at once.  Returns the ensemble-mean AdjointPath,
+    which equals the sum of the M one-path sweeps divided by M, bit for bit.
 
-    Every backward sweep in the package calls it.  The benchmark's tracer
-    resolves it and `solve_adjoint_deterministic`, so renaming either
-    changes the benchmark too.
+    The duality gap and the invariant battery read the dual path here; the
+    optimizer's sweep is `control_signal`, which runs the same loop and
+    stores only the signal.  The benchmark's tracer resolves this function
+    and `solve_adjoint_deterministic`, so renaming either changes the
+    benchmark too.
     """
-    params, grid, timegrid, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    grid, timegrid = problem.grid, problem.timegrid
     M = ensemble_size(timegrid, grid.shape, ens)
-    N, dt = timegrid.N, timegrid.dt
-    gw = timegrid.g_weights()
-
-    def store_mean_negated(out, a):
-        # paths are summed one after another, as averaging per-path sweeps
-        # would; a single path comes back exactly
-        np.sum(a, axis=0, out=out)
-        out /= -M
-
-    p_v = np.zeros((N + 1,) + grid.shape)
-    p_w = np.zeros((N + 1,) + grid.shape)
-    sp_v = np.zeros((N,) + grid.shape)
-
-    lam = cost.dg0(ens[N])
-    store_mean_negated(p_v[N], lam.v)
-    store_mean_negated(p_w[N], lam.w)
-
-    for n in range(N - 1, -1, -1):
-        X = ens[n]
-        y = implicit_solve_star(params, grid, dt, lam)
-        lam = transpose_step(params, grid, X, y, gw[n] * cost.dg(X, n), dt)
-        store_mean_negated(sp_v[n], y.v)
-        store_mean_negated(p_v[n], lam.v)
-        store_mean_negated(p_w[n], lam.w)
-
-    return AdjointPath(p_v, p_w, sp_v)
+    p_v = np.zeros((timegrid.N + 1,) + grid.shape)
+    p_w = np.zeros((timegrid.N + 1,) + grid.shape)
+    for n, _, lam in _backward(problem, ens):
+        _store_mean_negated(p_v[n], lam.v, M)
+        _store_mean_negated(p_w[n], lam.w, M)
+    return AdjointPath(p_v, p_w)
 
 
 def duality_gap(problem: Problem, ens: StateX, direction: ControlPath) -> float:

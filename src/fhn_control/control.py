@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import control_signal, solve_adjoint_regression
+from .adjoint import control_signal
 from .dynamics import FhnParams, i_ion_prime
 from .errors import BlowUpError, ConfigurationError, ContractViolation
 from .forward import (
@@ -167,7 +167,7 @@ class Problem:
         control u, so that `gradient(cost, u, q)` is the exact gradient of
         the sampled cost at u.  The optimizer and the gradient check both
         read it here."""
-        return control_signal(self, solve_adjoint_regression(self, ens))
+        return control_signal(self, ens)
 
 
 def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
@@ -279,8 +279,14 @@ def optimize(
     is integrated on them; each (path, step) stream is opened once.  Each
     distinct control is integrated and swept once.  Of an accepted trial's
     ensemble the loop keeps its signal, its mean sup energy and path 0, and
-    drops the rest, so at most one ensemble is alive; the report carries
-    path 0 of the final control.
+    drops the rest; path 0 is a copy, unless the ensemble has one path and
+    path 0 is all of it.  theta, the normalized step taken, shapes the next
+    direction and is dropped once it is chosen, as is a refused perturbed
+    step; after a failed search, or a step too short to move u in floating
+    point, there is none and the next direction is unperturbed.  So while
+    a trial integrates, an iteration holds the normals, u, its signal q,
+    path 0, the direction, the trial control and the trial's ensemble.
+    The report carries path 0 of the final control.
 
     A line-search trial whose state blows up is rejected like one that
     does not decrease the cost, and the step halves; only a blow-up of the
@@ -358,6 +364,9 @@ def optimize(
             # has overtaken the step and points uphill
             if u_inner(grid, timegrid, step, perturbed) >= 0.0:
                 step = perturbed
+            del perturbed
+        # theta has shaped the direction; the step taken forms the next one
+        theta = None
 
         tau = 1.0
         for _ in range(MAX_BACKTRACKS):
@@ -374,13 +383,12 @@ def optimize(
                 u, psi_u = trial, psi_c
                 del q, path0  # not alive while the trial's are taken
                 q, mean_sup, path0 = keep(trial_ens)
-                del trial_ens  # one ensemble alive at a time
+                del trial_ens  # of it only the signal and path 0 stay
                 record.update(psi=psi_u, eps=eps, tau=tau)
                 break
             del trial_ens
             tau *= 0.5
         else:
-            theta = None
             record.update(eps=eps, accepted=False)
 
     report.certificate_residual = u_norm(grid, timegrid, subdiff_inverse(cost, q) - u)

@@ -26,7 +26,7 @@ from fhn_control.forward import (
     transpose_step,
 )
 from fhn_control.scenario import Scenario
-from fhn_control.grid import Grid, StateX, norm_h_sq
+from fhn_control.grid import Grid, StateX, neumann_eigenmode, norm_h_sq
 from fhn_control.noise import SpectralCovariance
 
 
@@ -123,14 +123,14 @@ def test_adjoint_matches_matrix_exponential_oracle():
 
 def test_control_signal_vanishes_at_final_node():
     problem = _setup()
-    adj = solve_adjoint_deterministic(problem, _uncontrolled(problem))
-    q = control_signal(problem, adj)
+    q = control_signal(problem, _uncontrolled_ensemble(problem))
     np.testing.assert_array_equal(q.values[-1], problem.grid.zeros())
     assert np.max(np.abs(q.values[:-1])) > 0
 
 
 def _transpose_sweep(p, g, tg, traj, cost):
-    """Reference transpose sweep along one unbatched trajectory."""
+    """Reference transpose sweep along one unbatched trajectory: the dual
+    path and the transport S* p_{n+1} of its voltage."""
     p_v = np.zeros((tg.N + 1,) + g.shape)
     p_w = np.zeros((tg.N + 1,) + g.shape)
     sp_v = np.zeros((tg.N,) + g.shape)
@@ -160,13 +160,50 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
     rng = np.random.default_rng(2)
     u = ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape))
     traj = integrate(p, g, problem.spec, tg, problem.x0, u, None)
-    ref_v, ref_w, ref_sp = _transpose_sweep(p, g, tg, traj, cost)
-    adj = solve_adjoint_regression(problem, traj[:, None])
-    np.testing.assert_array_equal(adj.p_v, ref_v)
-    np.testing.assert_array_equal(adj.p_w, ref_w)
-    np.testing.assert_array_equal(adj.sp_v, ref_sp)
-    det = solve_adjoint_deterministic(problem, traj)
-    np.testing.assert_array_equal(det.sp_v, ref_sp)
+    ref_v, ref_w, _ = _transpose_sweep(p, g, tg, traj, cost)
+    batched = solve_adjoint_regression(problem, traj[:, None])
+    for adj in (batched, solve_adjoint_deterministic(problem, traj)):
+        np.testing.assert_array_equal(adj.p_v, ref_v)
+        np.testing.assert_array_equal(adj.p_w, ref_w)
+
+
+def _moving_ref_problem(overrides, M):
+    """A sweep case on M noisy paths, actuated on the left half, whose
+    reference moves in time."""
+    overrides = {**overrides, "mask": "left_half"}
+    problem = Scenario(
+        **overrides, modes=6, mode="stochastic", ensemble=M, sigma1=1.0, sigma2=1.0
+    ).problem
+    g, N = problem.grid, problem.timegrid.N
+    profile = neumann_eigenmode(g, 2)
+
+    def x_ref(n):
+        return StateX(0.3 * np.cos(2.0 * np.pi * n / N) * profile, g.zeros())
+
+    return dataclasses.replace(problem, cost=dataclasses.replace(problem.cost, x_ref=x_ref))
+
+
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("overrides", SWEEP_CASES, ids=["d1", "d2"])
+def test_control_signal_is_the_scaled_mean_transport(overrides, M):
+    # the signal is read off the sweep as it passes each node, and no dual
+    # path is stored: q_n = (dt/w_n) B* of the mean over paths of the
+    # reference sweeps' transport S* p_{n+1}, bit for bit, and q_N = 0
+    problem = _moving_ref_problem(overrides, M)
+    p, g, tg, cost = problem.params, problem.grid, problem.timegrid, problem.cost
+    N = tg.N
+    rng = np.random.default_rng(7)
+    ens = integrate_ensemble(problem, ControlPath(0.1 * rng.standard_normal((N + 1,) + g.shape)), 0)
+    total = _transpose_sweep(p, g, tg, ens[:, 0], cost)[2]
+    for path in range(1, M):
+        total = total + _transpose_sweep(p, g, tg, ens[:, path], cost)[2]
+    scale = (tg.dt / tg.u_weights()[:N]).reshape((N,) + (1,) * g.d)
+    q = control_signal(problem, ens).values
+    np.testing.assert_array_equal(q[:N], p.gamma * problem.spec.mask * (total / M) * scale)
+    np.testing.assert_array_equal(q[N], 0.0)
+    # the actuator reads the left half only
+    off = problem.spec.mask == 0.0
+    assert np.all(q[:N][:, off] == 0.0) and np.all(q[:N][:, ~off] != 0.0)
 
 
 @pytest.mark.parametrize("M", [1, 7])
@@ -181,7 +218,7 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
     ens = integrate_ensemble(problem, ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
     adj = solve_adjoint_regression(problem, ens)
     parts = [solve_adjoint_regression(problem, ens[:, q : q + 1]) for q in range(M)]
-    for name in ("p_v", "p_w", "sp_v"):
+    for name in ("p_v", "p_w"):
         total = getattr(parts[0], name).copy()
         for part in parts[1:]:
             total += getattr(part, name)
@@ -249,24 +286,19 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     ens = integrate_ensemble(noisy, ControlPath.zero(tg, g), 0)
 
     def sweep(cg, c_0):
-        cost = CostSpec(alpha=2.0, c_g=cg, c0=c_0)
-        return solve_adjoint_regression(dataclasses.replace(problem, cost=cost), ens)
+        swept = dataclasses.replace(problem, cost=CostSpec(alpha=2.0, c_g=cg, c0=c_0))
+        adj = solve_adjoint_regression(swept, ens)
+        return adj.p_v, adj.p_w, control_signal(swept, ens).values
 
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)
     both = sweep(1.0, 0.1)
-    # the sweep returns the ensemble mean, not one path per member
-    assert part.p_v.shape == part.p_w.shape == (tg.N + 1,) + g.shape
-    assert part.sp_v.shape == (tg.N,) + g.shape
+    # the sweeps return ensemble means, not one path per member
+    assert part[0].shape == part[1].shape == part[2].shape == (tg.N + 1,) + g.shape
     if c0 == 0.0:
-        assert np.all(part.p_v[tg.N] == 0.0)
-    for name in ("p_v", "p_w", "sp_v"):
-        np.testing.assert_allclose(
-            getattr(part, name) + getattr(other, name),
-            getattr(both, name),
-            rtol=1e-10,
-            atol=1e-14,
-        )
+        assert np.all(part[0][tg.N] == 0.0)
+    for a, b, ab in zip(part, other, both):
+        np.testing.assert_allclose(a + b, ab, rtol=1e-10, atol=1e-14)
 
 
 def test_duality_gap_exact_for_linear_terminal_cost():

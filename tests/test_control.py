@@ -10,7 +10,7 @@ import fhn_control.control as control_module
 import fhn_control.forward as forward_module
 import fhn_control.grid as grid_module
 import fhn_control.noise as noise_module
-from fhn_control.adjoint import control_signal, solve_adjoint_deterministic
+from fhn_control.adjoint import control_signal
 from fhn_control.control import (
     CostSpec,
     Problem,
@@ -304,8 +304,7 @@ def test_gradient_matches_finite_differences():
     g, tg = problem.grid, problem.timegrid
     rng = np.random.default_rng(3)
     u = ControlPath(0.3 * rng.standard_normal((tg.N + 1,) + g.shape))
-    adj = solve_adjoint_deterministic(problem, integrate_ensemble(problem, u, 0)[:, 0])
-    grad = gradient(problem.cost, u, control_signal(problem, adj))
+    grad = gradient(problem.cost, u, control_signal(problem, integrate_ensemble(problem, u, 0)))
     h = 1e-5
     for k in range(3):
         d = ControlPath(rng.standard_normal((tg.N + 1,) + g.shape))
@@ -376,9 +375,11 @@ def test_optimize_stochastic_smoke():
 def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max_iters):
     problem = _noisy(_setup(n=8, N=20), 20) if stochastic else _setup(n=8, N=20)
     integrated = []
+    # per control_signal call: [Helmholtz solves, time loops] made inside it
+    in_signal = []
     signal_depth = []
-    solves_in_signal = []
     real_integrate = control_module.integrate_ensemble
+    real_loop = forward_module.integrate
     real_signal = control_module.control_signal
     real_solve = grid_module.helmholtz_solve
 
@@ -386,7 +387,13 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
         integrated.append(control.values.tobytes())
         return real_integrate(problem, control, seed, normals=normals)
 
+    def counting_loop(*args, **kwargs):
+        if signal_depth:
+            in_signal[-1][1] += 1
+        return real_loop(*args, **kwargs)
+
     def tracking_signal(*args):
+        in_signal.append([0, 0])
         signal_depth.append(1)
         try:
             return real_signal(*args)
@@ -395,10 +402,11 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
 
     def counting_solve(*args):
         if signal_depth:
-            solves_in_signal.append(1)
+            in_signal[-1][0] += 1
         return real_solve(*args)
 
     monkeypatch.setattr(control_module, "integrate_ensemble", recording_integrate)
+    monkeypatch.setattr(forward_module, "integrate", counting_loop)
     monkeypatch.setattr(control_module, "control_signal", tracking_signal)
     monkeypatch.setattr(forward_module, "helmholtz_solve", counting_solve)
     monkeypatch.setattr(grid_module, "helmholtz_solve", counting_solve)
@@ -406,7 +414,11 @@ def test_optimize_integrates_each_control_once(monkeypatch, stochastic, tol, max
 
     assert len(integrated) >= 2
     assert len(set(integrated)) == len(integrated)
-    assert solves_in_signal == []
+    # the signal is the backward sweep: one S* solve per step along the
+    # paths it is handed, and no integration.  The start and each step
+    # taken are swept once
+    steps_taken = sum(it["tau"] > 0.0 for it in rep.iterations)
+    assert in_signal == [[problem.timegrid.N, 0]] * (1 + steps_taken)
     if rep.converged:
         assert rep.certificate_residual == rep.iterations[-1]["residual"]
     else:
@@ -454,17 +466,18 @@ def test_optimize_opens_each_stream_once(monkeypatch):
 
 def test_optimize_sweeps_once_per_distinct_control(monkeypatch):
     # with no backtracks every step is rejected, so u and its paths never
-    # move: one backward sweep serves every iteration and the certificate
+    # move: one signal, the one backward sweep, serves every iteration and
+    # the certificate
     problem = _setup(n=16, N=40)
     sweeps = []
-    real_sweep = control_module.solve_adjoint_regression
+    real_signal = control_module.control_signal
 
-    def counting_sweep(*args):
+    def counting_signal(*args):
         sweeps.append(1)
-        return real_sweep(*args)
+        return real_signal(*args)
 
     monkeypatch.setattr(control_module, "MAX_BACKTRACKS", 0)
-    monkeypatch.setattr(control_module, "solve_adjoint_regression", counting_sweep)
+    monkeypatch.setattr(control_module, "control_signal", counting_signal)
     rep = optimize(problem, tol=1e-12, max_iters=5)
 
     assert len(sweeps) == 1
@@ -594,12 +607,16 @@ def test_run_settings_fail_alike_from_a_scenario_and_in_code(name, values):
         assert str(in_code.value).startswith(f"{name} must be")
 
 
-def test_optimize_holds_about_eleven_field_paths():
+def test_optimize_holds_about_nine_field_paths():
     # the optimizer's working set on a deterministic 2-D problem, in field
-    # paths of (N+1)*n^d doubles: the current paths and signal, the iterate,
-    # theta, the direction, a trial and its paths, and the sweep's
-    # temporaries.  A second integration's copy of the one path, or the
-    # gradient and the candidates kept through the line search, read ~15.
+    # paths of (N+1)*n^d doubles, peaks while a trial integrates: the
+    # iterate, its signal, path 0 (the whole one-path ensemble, two), the
+    # direction, the trial and its two, and the blow-up guard's
+    # temporaries.  Keeping theta and a refused perturbed step through the
+    # line search, and a sweep that stores the dual path and its transport
+    # before the signal is read off, read 10.2; a second integration's copy
+    # of the one path, or the gradient and the candidates kept through the
+    # line search, read ~15.
     n, N = 24, 100
     g = Grid(2, n)
     mask = np.multiply.outer((g.axis_coords() < g.ell / 2).astype(float), np.ones(n))
@@ -617,21 +634,25 @@ def test_optimize_holds_about_eleven_field_paths():
     finally:
         tracemalloc.stop()
     assert rep.converged
-    assert peak / ((N + 1) * n**g.d * 8) <= 11.5
+    assert peak / ((N + 1) * n**g.d * 8) <= 9.5
 
 
-@pytest.mark.parametrize("M, bound", [(8, 38.0), (1, 12.7)])
+@pytest.mark.parametrize("M, bound", [(8, 34.5), (1, 11.6)])
 def test_optimize_holds_the_ensembles_and_little_else(M, bound):
     # the stochastic optimizer's working set, in field paths of (N+1)*n
     # doubles: the held standard normals, M*2K/n (one per path at K = n/2),
-    # one trial ensemble, 2M, path 0 and the signal of the current control,
-    # and the sweep's temporaries.  The ensemble's increments are staged in
-    # its own arrays and the blow-up guard reduces one path at a time.  At
-    # M = 8, keeping the current ensemble beside the trial's read 41.2,
-    # holding the synthesized increments instead of the normals 44.1, and
-    # keeping the old signal and path 0 while a trial's are taken 38.2.
+    # one trial ensemble, 2M, path 0 (a copy, two; at M = 1 the whole
+    # accepted ensemble) and the signal of the current control, the
+    # iterate, the direction, the trial, and the integration's temporaries.
+    # The ensemble's increments are staged in its own arrays and the
+    # blow-up guard reduces one path at a time.  At M = 8, keeping the
+    # current ensemble beside the trial's read 41.2, holding the
+    # synthesized increments instead of the normals 44.1, keeping the old
+    # signal and path 0 while a trial's are taken 38.2, and keeping theta
+    # through the line search beside a sweep that stores the dual path 35.2.
     # One path holds its normals too, and stages its increments in its
-    # ensemble's column: drawing them into a separate pair read 13.2 at M = 1
+    # ensemble's column: drawing them into a separate pair read 13.2 at
+    # M = 1, and keeping theta and the stored dual path 12.2
     n, N = 64, 100
     problem = Scenario(
         d=1, n=n, steps=N, horizon=0.1, modes=32, ensemble=M, mode="stochastic"
