@@ -36,7 +36,6 @@ from .forward import (
     save_snapshot,
 )
 from .adjoint import (
-    AdjointPath,
     duality_gap,
     solve_adjoint_deterministic,
     solve_adjoint_regression,
@@ -86,7 +85,6 @@ __all__ = [
     "integrate_ensemble",
     "load_snapshot",
     "save_snapshot",
-    "AdjointPath",
     "duality_gap",
     "solve_adjoint_deterministic",
     "solve_adjoint_regression",

@@ -35,7 +35,6 @@ the same quadrature the forward step and the cost use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,15 +57,6 @@ if TYPE_CHECKING:
 #: Manifest tag of the backward sweep: the ensemble mean of the exact
 #: per-path transpose sweeps.
 ADJOINT_SWEEP = "pathwise-mean-v1"
-
-
-@dataclass
-class AdjointPath:
-    """Dual state per time node; the mean over the ensemble when the sweep
-    ran over several paths."""
-
-    p_v: np.ndarray  # (N+1,) + grid.shape
-    p_w: np.ndarray
 
 
 def solve_variational(problem: Problem, ens: StateX, direction: ControlPath) -> StateX:
@@ -114,7 +104,7 @@ def _store_mean_negated(out: np.ndarray, a: np.ndarray, M: int) -> None:
     out /= -M
 
 
-def solve_adjoint_deterministic(problem: Problem, traj: StateX) -> AdjointPath:
+def solve_adjoint_deterministic(problem: Problem, traj: StateX) -> StateX:
     """The one-path case of `solve_adjoint_regression`, fields (N+1,) +
     grid.shape; no package function calls it, but the benchmark traces it."""
     return solve_adjoint_regression(problem, traj[:, None])
@@ -145,10 +135,10 @@ def control_signal(problem: Problem, ens: StateX) -> ControlPath:
     return ControlPath(values)
 
 
-def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
+def solve_adjoint_regression(problem: Problem, ens: StateX) -> StateX:
     """The dual path of the backward sweep: the exact transpose sweep along
     every path of an ensemble, whose fields have shape (N+1, M) +
-    grid.shape, all paths at once.  Returns the ensemble-mean AdjointPath,
+    grid.shape, all paths at once.  Returns the ensemble-mean dual path,
     which equals the sum of the M one-path sweeps divided by M, bit for bit.
 
     The duality gap and the invariant battery read the dual path here; the
@@ -159,12 +149,11 @@ def solve_adjoint_regression(problem: Problem, ens: StateX) -> AdjointPath:
     """
     grid, timegrid = problem.grid, problem.timegrid
     M = ensemble_size(timegrid, grid.shape, ens)
-    p_v = np.zeros((timegrid.N + 1,) + grid.shape)
-    p_w = np.zeros((timegrid.N + 1,) + grid.shape)
+    p = StateX(*np.zeros((2, timegrid.N + 1) + grid.shape))
     for n, _, lam in _backward(problem, ens):
-        _store_mean_negated(p_v[n], lam.v, M)
-        _store_mean_negated(p_w[n], lam.w, M)
-    return AdjointPath(p_v, p_w)
+        _store_mean_negated(p.v[n], lam.v, M)
+        _store_mean_negated(p.w[n], lam.w, M)
+    return p
 
 
 def duality_gap(problem: Problem, ens: StateX, direction: ControlPath) -> float:
@@ -190,6 +179,6 @@ def duality_gap(problem: Problem, ens: StateX, direction: ControlPath) -> float:
     terminal = inner_h(grid, gamma, cost.dg0(ens[N]), var[N])
     lhs = float(np.mean(terminal + np.dot(timegrid.g_weights()[:N], running)))
     # B d_n pairs with the voltage part of p_n only
-    bd_p = gamma * inner_l2(grid, actuator_apply(problem.spec, direction.values[:N]), adj.p_v[:N])
+    bd_p = gamma * inner_l2(grid, actuator_apply(problem.spec, direction.values[:N]), adj.v[:N])
     rhs = -dt * float(np.sum(bd_p))
     return (lhs - rhs) / max(1.0, abs(rhs))

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .errors import BlowUpError, ConfigurationError, ContractViolation
-from .harness import COMMANDS, run
+from .harness import COMMANDS, json_summary, run
 from .scenario import Scenario, load_scenario
 
 
@@ -55,11 +55,12 @@ def main(argv=None) -> int:
                 "digest": record.digest,
                 "passed": record.passed,
                 "wall_time": round(record.wall_time, 3),
-                "summary": record.summary,
+                "summary": json_summary(record.summary),
                 "artifacts": record.artifacts,
             },
             indent=2,
             default=str,
+            allow_nan=False,
         )
     )
     return 0 if record.passed else 1

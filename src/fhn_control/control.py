@@ -162,13 +162,6 @@ class Problem:
         """Paths a run integrates: the ensemble, or one when the noise is off."""
         return 1 if self.cov.is_zero() else self.ensemble
 
-    def signal(self, ens: StateX) -> ControlPath:
-        """Control signal q of the backward sweep along the ensemble of some
-        control u, so that `gradient(cost, u, q)` is the exact gradient of
-        the sampled cost at u.  The optimizer and the gradient check both
-        read it here."""
-        return control_signal(self, ens)
-
 
 def subdiff_inverse(cost: CostSpec, q: ControlPath) -> ControlPath:
     """Inverse subdifferential of the control cost h = (alpha/2)|u|^2,
@@ -217,7 +210,7 @@ def psi_from_trajectories(problem: Problem, u: ControlPath, ens: StateX) -> tupl
 def gradient(cost: CostSpec, u: ControlPath, q: ControlPath) -> ControlPath:
     """Exact control-space gradient of the discrete cost: alpha*u - q.
 
-    `q` is `Problem.signal` of the ensemble of u: the control signal of
+    `q` is `control_signal` of the ensemble of u: the control signal of
     the ensemble-mean adjoint path along its trajectories.  A signal on a
     different time grid or grid is a contract violation.
     """
@@ -323,7 +316,7 @@ def optimize(
         path0 = ens[:, 0]
         if ens.v.shape[1] > 1:
             path0 = StateX(path0.v.copy(), path0.w.copy())
-        return problem.signal(ens), float(np.mean(sup_h_sq(problem, ens))), path0
+        return control_signal(problem, ens), float(np.mean(sup_h_sq(problem, ens))), path0
 
     report = OptimizeReport()
     psi_u, ens = evaluate(u)

@@ -233,16 +233,17 @@ def _parse_mask(grid: Grid, text: str) -> Field:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file; unknown keys are hard errors, and
-    so is any file the INI parser rejects (a missing section header, or a
-    repeated section or key).  Values are read literally: `%` is not
-    interpolated.  `[DEFAULT]` is unknown like any other section."""
+    """Parse and validate a UTF-8 scenario file; unknown keys are hard
+    errors, and so is a file that does not decode or that the INI parser
+    rejects (a missing section header, or a repeated section or key).
+    Values are read literally: `%` is not interpolated.  `[DEFAULT]` is
+    unknown like any other section."""
     # no header line can name the default section "\n", so no keys merge
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: malformed scenario file: {exc}") from None
     getters = {
         bool: parser.getboolean, int: parser.getint, float: parser.getfloat, str: parser.get
@@ -291,5 +292,5 @@ def emit_scenario(scenario: Scenario) -> str:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(emit_scenario(scenario))

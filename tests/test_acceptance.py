@@ -239,7 +239,7 @@ def test_criterion_6_adjoint_oracles():
     for n in (0, tg.N // 3, tg.N // 2):
         s = tg.T - tg.times()[n]
         oracle = expm(s * m_star) @ lam_T
-        got = np.array([-adj.p_v[n][0], -adj.p_w[n][0]])
+        got = np.array([-adj.v[n][0], -adj.w[n][0]])
         worst = max(worst, float(np.max(np.abs(got - oracle) / np.abs(oracle))))
     oracle_ok = worst <= 1e-6
 
@@ -259,7 +259,7 @@ def test_criterion_6_adjoint_oracles():
         avg = solve_adjoint_regression(noisy, trajs)
         errs.append(
             float(
-                np.max(np.abs(avg.p_v - det.p_v)) + np.max(np.abs(avg.p_w - det.p_w))
+                np.max(np.abs(avg.v - det.v)) + np.max(np.abs(avg.w - det.w))
             )
         )
     mono_ok = errs[0] > errs[1] > errs[2]
@@ -336,8 +336,8 @@ def test_criterion_9_cost_scaling_equivariance():
     scaled = CostSpec(alpha=2.0, c_g=c * 1.0, c0=c * 0.1)
     adj1 = solve_adjoint_deterministic(problem, traj)
     adj2 = solve_adjoint_deterministic(dataclasses.replace(problem, cost=scaled), traj)
-    num = float(np.max(np.abs(adj2.p_v - c * adj1.p_v)) + np.max(np.abs(adj2.p_w - c * adj1.p_w)))
-    den = float(np.max(np.abs(adj2.p_v)) + np.max(np.abs(adj2.p_w)))
+    num = float(np.max(np.abs(adj2.v - c * adj1.v)) + np.max(np.abs(adj2.w - c * adj1.w)))
+    den = float(np.max(np.abs(adj2.v)) + np.max(np.abs(adj2.w)))
     rel = num / den
     ok = _report(9, rel <= 1e-10, f"adjoint scaling (c=3.7) relative deviation {rel:.2e} (tol 1e-10)")
     assert ok

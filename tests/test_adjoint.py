@@ -101,8 +101,8 @@ def test_adjoint_terminal_condition():
     traj = _uncontrolled(problem)
     adj = solve_adjoint_deterministic(problem, traj)
     terminal = problem.cost.dg0(traj[problem.timegrid.N])
-    np.testing.assert_allclose(adj.p_v[-1], -terminal.v, atol=1e-14)
-    np.testing.assert_allclose(adj.p_w[-1], -terminal.w, atol=1e-14)
+    np.testing.assert_allclose(adj.v[-1], -terminal.v, atol=1e-14)
+    np.testing.assert_allclose(adj.w[-1], -terminal.w, atol=1e-14)
 
 
 def test_adjoint_matches_matrix_exponential_oracle():
@@ -117,8 +117,8 @@ def test_adjoint_matches_matrix_exponential_oracle():
     for n in (0, tg.N // 2):
         s = tg.T - tg.times()[n]
         oracle = expm(s * m_star) @ lam_T
-        assert adj.p_v[n][0] == pytest.approx(-oracle[0], rel=2e-4)
-        assert adj.p_w[n][0] == pytest.approx(-oracle[1], rel=2e-4)
+        assert adj.v[n][0] == pytest.approx(-oracle[0], rel=2e-4)
+        assert adj.w[n][0] == pytest.approx(-oracle[1], rel=2e-4)
 
 
 def test_control_signal_vanishes_at_final_node():
@@ -163,8 +163,10 @@ def test_regression_single_path_reduces_to_deterministic(overrides):
     ref_v, ref_w, _ = _transpose_sweep(p, g, tg, traj, cost)
     batched = solve_adjoint_regression(problem, traj[:, None])
     for adj in (batched, solve_adjoint_deterministic(problem, traj)):
-        np.testing.assert_array_equal(adj.p_v, ref_v)
-        np.testing.assert_array_equal(adj.p_w, ref_w)
+        # the dual path is a state path: a StateX of (N+1,) + grid.shape fields
+        assert isinstance(adj, StateX)
+        np.testing.assert_array_equal(adj.v, ref_v)
+        np.testing.assert_array_equal(adj.w, ref_w)
 
 
 def _moving_ref_problem(overrides, M):
@@ -218,7 +220,7 @@ def test_sweep_is_mean_of_per_path_sweeps(overrides, M):
     ens = integrate_ensemble(problem, ControlPath(0.1 * rng.standard_normal((tg.N + 1,) + g.shape)), 0)
     adj = solve_adjoint_regression(problem, ens)
     parts = [solve_adjoint_regression(problem, ens[:, q : q + 1]) for q in range(M)]
-    for name in ("p_v", "p_w"):
+    for name in ("v", "w"):
         total = getattr(parts[0], name).copy()
         for part in parts[1:]:
             total += getattr(part, name)
@@ -271,7 +273,7 @@ def test_regression_error_shrinks_with_noise():
         cov = SpectralCovariance.power_spectrum(8, sigma, sigma)
         ens = integrate_ensemble(dataclasses.replace(problem, cov=cov, ensemble=40), u, 0)
         avg = solve_adjoint_regression(problem, ens)
-        errs.append(float(np.max(np.abs(avg.p_v - det.p_v))))
+        errs.append(float(np.max(np.abs(avg.v - det.v))))
     assert errs[1] < errs[0]
 
 
@@ -288,7 +290,7 @@ def test_regression_zero_cost_weight_on_ensemble(c_g, c0):
     def sweep(cg, c_0):
         swept = dataclasses.replace(problem, cost=CostSpec(alpha=2.0, c_g=cg, c0=c_0))
         adj = solve_adjoint_regression(swept, ens)
-        return adj.p_v, adj.p_w, control_signal(swept, ens).values
+        return adj.v, adj.w, control_signal(swept, ens).values
 
     part = sweep(c_g, c0)
     other = sweep(1.0 - c_g, 0.1 - c0)
@@ -344,12 +346,12 @@ def test_adjoint_scales_with_cost_weights():
     adj1 = solve_adjoint_deterministic(problem, traj)
     scaled = CostSpec(alpha=cost.alpha, c_g=3.0 * cost.c_g, c0=3.0 * cost.c0)
     adj3 = solve_adjoint_deterministic(dataclasses.replace(problem, cost=scaled), traj)
-    np.testing.assert_allclose(adj3.p_v, 3.0 * adj1.p_v, atol=1e-13)
-    np.testing.assert_allclose(adj3.p_w, 3.0 * adj1.p_w, atol=1e-13)
+    np.testing.assert_allclose(adj3.v, 3.0 * adj1.v, atol=1e-13)
+    np.testing.assert_allclose(adj3.w, 3.0 * adj1.w, atol=1e-13)
 
 
 def test_adjoint_nontrivial_energy():
     problem = _setup()
     adj = solve_adjoint_deterministic(problem, _uncontrolled(problem))
     gamma = problem.params.gamma
-    assert norm_h_sq(problem.grid, gamma, StateX(adj.p_v[0], adj.p_w[0])) > 0.0
+    assert norm_h_sq(problem.grid, gamma, adj[0]) > 0.0

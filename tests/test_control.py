@@ -319,7 +319,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_rejects_mismatched_paths():
     problem = _setup()
     g, tg, cost = problem.grid, problem.timegrid, problem.cost
-    q = problem.signal(integrate_ensemble(problem, ControlPath.zero(tg, g), 0))
+    q = control_signal(problem, integrate_ensemble(problem, ControlPath.zero(tg, g), 0))
     for bad in (
         ControlPath(np.zeros((tg.N + 2,) + g.shape)),
         ControlPath(np.zeros((tg.N + 1,) + (g.n // 2,) * g.d)),

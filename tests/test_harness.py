@@ -41,6 +41,9 @@ SMALL = dict(n=12, steps=30, horizon=0.1, modes=6, ensemble=4)
 #: Linear reaction and no running cost: the duality gap is roundoff.
 EXACT_DUALITY = dict(n=16, modes=8, linear=True, running_weight=0.0)
 
+#: At rest: with v0 = 0 the noise-free state stays exactly 0.
+AT_REST = dict(v0="constant:0.0", n=16, steps=40, horizon=0.2, modes=8)
+
 
 def _callable_ref_problem():
     """A problem built in code, with no scenario behind it: noise on, the
@@ -528,6 +531,54 @@ def test_cli_convergence_study_caps_the_modes_at_the_grid(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.0])
+def test_convergence_study_passes_at_rest(tmp_path, sigma):
+    # every deterministic level ends at exactly 0, and every stochastic one
+    # too when the noise is off, so those errors are 0: no rate, as no
+    # duality slope where every gap is 0, and no failed check
+    record = run(Scenario(**AT_REST, sigma1=sigma, sigma2=sigma), "convergence-study", tmp_path)
+    assert record.passed
+    assert np.isnan(record.summary["deterministic_rate"])
+    assert np.isnan(record.summary["duality_slope"])
+    rows = [line.split(",") for line in (tmp_path / "convergence.csv").read_text().split("\n")[1:-1]]
+    assert [float(row[2]) for row in rows if row[0] == "deterministic"] == [0.0, 0.0, 0.0]
+    if sigma == 0.0:
+        assert [float(row[2]) for row in rows if row[0] == "stochastic"] == [0.0, 0.0, 0.0]
+        assert np.isnan(record.summary["stochastic_rate"])
+    else:
+        assert record.summary["stochastic_rate"] >= 0.4
+
+
+def test_manifest_and_printed_record_are_strict_json(tmp_path, capsys):
+    # RFC 8259 has no NaN: a zero-cost study has no duality slope, and its
+    # summary value is null in the manifest and in the printed record
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    scenario_path = tmp_path / "zero_cost.ini"
+    zero_cost = Scenario(n=16, steps=40, horizon=0.2, modes=8, running_weight=0.0, terminal_weight=0.0)
+    save_scenario(zero_cost, scenario_path)
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    for summary in (printed["summary"], manifest["summary"]):
+        assert summary["duality_slope"] is None
+        assert summary["deterministic_rate"] >= 0.9 and summary["stochastic_rate"] >= 0.4
+
+
+def test_cli_undecodable_scenario_exits_2(tmp_path, capsys):
+    # a scenario file is UTF-8 text: one that does not decode is a
+    # configuration error that names the file, not a traceback
+    scenario_path = tmp_path / "bad.ini"
+    scenario_path.write_bytes(b"\xff[grid]\nn = 16\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and "utf-8" in err
+    assert not out.exists()
 
 
 def test_verify_invariants_command(tmp_path):
