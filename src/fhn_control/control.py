@@ -1,17 +1,19 @@
 """Cost functional, optimality map, and the regularized outer loop.
 
 The optimizer iterates the control-to-adjoint-to-control fixed point
-u -> (dh)^{-1}(q(u)) through one array, the fixed-point step
+u -> (dh)^{-1}(q(u)) through one array, the plain fixed-point step
 
     step = (dh)^{-1}(q) - u = q/alpha - u,
 
 where q is the adjoint control signal of u.  The cost's gradient is
--alpha*step, so |step|_U is the optimality residual.  The step is
-perturbed to (dh)^{-1}(q + sqrt(eps_k)*theta_k) - u, where theta_k is the
-normalized previous update (norm at most one) and eps_k decreases
-geometrically, unless that perturbation points uphill.  A backtracking
-line search accepts u + tau*step only if it decreases the cost by at
-least sqrt(eps_k) times its length, which is the discrete form of the
+-alpha*step, so |step|_U is the optimality residual.  After an accepted
+step the loop moves along the type-II Anderson direction of memory one
+(Anderson, J. ACM 1965; Walker & Ni, SIAM J. Numer. Anal. 2011),
+step - gamma*(du + dF), where du is the step taken and dF the change of
+the plain step since; where that direction fails, the plain step is
+retried.  A backtracking line search accepts u + tau*direction only if it
+decreases the cost by at least sqrt(eps_k) times its length, eps_k
+decreasing geometrically, which is the discrete form of the
 variational-principle condition the convergence argument rests on.  The
 loop terminates on the fixed-point residual; hitting the iteration cap
 yields a non-converged report, not an error.
@@ -251,6 +253,30 @@ def check_run_settings(tol: float, max_iters: int, eps0: float) -> None:
         raise ConfigurationError(f"eps0 must be positive and finite, got {eps0}")
 
 
+def _anderson_direction(
+    grid: Grid, timegrid: TimeGrid, step: ControlPath, last_step: ControlPath, taken: ControlPath
+) -> ControlPath | None:
+    """The type-II Anderson direction of memory one, step - gamma*(du + dF).
+
+    dF = step - last_step is the change of the plain step since the last
+    step taken, du = `taken`, and gamma = <dF, step>_U / <dF, dF>_U.  Both
+    are formed in place: dF in `last_step`'s array and the direction in
+    `taken`'s, so the pair's two arrays become the one direction.  None,
+    the pair spent, where dF is zero or its square is not finite.
+    """
+    delta = last_step.values
+    np.subtract(step.values, delta, out=delta)
+    delta_sq = u_inner(grid, timegrid, last_step, last_step)
+    if not 0.0 < delta_sq < math.inf:
+        return None
+    gamma = u_inner(grid, timegrid, last_step, step) / delta_sq
+    direction = taken.values
+    direction += delta
+    direction *= -gamma
+    direction += step.values
+    return taken
+
+
 def optimize(
     problem: Problem,
     seed: int = 0,
@@ -258,12 +284,20 @@ def optimize(
     max_iters: int = 40,
     eps0: float = 1.0e-3,
     u0: ControlPath | None = None,
+    accelerate: bool = True,
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
 
-    Each iteration forms one control path, the step q/alpha - u: its norm
-    is the recorded residual, the descent test pairs it with the perturbed
-    step, and the line search moves along whichever of the two it keeps.
+    Each iteration reads the plain step q/alpha - u of the current control:
+    its norm is the recorded residual and the certificate.  The line search
+    moves along the Anderson direction where the previous iteration
+    accepted a step, and along the plain step otherwise, or where the
+    search along the Anderson direction fails; if that fails too, the
+    iteration is not accepted and the next one has no pair.  `accelerate`
+    False always moves along the plain step, the map whose contraction
+    `harness.margin_sweep` measures.  Each record's `direction` names the
+    direction of the step taken: "anderson", or "plain" (also where no
+    step is taken).
 
     Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise, common
@@ -271,25 +305,27 @@ def optimize(
     (`ensemble_normals`), before the first integration, and every control
     is integrated on them; each (path, step) stream is opened once.  Each
     distinct control is integrated and swept once.  Of an accepted trial's
-    ensemble the loop keeps its signal, its mean sup energy and path 0, and
-    drops the rest; path 0 is a copy, unless the ensemble has one path and
-    path 0 is all of it.  theta, the normalized step taken, shapes the next
-    direction and is dropped once it is chosen, as is a refused perturbed
-    step; after a failed search, or a step too short to move u in floating
-    point, there is none and the next direction is unperturbed.  So while
-    a trial integrates, an iteration holds the normals, u, its signal q,
-    path 0, the direction, the trial control and the trial's ensemble.
-    The report carries path 0 of the final control.
+    ensemble the loop keeps its plain step, its mean sup energy and path 0,
+    and drops the rest, the signal included; path 0 is a copy, unless the
+    ensemble has one path and path 0 is all of it.  The Anderson pair is
+    the last plain step and the step taken from it, trial - u: the
+    direction is formed in the pair's arrays, so while a trial integrates
+    an iteration holds the normals, u, its plain step, path 0, the
+    direction, the trial control and the trial's ensemble.  The report
+    carries path 0 of the final control.
 
     A line-search trial whose state blows up is rejected like one that
     does not decrease the cost, and the step halves; only a blow-up of the
     starting control (`u0`, or zero) raises `BlowUpError`.
 
     The acceptance test compares costs with a slack of 1e-12*(1 + |psi|),
-    so there is a value floor: a step whose gain, about alpha*r^2 at
-    residual r, falls below that slack cannot be told from roundoff, and
-    the residual may stall or cycle near r ~ 1e-6*sqrt((1 + |psi|)/alpha).
-    At a small alpha that floor lies above the default `tol`.
+    so there is a value floor: once a step's gain, about alpha*r^2 at
+    residual r, falls below that slack, roundoff decides the test, and the
+    residual wanders near r ~ 1e-6*sqrt((1 + |psi|)/alpha) instead of
+    falling.  On the travelling front at alpha = 0.1 (a floor of 3.2e-6)
+    it wanders between 2.5e-6 and 2.0e-5 from iteration 23 on; at
+    alpha = 0.01 runs end 100 iterations at two to five times their floor.
+    At a small alpha the floor lies above the default `tol`.
 
     Settings are checked before any draw or integration: the run settings
     (`check_run_settings`), a finite `u0` and the seed, or a
@@ -303,30 +339,47 @@ def optimize(
         if not np.all(np.isfinite(u0.values)):
             raise ConfigurationError("u0 holds non-finite values")
     u = u0.copy() if u0 is not None else ControlPath.zero(timegrid, grid)
-    theta = None
     normals = ensemble_normals(problem, seed)
 
     def evaluate(candidate):
         ens = integrate_ensemble(problem, candidate, seed, normals=normals)
         return psi_from_trajectories(problem, candidate, ens)[0], ens
 
-    def keep(ens):
-        # the signal, the mean sup energy and path 0 of an accepted
+    def keep(candidate, ens):
+        # the plain step, the mean sup energy and path 0 of an accepted
         # ensemble; path 0 is copied unless it is the whole ensemble
         path0 = ens[:, 0]
         if ens.v.shape[1] > 1:
             path0 = StateX(path0.v.copy(), path0.w.copy())
-        return control_signal(problem, ens), float(np.mean(sup_h_sq(problem, ens))), path0
+        step = subdiff_inverse(cost, control_signal(problem, ens)) - candidate
+        return step, float(np.mean(sup_h_sq(problem, ens))), path0
+
+    def search(direction, eps):
+        # the Ekeland line search from u: (tau, trial, its cost, its
+        # ensemble) of the first trial accepted, or None
+        tau = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = u + tau * direction
+            dist = u_norm(grid, timegrid, trial - u)
+            try:
+                psi_c, trial_ens = evaluate(trial)
+            except BlowUpError:
+                # a step too long for the explicit cubic: reject it
+                psi_c, trial_ens = math.inf, None
+            if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
+                return tau, trial, psi_c, trial_ens
+            del trial_ens
+            tau *= 0.5
+        return None
 
     report = OptimizeReport()
     psi_u, ens = evaluate(u)
-    q, mean_sup, path0 = keep(ens)
+    step, mean_sup, path0 = keep(u, ens)
     del ens
+    pair = None  # (the last plain step, the step taken from it)
     for k in range(max_iters):
-        # the residual is the norm of the full fixed-point step, not of a
-        # step taken: a blocked line search would otherwise masquerade as
-        # convergence
-        step = subdiff_inverse(cost, q) - u
+        # the residual is the norm of the plain step, not of a step taken:
+        # a blocked line search would otherwise masquerade as convergence
         residual = u_norm(grid, timegrid, step)
         # one record per iteration, read off what was kept of the current
         # paths; a step taken below fills in its outcome
@@ -338,6 +391,7 @@ def optimize(
             "accepted": True,
             "tau": 0.0,
             "mean_sup_h_sq": mean_sup,
+            "direction": "plain",
         }
         report.iterations.append(record)
         if residual < tol:
@@ -348,43 +402,36 @@ def optimize(
         # residual, so the penalty can never outweigh the decrease a
         # contraction step actually delivers
         eps = min(eps0 * 0.25**k, (0.1 * residual) ** 2)
+        record["eps"] = eps
 
-        if theta is not None and eps > 0:
-            perturbed = subdiff_inverse(
-                cost, ControlPath(q.values + math.sqrt(eps) * theta.values)
-            ) - u
-            # the perturbed step is the direction, unless the perturbation
-            # has overtaken the step and points uphill
-            if u_inner(grid, timegrid, step, perturbed) >= 0.0:
-                step = perturbed
-            del perturbed
-        # theta has shaped the direction; the step taken forms the next one
-        theta = None
+        direction = found = None
+        if pair is not None:
+            direction = _anderson_direction(grid, timegrid, step, *pair)
+            pair = None
+        if direction is not None:
+            found = search(direction, eps)
+            if found is not None:
+                record["direction"] = "anderson"
+        if found is None:
+            found = search(step, eps)
+        if found is None:
+            record["accepted"] = False
+            continue
+        tau, trial, psi_u, trial_ens = found
+        del found
+        if accelerate:
+            # the step taken goes into the direction's array, if there is one
+            taken = direction if direction is not None else ControlPath(np.empty_like(u.values))
+            np.subtract(trial.values, u.values, out=taken.values)
+            pair = (step, taken)
+            del taken
+        del direction, step, path0  # not alive while the trial's are taken
+        u = trial
+        step, mean_sup, path0 = keep(u, trial_ens)
+        del trial, trial_ens  # of it only the plain step and path 0 stay
+        record.update(psi=psi_u, tau=tau)
 
-        tau = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = u + tau * step
-            dist = u_norm(grid, timegrid, trial - u)
-            try:
-                psi_c, trial_ens = evaluate(trial)
-            except BlowUpError:
-                # a step too long for the explicit cubic: reject it
-                psi_c, trial_ens = math.inf, None
-            if psi_c + math.sqrt(eps) * dist <= psi_u + 1.0e-12 * (1.0 + abs(psi_u)):
-                if dist > 0:
-                    theta = ControlPath((tau * step).values / dist)
-                u, psi_u = trial, psi_c
-                del q, path0  # not alive while the trial's are taken
-                q, mean_sup, path0 = keep(trial_ens)
-                del trial_ens  # of it only the signal and path 0 stay
-                record.update(psi=psi_u, eps=eps, tau=tau)
-                break
-            del trial_ens
-            tau *= 0.5
-        else:
-            record.update(eps=eps, accepted=False)
-
-    report.certificate_residual = u_norm(grid, timegrid, subdiff_inverse(cost, q) - u)
+    report.certificate_residual = u_norm(grid, timegrid, step)
     report.u_star = u
     report.path0 = path0
     report.psi_final = psi_u

@@ -64,7 +64,7 @@ from .grid import (
 from .noise import SpectralCovariance, sample_path
 from .scenario import Scenario, emit_scenario
 
-HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v1"
+HISTORY_CSV_FORMAT = "fhn-optimize-history-csv-v2"
 ENERGY_CSV_FORMAT = "fhn-energy-csv-v1"
 REPORT_CSV_FORMAT = "fhn-report-csv-v2"
 
@@ -175,7 +175,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
     history_csv = out / "history.csv"
     _write_csv(
         history_csv,
-        ["iteration", "psi", "residual", "eps", "accepted", "tau", "margin"],
+        ["iteration", "psi", "residual", "eps", "accepted", "tau", "direction", "margin"],
         [
             (
                 it["iter"],
@@ -184,6 +184,7 @@ def _cmd_optimize(scenario: Scenario, out: Path, seed: int) -> tuple:
                 it["eps"],
                 int(it["accepted"]),
                 it["tau"],
+                it["direction"],
                 margin,
             )
             for it in report.iterations
@@ -478,7 +479,8 @@ def duality_slope(problem: Problem) -> dict:
 def margin_sweep(problem: Problem, eps0: float) -> list:
     """Residual-decay survey of `problem` across horizons 0.25 to 4 at
     fixed cost weights and dt = 4e-3, each `optimize` run taking the given
-    `eps0` and at most ten iterations.
+    `eps0` and at most ten iterations of the plain fixed-point map, the
+    map whose contraction the paper's margin bounds (`accelerate` False).
 
     Reports, per horizon, the contraction margin and the worst ratio of
     consecutive nonzero residuals, the first two ratios left out when
@@ -489,7 +491,11 @@ def margin_sweep(problem: Problem, eps0: float) -> list:
     for T in (0.25, 0.5, 1.0, 2.0, 4.0):
         tg = TimeGrid(T, max(int(round(T / 4.0e-3)), 2))
         report = optimize(
-            dataclasses.replace(problem, timegrid=tg), tol=1.0e-12, max_iters=10, eps0=eps0
+            dataclasses.replace(problem, timegrid=tg),
+            tol=1.0e-12,
+            max_iters=10,
+            eps0=eps0,
+            accelerate=False,
         )
         res = [r for r in report.residual_history if r > 0]
         ratios = [res[i + 1] / res[i] for i in range(len(res) - 1)]

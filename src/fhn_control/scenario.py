@@ -233,14 +233,15 @@ def _parse_mask(grid: Grid, text: str) -> Field:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a UTF-8 scenario file; unknown keys are hard
-    errors, and so is a file that does not decode or that the INI parser
-    rejects (a missing section header, or a repeated section or key).
+    """Parse and validate a UTF-8 scenario file, with or without a leading
+    byte-order mark; unknown keys are hard errors, and so is a file that
+    does not decode or that the INI parser rejects (a missing section
+    header, or a repeated section or key).
     Values are read literally: `%` is not interpolated.  `[DEFAULT]` is
     unknown like any other section."""
     # no header line can name the default section "\n", so no keys merge
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:

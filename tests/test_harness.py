@@ -158,14 +158,18 @@ def test_optimize_artifacts_and_history(tmp_path):
     assert record.passed
     assert record.summary["converged"]
     history = (tmp_path / "history.csv").read_text().strip().split("\n")
-    assert history[0].startswith("iteration,psi,residual")
+    assert history[0] == "iteration,psi,residual,eps,accepted,tau,direction,margin"
     assert len(history) >= 2
+    # the first step is the plain one; a later one may be the Anderson step
+    directions = [line.split(",")[6] for line in history[1:]]
+    assert directions[0] == "plain" and set(directions) <= {"plain", "anderson"}
     assert (tmp_path / "control.npz").exists()
     assert (tmp_path / "state_path0.npz").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["formats"]["control"] == CONTROL_FORMAT
     assert manifest["formats"]["snapshot"] == SNAPSHOT_FORMAT
     assert manifest["formats"]["report"] == "fhn-report-csv-v2"
+    assert manifest["formats"]["history"] == "fhn-optimize-history-csv-v2"
     # the margin is a number, the one every history row holds
     scenario = Scenario(**SMALL)
     margin = (1.0 / scenario.alpha) * scenario.horizon + scenario.terminal_weight
@@ -435,13 +439,23 @@ def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
     assert record.passed, record.summary
 
 
-def test_convergence_study_tables_and_summary(tmp_path):
+def test_convergence_study_tables_and_summary(tmp_path, monkeypatch):
     # the sweep is a measurement, with no verdict: per horizon the margin
     # and the worst late residual ratio, and the summary draws none from it
     scenario = Scenario(**EXACT_DUALITY)
     record = run(scenario, "convergence-study", tmp_path)
     assert set(record.summary) == {"deterministic_rate", "stochastic_rate", "duality_slope"}
+    # it measures the plain fixed-point map, whose contraction the margin bounds
+    accelerated = []
+    real_optimize = harness.optimize
+
+    def recording_optimize(*args, **kwargs):
+        accelerated.append(kwargs.get("accelerate", True))
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "optimize", recording_optimize)
     sweep = harness.margin_sweep(scenario.problem, scenario.eps0)
+    assert accelerated == [False] * 5
     assert [row["T"] for row in sweep] == [0.25, 0.5, 1.0, 2.0, 4.0]
     for row in sweep:
         assert set(row) == {"T", "margin", "worst_late_ratio"}
@@ -581,6 +595,28 @@ def test_cli_undecodable_scenario_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_scenario_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark: the file reads
+    # as without it, and bytes that are not UTF-8 after the mark still exit 2
+    text = "[grid]\nn = 16\n[time]\nsteps = 40\nhorizon = 0.2\n[noise]\nmodes = 8\n"
+    scenario_path = tmp_path / "bom.ini"
+    scenario_path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"]["n"] == 16
+    plain = tmp_path / "plain.ini"
+    plain.write_text(text, encoding="utf-8")
+    assert manifest["scenario_digest"] == load_scenario(str(plain)).digest()
+    capsys.readouterr()
+    scenario_path.write_bytes(b"\xef\xbb\xbf\xff" + text.encode())
+    out = tmp_path / "out2"
+    assert main(["simulate", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and "utf-8" in err
+    assert not out.exists()
+
+
 def test_verify_invariants_command(tmp_path):
     record = run(Scenario(**SMALL), "verify-invariants", tmp_path)
     assert record.passed
@@ -642,8 +678,8 @@ def test_cli_bad_scenario_exits_2(tmp_path, capsys):
 
 
 def test_cli_removed_theta_switch_exits_2(tmp_path, capsys):
-    # every optimize run perturbs its step: the retired switch is an unknown
-    # key.  Its name is spelled in parts, so that it appears nowhere else
+    # no optimize run perturbs its step any longer: the retired switch is an
+    # unknown key.  Its name is spelled in parts, so that it appears nowhere else
     key = "_".join(("use", "theta"))
     scenario_path = tmp_path / "theta.ini"
     scenario_path.write_text(f"[run]\n{key} = true\n")

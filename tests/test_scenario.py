@@ -92,7 +92,7 @@ def test_validation_errors():
     with pytest.raises(ConfigurationError, match="seed must be an integer"):
         Scenario(seed=2.5).validate()
     # every optimize run is the regularized iteration: eps0 = 0 would drop
-    # both its perturbation and its penalty
+    # its penalty
     for bad in (0.0, -1.0):
         with pytest.raises(ConfigurationError, match="eps0 must be positive"):
             Scenario(eps0=bad).validate()
