@@ -28,7 +28,7 @@ import numpy as np
 
 from .adjoint import control_signal
 from .dynamics import FhnParams, i_ion_prime
-from .errors import BlowUpError, ConfigurationError, ContractViolation
+from .errors import BlowUpError, ConfigurationError, ContractViolation, check_integer
 from .forward import (
     ActuatorSpec,
     ControlPath,
@@ -123,7 +123,7 @@ class Problem:
     ensemble: int = 1
 
     def __post_init__(self):
-        if self.ensemble < 1:
+        if check_integer(self.ensemble, "ensemble size") < 1:
             raise ConfigurationError(f"ensemble size must be >= 1, got {self.ensemble}")
         grid, cost = self.grid, self.cost
         self.params.forcing(grid)  # raises for a forcing field off the grid
@@ -243,11 +243,12 @@ class OptimizeReport:
 
 def check_run_settings(tol: float, max_iters: int, eps0: float) -> None:
     """`optimize`'s settings, from a scenario or a call: a positive finite
-    `tol`, `max_iters` >= 1 and a positive finite `eps0`, or a `ConfigurationError`."""
+    `tol`, an integer `max_iters` >= 1 and a positive finite `eps0`, or a
+    `ConfigurationError`."""
     # written so that NaN fails too
     if not 0 < tol < math.inf:
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if not max_iters >= 1:
+    if check_integer(max_iters, "max_iters") < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     if not 0 < eps0 < math.inf:
         raise ConfigurationError(f"eps0 must be positive and finite, got {eps0}")
@@ -284,7 +285,6 @@ def optimize(
     max_iters: int = 40,
     eps0: float = 1.0e-3,
     u0: ControlPath | None = None,
-    accelerate: bool = True,
 ) -> OptimizeReport:
     """Regularized fixed-point outer loop; see the module docstring.
 
@@ -293,11 +293,9 @@ def optimize(
     moves along the Anderson direction where the previous iteration
     accepted a step, and along the plain step otherwise, or where the
     search along the Anderson direction fails; if that fails too, the
-    iteration is not accepted and the next one has no pair.  `accelerate`
-    False always moves along the plain step, the map whose contraction
-    `harness.margin_sweep` measures.  Each record's `direction` names the
-    direction of the step taken: "anderson", or "plain" (also where no
-    step is taken).
+    iteration is not accepted and the next one has no pair.  Each record's
+    `direction` names the direction of the step taken: "anderson", or
+    "plain" (also where no step is taken).
 
     Every quantity is deterministic given (seed, problem): candidate
     controls are always evaluated on the same per-path noise, common
@@ -419,12 +417,11 @@ def optimize(
             continue
         tau, trial, psi_u, trial_ens = found
         del found
-        if accelerate:
-            # the step taken goes into the direction's array, if there is one
-            taken = direction if direction is not None else ControlPath(np.empty_like(u.values))
-            np.subtract(trial.values, u.values, out=taken.values)
-            pair = (step, taken)
-            del taken
+        # the step taken goes into the direction's array, if there is one
+        taken = direction if direction is not None else ControlPath(np.empty_like(u.values))
+        np.subtract(trial.values, u.values, out=taken.values)
+        pair = (step, taken)
+        del taken
         del direction, step, path0  # not alive while the trial's are taken
         u = trial
         step, mean_sup, path0 = keep(u, trial_ens)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+every count and the seed pass through."""
+
+import operator
 
 
 class ConfigurationError(ValueError):
@@ -8,6 +11,16 @@ class ConfigurationError(ValueError):
 class ContractViolation(ValueError):
     """Operands passed to an operation do not satisfy its preconditions
     (mismatched grids, inconsistent time grids, ...)."""
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as an int where it is one (a numpy integer included), or a
+    `ConfigurationError` naming it: a float count such as 8.0 or 2.5 fails
+    here rather than at the first array or range it sizes."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 #: |X|_H above which a path counts as blown up.

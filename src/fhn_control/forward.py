@@ -53,7 +53,6 @@ every step, one path at a time: it names the first node in time past
 
 from __future__ import annotations
 
-import operator
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import FhnParams, df_apply, f_apply
-from .errors import BLOWUP_THRESHOLD, BlowUpError, ConfigurationError, ContractViolation
+from .errors import BLOWUP_THRESHOLD, BlowUpError, ConfigurationError, ContractViolation, check_integer
 from .grid import Field, Grid, StateX, helmholtz_solve, norm_h_sq, norm_v_sq
 from .noise import path_normals, synthesize
 
@@ -82,7 +81,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
+        if check_integer(self.N, "number of time steps N") < 1:
             raise ConfigurationError(f"need at least one time step, got N={self.N}")
         if not 0 < self.T < np.inf:  # written so that NaN fails too
             raise ConfigurationError(f"horizon must be positive and finite, got T={self.T}")
@@ -340,10 +339,7 @@ def check_seed(seed) -> int:
     """A run's noise is drawn from (seed, path): the seed as an int, and a
     `ConfigurationError` for a non-integer or negative seed, whether or not
     a run draws any noise."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
+    seed = check_integer(seed, "seed")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     return seed

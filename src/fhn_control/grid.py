@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, check_integer
 
 Field = np.ndarray
 
@@ -49,9 +49,9 @@ class Grid:
     ell: float = 1.0
 
     def __post_init__(self):
-        if self.d not in (1, 2):
+        if check_integer(self.d, "dimension d") not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.d}")
-        if self.n < 3:
+        if check_integer(self.n, "nodes per axis n") < 3:
             raise ConfigurationError(f"need at least 3 nodes per axis, got {self.n}")
         if not 0 < self.ell < np.inf:  # written so that NaN fails too
             raise ConfigurationError(f"edge length must be positive and finite, got {self.ell}")

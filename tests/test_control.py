@@ -58,6 +58,26 @@ def _noisy(problem, ensemble):
     )
 
 
+def test_problem_rejects_a_float_ensemble_size_when_built():
+    # with the noise on it would build and fail in integrate_ensemble
+    problem = _noisy(_setup(n=8), 2)
+    with pytest.raises(ConfigurationError, match="ensemble size must be an integer, got 2.5"):
+        dataclasses.replace(problem, ensemble=2.5)
+    assert dataclasses.replace(problem, ensemble=np.int64(3)).n_paths == 3
+
+
+def test_optimize_rejects_a_float_iteration_cap_before_any_draw(monkeypatch):
+    # it would draw and integrate the start, then fail in range()
+    assert len(optimize(_setup(n=8, N=10), max_iters=np.int64(2), tol=1e-12).iterations) == 2
+    problem = _noisy(_setup(n=8, N=10), 3)
+    drawn = []
+    monkeypatch.setattr(forward_module, "path_normals", lambda *a: drawn.append(a))
+    monkeypatch.setattr(control_module, "integrate_ensemble", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ConfigurationError, match="max_iters must be an integer, got 2.5"):
+        optimize(problem, max_iters=2.5)
+    assert drawn == []
+
+
 def test_problem_path_count_follows_noise():
     problem = _noisy(_setup(n=8), 20)
     assert problem.n_paths == 20
@@ -516,20 +536,6 @@ def test_optimize_converges_where_the_plain_map_stalls():
     assert any(it["direction"] == "anderson" for it in rep.iterations)
     psi = rep.psi_history
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(psi, psi[1:]))
-
-
-def test_optimize_without_acceleration_iterates_the_plain_map():
-    # accelerate=False moves along the plain step only; the first step is
-    # the plain one either way, and the accelerated loop needs fewer passes
-    problem = _setup(n=8, N=20, T=0.5, alpha=0.5)
-    plain = optimize(problem, tol=1e-10, accelerate=False)
-    fast = optimize(problem, tol=1e-10)
-    assert plain.converged and fast.converged
-    assert {it["direction"] for it in plain.iterations} == {"plain"}
-    assert fast.iterations[1]["direction"] == "anderson"
-    assert plain.iterations[0] == fast.iterations[0]
-    assert plain.iterations[1]["residual"] == fast.iterations[1]["residual"]
-    assert len(fast.iterations) < len(plain.iterations)
 
 
 @pytest.mark.parametrize("blown", [{2}, {2, 3}], ids=["anderson-trial", "and-plain-retry"])

@@ -51,6 +51,13 @@ def test_timegrid_properties():
         TimeGrid(-1.0, 10)
 
 
+def test_timegrid_rejects_a_float_step_count_when_built():
+    # it would build and fail at the first weights it sizes
+    with pytest.raises(ConfigurationError, match="time steps N must be an integer, got 2.5"):
+        TimeGrid(1.0, 2.5)
+    assert TimeGrid(1.0, np.int64(4)).u_weights().shape == (5,)
+
+
 def test_control_inner_product_constant():
     g = Grid(1, 9, 1.0)
     tg = TimeGrid(2.0, 8)

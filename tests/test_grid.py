@@ -55,6 +55,14 @@ def test_grid_rejects_bad_parameters():
         Grid(1, 8, -1.0)
 
 
+@pytest.mark.parametrize("d, n, bad", [(1, 8.0, "nodes per axis n"), (1.0, 8, "dimension d")])
+def test_grid_rejects_a_float_count_when_built(d, n, bad):
+    # a float count would build and fail at the first array it sizes
+    with pytest.raises(ConfigurationError, match=f"{bad} must be an integer, got [18]\\.0"):
+        Grid(d, n)
+    assert Grid(np.int64(1), np.int64(8)).shape == (8,)
+
+
 def test_weights_sum_to_volume():
     for d, n, ell in [(1, 17, 1.0), (1, 64, 2.5), (2, 9, 1.0), (2, 21, 0.5)]:
         g = Grid(d, n, ell)

@@ -439,23 +439,13 @@ def test_convergence_study_passes_where_the_duality_is_exact(tmp_path):
     assert record.passed, record.summary
 
 
-def test_convergence_study_tables_and_summary(tmp_path, monkeypatch):
+def test_convergence_study_tables_and_summary(tmp_path):
     # the sweep is a measurement, with no verdict: per horizon the margin
     # and the worst late residual ratio, and the summary draws none from it
     scenario = Scenario(**EXACT_DUALITY)
     record = run(scenario, "convergence-study", tmp_path)
     assert set(record.summary) == {"deterministic_rate", "stochastic_rate", "duality_slope"}
-    # it measures the plain fixed-point map, whose contraction the margin bounds
-    accelerated = []
-    real_optimize = harness.optimize
-
-    def recording_optimize(*args, **kwargs):
-        accelerated.append(kwargs.get("accelerate", True))
-        return real_optimize(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "optimize", recording_optimize)
-    sweep = harness.margin_sweep(scenario.problem, scenario.eps0)
-    assert accelerated == [False] * 5
+    sweep = harness.margin_sweep(scenario.problem)
     assert [row["T"] for row in sweep] == [0.25, 0.5, 1.0, 2.0, 4.0]
     for row in sweep:
         assert set(row) == {"T", "margin", "worst_late_ratio"}
@@ -465,6 +455,52 @@ def test_convergence_study_tables_and_summary(tmp_path, monkeypatch):
     assert lines == ["T,margin,worst_late_ratio"] + [
         f"{row['T']!r},{row['margin']!r},{row['worst_late_ratio']!r}" for row in sweep
     ]
+
+
+def _linear_half_mask(alpha, horizon):
+    """Linear reaction, left-half mask, x_ref = 1: a linear-quadratic
+    problem whose plain map contracts at short horizons only."""
+    return Scenario(
+        n=8, steps=20, horizon=horizon, linear=True, alpha=alpha, terminal_weight=0.1,
+        mask="left_half", x_ref="constant:1.0",
+    ).problem
+
+
+@pytest.mark.parametrize("alpha, horizon", [(0.3, 1.0), (0.05, 2.0)])
+def test_margin_sweep_reads_the_undamped_map_where_it_diverges(alpha, horizon):
+    # the plain map's residual ratio grows with the horizon and passes 1 at
+    # T = 2; a line search would damp the loop and read a contraction
+    # there.  At alpha = 0.05 the iterates at T = 2 and T = 4 blow up,
+    # which ends those horizons instead of raising
+    sweep = harness.margin_sweep(_linear_half_mask(alpha, horizon))
+    ratios = {row["T"]: row["worst_late_ratio"] for row in sweep}
+    assert ratios[2.0] > 1.0 and ratios[4.0] > 1.0
+    assert ratios[0.25] < 1.0
+
+
+def test_margin_sweep_is_one_integration_and_one_sweep_per_iterate(monkeypatch):
+    # each iterate integrates its control and sweeps back once: no cost
+    # evaluation, no line search, and no optimizer run.  Every horizon takes
+    # ten iterates but T = 0.25, whose ninth residual is below 1e-12
+    calls = []
+    real_integrate, real_signal = harness.integrate_ensemble, harness.control_signal
+
+    def integrate(problem, control, seed):
+        calls.append("integrate")
+        return real_integrate(problem, control, seed)
+
+    def signal(problem, ens):
+        calls.append("signal")
+        return real_signal(problem, ens)
+
+    def no_optimize(*args, **kwargs):
+        raise AssertionError("margin_sweep runs optimize")
+
+    monkeypatch.setattr(harness, "integrate_ensemble", integrate)
+    monkeypatch.setattr(harness, "control_signal", signal)
+    monkeypatch.setattr(harness, "optimize", no_optimize)
+    harness.margin_sweep(_linear_half_mask(0.3, 1.0))
+    assert calls == ["integrate", "signal"] * 49
 
 
 def test_duality_slope_is_nan_where_every_gap_is_zero():
